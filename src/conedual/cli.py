@@ -161,9 +161,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--json", action="store_true", help="emit JSON reports")
     ap.add_argument("--tol-feas", type=float, default=solver.TOL_FEAS)
     ap.add_argument("--tol-gap", type=float, default=solver.TOL_GAP)
-    ap.add_argument("--margin", type=float, default=solver.STRICT_MARGIN)
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker bound for independent diagnostics")
     sub = ap.add_subparsers(dest="command", required=True)
 
     for name in ("dualize", "solve", "diagnose", "bounded", "gordan"):

@@ -9,7 +9,9 @@ identical to C.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,42 +171,61 @@ def canonical_relint_point(c: Cone) -> np.ndarray:
     return out
 
 
-def _factor_project(tag: str, x: np.ndarray) -> np.ndarray:
-    if tag == FREE:
-        return x
-    if tag == ZERO:
-        return np.zeros_like(x)
-    if tag == NONNEG:
-        return np.maximum(x, 0.0)
-    if tag == SOC:
-        z, t = x[:-1], x[-1]
-        nz = np.linalg.norm(z)
-        if nz <= t:
-            return x
-        if nz <= -t:
-            return np.zeros_like(x)
-        coef = (nz + t) / 2.0
-        out = np.empty_like(x)
-        out[:-1] = coef * (z / nz)
-        out[-1] = coef
-        return out
-    if tag == PSD:
-        mat = vec_to_sym(x)
-        w, v = np.linalg.eigh(mat)
-        w = np.maximum(w, 0.0)
-        return sym_to_vec((v * w) @ v.T)
-    raise ValueError(tag)
+@lru_cache(maxsize=256)
+def projector(c: Cone):
+    """Euclidean projection onto the cone, planned once from its tags.
+
+    Zero coordinates are set to 0, Nonneg ones clipped at 0, Free ones kept;
+    each SecondOrder block is projected on (start, axis), each Psd block by
+    clipping the eigenvalues of its matrix.  The negation flag is applied to
+    the input and again to the output.
+    """
+    zero, nonneg, socs, psds = [], [], [], []
+    for tag, s in zip(c.tags, c.space.slices()):
+        if tag == ZERO:
+            zero.extend(range(s.start, s.stop))
+        elif tag == NONNEG:
+            nonneg.extend(range(s.start, s.stop))
+        elif tag == SOC:
+            socs.append((s.start, s.stop - 1))
+        elif tag == PSD:
+            psds.append(s)
+    zero = np.array(zero, dtype=np.intp)
+    nonneg = np.array(nonneg, dtype=np.intp)
+    negated, dim = c.negated, c.space.dim
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (dim,):
+            raise ValueError(f"expected vector of dim {dim}, got shape {x.shape}")
+        out = -1.0 * x if negated else x.copy()
+        if zero.size:
+            out[zero] = 0.0
+        if nonneg.size:
+            out[nonneg] = np.maximum(out[nonneg], 0.0)
+        for start, axis in socs:
+            z, t = out[start:axis], out[axis]
+            nz = math.sqrt(z.dot(z))  # bitwise np.linalg.norm(z)
+            if nz <= t:
+                continue
+            if nz <= -t:
+                out[start:axis + 1] = 0.0
+                continue
+            coef = (nz + t) / 2.0
+            out[start:axis] = coef * (z / nz)
+            out[axis] = coef
+        for s in psds:
+            w, v = np.linalg.eigh(vec_to_sym(out[s]))
+            w = np.maximum(w, 0.0)
+            out[s] = sym_to_vec((v * w) @ v.T)
+        return -1.0 * out if negated else out
+
+    return apply
 
 
 def project(c: Cone, x: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the cone."""
-    x = np.asarray(x, dtype=float)
-    sign = -1.0 if c.negated else 1.0
-    x = sign * x
-    out = np.empty_like(x)
-    for tag, s in zip(c.tags, c.space.slices()):
-        out[s] = _factor_project(tag, x[s])
-    return sign * out
+    return projector(c)(x)
 
 
 # entry-threshold line search: bisection cap and iteration budget

@@ -9,6 +9,13 @@ At = [A; -I], bt = (b, 0), ct = -c, and solved by alternating projections on
 the self-dual embedding (splitting with over-relaxation 1.5, dense cached
 factorization of I + Q).  Exits with a primal-dual pair, an infeasibility
 certificate, an unboundedness ray, or Unknown.
+
+The iteration is compiled once per solve: I + Q is LU-factored once and each
+iteration calls LAPACK's getrs on the factors directly (keeping lu_solve's
+finiteness and info checks), and the projection onto dual(K x C) is the plan
+`cones.projector` builds once from the cone's tags.  Neither changes the
+arithmetic, so the iterates are bitwise those of the per-call lu_solve and
+per-factor projection they replace.
 """
 
 from __future__ import annotations
@@ -16,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor
+# not called here; perfbench/layers.py looks up solver.lu_solve by name
+from scipy.linalg import lu_solve  # noqa: F401
 
 from . import cones, program
 from .spaces import LinearMap, inner, product_space, real, space
@@ -80,7 +89,9 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
     q[n:-1, -1] = bt
     q[-1, :n] = -ct
     q[-1, n:-1] = -bt
-    factor = lu_factor(np.eye(nn) + q)
+    lu, piv = lu_factor(np.eye(nn) + q)
+    getrs, = get_lapack_funcs(("getrs",), (lu,))
+    project_kc = cones.projector(kc_dual)
 
     u = np.zeros(nn)
     u[-1] = 1.0
@@ -89,17 +100,19 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
     norm_b = np.linalg.norm(bt)
     norm_c = np.linalg.norm(ct)
 
-    def project_u(z):
-        out = z.copy()
-        out[n:-1] = cones.project(kc_dual, z[n:-1])
-        out[-1] = max(z[-1], 0.0)
-        return out
-
     best = SolveResult(status="Unknown")
     for k in range(1, max_iter + 1):
-        u_tilde = lu_solve(factor, u + v)
+        rhs = u + v
+        # the two checks lu_solve makes around getrs
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        u_tilde, info = getrs(lu, piv, rhs, overwrite_b=True)
+        if info:
+            raise ValueError(f"illegal value in {-info}th argument of internal getrs")
         t = ALPHA * u_tilde + (1.0 - ALPHA) * u
-        u_new = project_u(t - v)
+        u_new = t - v
+        u_new[n:-1] = project_kc(u_new[n:-1])
+        u_new[-1] = max(u_new[-1], 0.0)
         v = v - t + u_new
         u = u_new
 
@@ -267,7 +280,7 @@ def strict_feasibility(gmap: LinearMap, g: np.ndarray, kc: cones.Cone,
             return MarginResult("Yes", margin=np.inf, witness=x,
                                 detail="interior witness from an improving ray")
         return MarginResult("Unknown", detail="unvalidated interior ray")
-    return MarginResult("Unknown", margin=res.gap, detail="solver did not converge")
+    return MarginResult("Unknown", detail="solver did not converge")
 
 
 def _validated_separator(gmap, g, kc, e, lam, tol, allow_zero_e=False):

@@ -10,6 +10,7 @@ transpose of its coordinate matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,19 +49,25 @@ def sym(m: int) -> Factor:
     return Factor("sym", m)
 
 
+@lru_cache(maxsize=None)
+def _svec_maps(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, weights) of the svec coordinates of Sym(m), in column order.
+
+    Coordinate k is the lower-triangle entry (rows[k], cols[k]); weights[k] is
+    1 on the diagonal and sqrt(2) off it.
+    """
+    cols, rows = np.triu_indices(m)
+    weights = np.where(rows == cols, 1.0, _SQRT2)
+    for arr in (rows, cols, weights):
+        arr.flags.writeable = False
+    return rows, cols, weights
+
+
 def sym_to_vec(mat: np.ndarray) -> np.ndarray:
     """Scaled lower-triangle vectorization, column order, off-diagonals * sqrt(2)."""
     mat = np.asarray(mat, dtype=float)
-    m = mat.shape[0]
-    out = np.empty(m * (m + 1) // 2)
-    k = 0
-    for j in range(m):
-        out[k] = mat[j, j]
-        k += 1
-        for i in range(j + 1, m):
-            out[k] = mat[i, j] * _SQRT2
-            k += 1
-    return out
+    rows, cols, weights = _svec_maps(mat.shape[0])
+    return mat[rows, cols] * weights
 
 
 def vec_to_sym(vec: np.ndarray) -> np.ndarray:
@@ -69,14 +76,11 @@ def vec_to_sym(vec: np.ndarray) -> np.ndarray:
     m = int(round((np.sqrt(8 * len(vec) + 1) - 1) / 2))
     if m * (m + 1) // 2 != len(vec):
         raise ValueError(f"length {len(vec)} is not a triangular number")
+    rows, cols, weights = _svec_maps(m)
+    vals = vec / weights
     out = np.empty((m, m))
-    k = 0
-    for j in range(m):
-        out[j, j] = vec[k]
-        k += 1
-        for i in range(j + 1, m):
-            out[i, j] = out[j, i] = vec[k] / _SQRT2
-            k += 1
+    out[rows, cols] = vals
+    out[cols, rows] = vals
     return out
 
 

@@ -148,6 +148,9 @@ def test_cli_exit_codes(tmp_path):
     # usage error: missing required option
     proc = _run(["project", "-"], stdin_doc=_instance_doc())
     assert proc.returncode == 1
+    # usage error: unknown option
+    proc = _run(["--jobs", "2", "diagnose", "f"])
+    assert proc.returncode == 1
     # invalid instance: malformed json
     path = tmp_path / "bad.json"
     path.write_text("{not json")

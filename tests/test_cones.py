@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conedual import cones
+from conedual import cones, spaces
 from conedual.spaces import real, space, sym, sym_to_vec
 
 ALL_TAGS = [cones.ZERO, cones.FREE, cones.NONNEG, cones.SOC, cones.PSD]
@@ -185,3 +187,141 @@ def test_validation_rejects_bad_tags():
         cones.Cone(space(sym(2)), (cones.SOC,))
     with pytest.raises(ValueError):
         cones.Cone(space(real(3)), (cones.NONNEG, cones.NONNEG))
+
+
+# -- the planned projector against the loop-based reference ------------------
+#
+# _ref_* below are the loop-based svec maps and per-factor projection that the
+# planned projector replaced.  They are kept here only as an oracle: the plan
+# must reproduce them bit for bit, signed zeros included.
+
+_SQRT2 = np.sqrt(2.0)
+
+
+def _ref_sym_to_vec(mat):
+    mat = np.asarray(mat, dtype=float)
+    m = mat.shape[0]
+    out = np.empty(m * (m + 1) // 2)
+    k = 0
+    for j in range(m):
+        out[k] = mat[j, j]
+        k += 1
+        for i in range(j + 1, m):
+            out[k] = mat[i, j] * _SQRT2
+            k += 1
+    return out
+
+
+def _ref_vec_to_sym(vec):
+    vec = np.asarray(vec, dtype=float)
+    m = int(round((np.sqrt(8 * len(vec) + 1) - 1) / 2))
+    out = np.empty((m, m))
+    k = 0
+    for j in range(m):
+        out[j, j] = vec[k]
+        k += 1
+        for i in range(j + 1, m):
+            out[i, j] = out[j, i] = vec[k] / _SQRT2
+            k += 1
+    return out
+
+
+def _ref_factor_project(tag, x):
+    if tag == cones.FREE:
+        return x
+    if tag == cones.ZERO:
+        return np.zeros_like(x)
+    if tag == cones.NONNEG:
+        return np.maximum(x, 0.0)
+    if tag == cones.SOC:
+        z, t = x[:-1], x[-1]
+        nz = np.linalg.norm(z)
+        if nz <= t:
+            return x
+        if nz <= -t:
+            return np.zeros_like(x)
+        coef = (nz + t) / 2.0
+        out = np.empty_like(x)
+        out[:-1] = coef * (z / nz)
+        out[-1] = coef
+        return out
+    w, v = np.linalg.eigh(_ref_vec_to_sym(x))
+    w = np.maximum(w, 0.0)
+    return _ref_sym_to_vec((v * w) @ v.T)
+
+
+def _ref_project(c, x):
+    sign = -1.0 if c.negated else 1.0
+    x = sign * np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    for tag, s in zip(c.tags, c.space.slices()):
+        out[s] = _ref_factor_project(tag, x[s])
+    return sign * out
+
+
+@st.composite
+def _factor(draw):
+    tag = draw(st.sampled_from(ALL_TAGS))
+    if tag == cones.PSD or (tag in (cones.ZERO, cones.FREE) and draw(st.booleans())):
+        return tag, sym(draw(st.integers(1, 3)))
+    return tag, real(draw(st.integers(2 if tag == cones.SOC else 1, 4)))
+
+
+@st.composite
+def _cone_and_point(draw):
+    factors = draw(st.lists(_factor(), min_size=1, max_size=5))
+    c = cones.Cone(space(*(f for _, f in factors)), tuple(t for t, _ in factors))
+    if draw(st.booleans()):
+        c = cones.polar(c)
+    x = draw(st.lists(st.floats(-10.0, 10.0, allow_subnormal=False),
+                      min_size=c.space.dim, max_size=c.space.dim))
+    return c, np.array(x)
+
+
+_PROPERTY = settings(max_examples=300, deadline=None, database=None)
+
+
+@_PROPERTY
+@given(_cone_and_point())
+def test_projector_lands_in_cone_and_is_idempotent(cx):
+    c, x = cx
+    px = cones.project(c, x)
+    assert cones.member(c, px)
+    tol = 1e-12 * (1.0 + np.linalg.norm(x))
+    assert np.linalg.norm(cones.project(c, px) - px) <= tol
+
+
+@_PROPERTY
+@given(_cone_and_point())
+def test_projector_moreau_decomposition(cx):
+    c, x = cx
+    px = cones.project(c, x)
+    qx = cones.project(cones.polar(c), x)
+    nx = np.linalg.norm(x)
+    assert np.linalg.norm(px + qx - x) <= 1e-12 * (1.0 + nx)
+    assert abs(px @ qx) <= 1e-12 * (1.0 + nx * nx)
+
+
+@_PROPERTY
+@given(_cone_and_point())
+def test_projector_bitwise_matches_reference(cx):
+    c, x = cx
+    assert cones.project(c, x).tobytes() == _ref_project(c, x).tobytes()
+    assert cones.projector(c)(x).tobytes() == _ref_project(c, x).tobytes()
+
+
+@_PROPERTY
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_svec_maps_bitwise_match_reference(m, seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((m, m))  # unsymmetric: only the lower triangle is read
+    vec = rng.standard_normal(m * (m + 1) // 2)
+    assert spaces.sym_to_vec(mat).tobytes() == _ref_sym_to_vec(mat).tobytes()
+    assert spaces.vec_to_sym(vec).tobytes() == _ref_vec_to_sym(vec).tobytes()
+
+
+def test_projector_is_planned_once_per_cone():
+    c = cones.Cone(space(real(2), sym(2)), (cones.NONNEG, cones.PSD))
+    assert cones.projector(c) is cones.projector(cones.Cone(c.space, c.tags))
+    with pytest.raises(ValueError):
+        cones.project(c, np.zeros(4))

@@ -1,9 +1,10 @@
 """Operator-splitting solver against independent oracles and hand instances."""
 
 import numpy as np
+import pytest
 
 import oracles
-from conedual import cones, gallery, program, solver
+from conedual import cones, diagnostics, gallery, program, solver
 from conedual.spaces import LinearMap, inner, real, space, sym, sym_to_vec
 
 
@@ -203,3 +204,58 @@ def test_solver_respects_iteration_budget():
     p = _lp(0)
     res = solver.solve(p, max_iter=100)
     assert res.iterations <= 100
+
+
+def test_solver_rejects_non_finite_iterates():
+    # finite data whose iterates overflow: the linear solve refuses them, as
+    # scipy's lu_solve does, rather than iterating on infs and NaNs
+    dom, cod = space(real(2)), space(real(2))
+    p = program.ConicProgram(
+        A=LinearMap(dom, cod, np.eye(2)), b=np.array([1e308, -1e308]),
+        c=np.array([1e308, 1e308]), K=cones.cone(cod, cones.NONNEG),
+        C=cones.cone(dom, cones.NONNEG), sense="sup")
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        solver.solve(p, max_iter=200)
+
+
+def test_strict_feasibility_without_convergence_has_no_margin():
+    # 50 iterations are far from enough on the Slater margin program of the
+    # infinite-gap family; the solver's gap is not a margin
+    gmap, g, kc = program.feasible_system(gallery.example_adapted(3))
+    res = solver.strict_feasibility(gmap, g, kc, max_iter=50)
+    assert res.verdict == "Unknown"
+    assert res.detail == "solver did not converge"
+    assert np.isnan(res.margin)
+
+
+def _report_iterations(monkeypatch, p, **kw):
+    """Total HSDE iterations of one strong_duality_report (outermost solves)."""
+    solve = solver.solve
+    total, depth = [0], [0]
+
+    def counted(*args, **kwargs):
+        depth[0] += 1
+        try:
+            res = solve(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            total[0] += res.iterations
+        return res
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "solve", counted)
+        diagnostics.strong_duality_report(p, **kw)
+    return total[0]
+
+
+def test_report_iteration_counts_are_pinned(monkeypatch):
+    # Exact totals.  A change meant only for speed must leave every iterate,
+    # and so these counts, unchanged; a change to the arithmetic moves them.
+    assert _report_iterations(monkeypatch, gallery.example_adapted(3),
+                              max_iter=1200) == 9825
+    planted = gallery.planted_strong_duality(
+        [(cones.PSD, 2), (cones.SOC, 3)], [(cones.ZERO, 1), (cones.NONNEG, 2)],
+        seed=0)
+    assert _report_iterations(monkeypatch, planted) == 4575
