@@ -57,6 +57,16 @@ def _build_space(factors: list[dict]):
                    for f in factors])
 
 
+def _finite_array(name: str, value) -> np.ndarray:
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"field {name}: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise InstanceError(f"field {name}: entries must be finite numbers")
+    return arr
+
+
 def load(doc: dict) -> program.ConicProgram:
     try:
         validate(doc, INSTANCE_SCHEMA)
@@ -76,18 +86,17 @@ def load(doc: dict) -> program.ConicProgram:
         kk = cones.Cone(sy, tuple(doc["cone_K"]))
     except ValueError as exc:
         raise InstanceError(f"field cone_C/cone_K: {exc}") from exc
-    amat = np.array(doc["A"], dtype=float)
+    amat, b, c = (_finite_array(name, doc[name]) for name in ("A", "b", "c"))
     if amat.shape != (sy.dim, sx.dim):
         raise InstanceError(
             f"field A: expected shape ({sy.dim}, {sx.dim}), got {amat.shape}")
-    if len(doc["b"]) != sy.dim:
-        raise InstanceError(f"field b: expected length {sy.dim}, got {len(doc['b'])}")
-    if len(doc["c"]) != sx.dim:
-        raise InstanceError(f"field c: expected length {sx.dim}, got {len(doc['c'])}")
+    if len(b) != sy.dim:
+        raise InstanceError(f"field b: expected length {sy.dim}, got {len(b)}")
+    if len(c) != sx.dim:
+        raise InstanceError(f"field c: expected length {sx.dim}, got {len(c)}")
     try:
         return program.ConicProgram(
-            A=LinearMap(sx, sy, amat), b=np.array(doc["b"], dtype=float),
-            c=np.array(doc["c"], dtype=float), K=kk, C=cc,
+            A=LinearMap(sx, sy, amat), b=b, c=c, K=kk, C=cc,
             sense=doc.get("sense", "sup"))
     except ValueError as exc:
         raise InstanceError(str(exc)) from exc
@@ -122,22 +131,6 @@ def dump(p: program.ConicProgram, annotations: dict | None = None) -> dict:
     return doc
 
 
-def _clean(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    if isinstance(v, float) and not np.isfinite(v):
-        return str(v)
-    if isinstance(v, dict):
-        return {str(k): _clean(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_clean(x) for x in v]
-    if isinstance(v, (diagnostics.Separator,)):
-        return {"lam": _clean(v.lam), "sides": list(v.sides)}
-    return v
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -147,7 +140,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(args, payload: dict, text_lines: list[str]):
     if args.json:
-        json.dump(_clean(payload), sys.stdout, indent=2)
+        json.dump(diagnostics.jsonable(payload), sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
         for line in text_lines:
@@ -248,7 +241,9 @@ def _dispatch(args) -> int:
     if args.command == "project":
         with open(args.subspace) as fh:
             sdoc = json.load(fh)
-        basis = np.array(sdoc["basis"], dtype=float)
+        if not isinstance(sdoc, dict) or "basis" not in sdoc:
+            raise InstanceError("field basis: missing from the subspace file")
+        basis = _finite_array("basis", sdoc["basis"])
         if basis.ndim != 2 or basis.shape[0] != p.A.domain.dim:
             raise InstanceError(
                 f"field basis: expected {p.A.domain.dim} rows, got {basis.shape}")

@@ -156,6 +156,20 @@ def is_polyhedral(c: Cone) -> bool:
     return all(t in (ZERO, FREE, NONNEG) for t in c.tags)
 
 
+def sample_relint(c: Cone, rng: np.random.Generator, scale: float) -> np.ndarray:
+    """Random relative-interior point: the canonical one plus `scale` times a
+    random direction in the span, the step halved until the point is strictly
+    inside (at most 60 times, then the canonical point itself)."""
+    e = canonical_relint_point(c)
+    d = span(c).project(rng.standard_normal(c.space.dim))
+    for _ in range(60):
+        cand = e + scale * d
+        if relint_member(c, cand):
+            return cand
+        scale *= 0.5
+    return e
+
+
 def canonical_relint_point(c: Cone) -> np.ndarray:
     """Zero/Free -> 0, Nonneg -> ones, SecondOrder -> e_n, Psd -> identity."""
     out = c.space.zeros()
@@ -330,15 +344,3 @@ def entry_threshold(c: Cone, x: np.ndarray, y: np.ndarray, tol: float | None = N
     return float(lo)
 
 
-def relint_entry(c: Cone, x: np.ndarray, y: np.ndarray, tol: float | None = None) -> float:
-    """inf{delta >= 0 : y + delta x in cone} for x in relint(cone), y in span."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not relint_member(c, x, tol):
-        raise ValueError("x must be in the relative interior of the cone")
-    if member(c, y, tol):
-        return 0.0
-    t_prime = entry_threshold(c, x, y, tol)
-    if t_prime <= 0.0:
-        raise ValueError("x sits on the boundary within tolerance; no finite threshold")
-    return 1.0 / t_prime

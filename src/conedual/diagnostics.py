@@ -7,6 +7,11 @@ A "No" without a certificate is reported as Unknown.
 Sides are named relative to the sup member of the pair: side "primal" is the
 sup program, side "dual" its inf conic dual.  Passing an inf program selects
 the same pair with the roles fixed accordingly.
+
+Every condition is a question about a `program.System`.  The tests a
+`strong_duality_report` runs share their Slater, feasibility and recession
+systems, so the report is `solver.memoised`: within one call each
+strict-feasibility system is solved once, and nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -16,8 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import cones, program, solver
-from .spaces import (LinearMap, Subspace, image_of_subspace, inner, kernel,
-                     preimage_of_subspace, product_space, real, space)
+from .spaces import LinearMap, image_of_subspace, inner, kernel, real, space
 
 TOL = 1e-8
 
@@ -39,45 +43,14 @@ def _side_program(p: program.ConicProgram, side: str) -> program.ConicProgram:
     raise ValueError("side must be 'primal' or 'dual'")
 
 
-def sample_relint(c: cones.Cone, rng: np.random.Generator, scale: float = 0.3) -> np.ndarray:
-    """Random point in the relative interior, biased toward the canonical one."""
-    e = cones.canonical_relint_point(c)
-    d = cones.span(c).project(rng.standard_normal(c.space.dim))
-    for _ in range(60):
-        cand = e + scale * d
-        if cones.relint_member(c, cand):
-            return cand
-        scale *= 0.5
-    return e
-
-
 def sample_member(c: cones.Cone, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     return cones.project(c, scale * rng.standard_normal(c.space.dim))
-
-
-def _recession_lineality(q: program.ConicProgram) -> Subspace:
-    """Exact lineality of the recession cone via subspace algebra."""
-    gmap, _, kc = program.recession_system(q)
-    return preimage_of_subspace(gmap, cones.lineality(kc))
-
-
-@dataclass
-class RecessionSystem:
-    base: program.ConicProgram
-    side: str
-    gmap: LinearMap
-    cone: cones.Cone
-    lineality: Subspace
-
-    def member(self, r: np.ndarray, tol: float | None = None) -> bool:
-        return cones.member(self.cone, self.gmap(r), tol)
 
 
 @dataclass
 class Separator:
     lam: np.ndarray
     sides: tuple[str, str]
-    slack: float = 0.0
 
 
 @dataclass
@@ -92,28 +65,35 @@ class DualityReport:
                 if e["verdict"] == "Yes" and e.get("sufficient", False)]
 
     def to_json(self) -> dict:
-        def clean(v):
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, (np.floating, np.integer)):
-                return float(v)
-            if isinstance(v, dict):
-                return {k: clean(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
-            return v
-        return {
+        return jsonable({
             "version": "report/v1",
             "entries": [
                 {"condition": e["condition"], "verdict": e["verdict"],
-                 "witness": clean(e.get("witness")),
+                 "witness": e.get("witness"),
                  "citation": e.get("citation", ""),
-                 "margins": clean(e.get("margins", {}))}
+                 "margins": e.get("margins", {})}
                 for e in self.entries
             ],
-            "pobj": clean(self.pobj), "dobj": clean(self.dobj),
-            "gap": clean(self.gap),
-        }
+            "pobj": self.pobj, "dobj": self.dobj, "gap": self.gap,
+        })
+
+
+def jsonable(v):
+    """Copy of a result that JSON encodes strictly: arrays become lists, numpy
+    scalars Python floats, and non-finite floats the strings nan, inf, -inf."""
+    if isinstance(v, np.ndarray):
+        return jsonable(v.tolist())
+    if isinstance(v, (np.floating, np.integer)):
+        v = float(v)
+    if isinstance(v, float) and not np.isfinite(v):
+        return str(v)
+    if isinstance(v, dict):
+        return {str(k): jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [jsonable(x) for x in v]
+    if isinstance(v, Separator):
+        return {"lam": jsonable(v.lam), "sides": list(v.sides)}
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +103,7 @@ class DualityReport:
 def slater(p: program.ConicProgram, side: str = "primal",
            **kw) -> solver.MarginResult:
     """Relative strict feasibility of the chosen side's feasible set."""
-    q = _side_program(p, side)
-    gmap, g, kc = program.feasible_system(q)
-    res = solver.strict_feasibility(gmap, g, kc, **kw)
-    if res.verdict == "Yes" and not cones.relint_member(kc, gmap(res.witness) + g):
-        return solver.MarginResult("Unknown", margin=res.margin,
-                                   detail="witness failed revalidation")
-    return res
+    return solver.strict_feasibility(program.feasible_system(_side_program(p, side)), **kw)
 
 
 def slater_rifeascone_check(p: program.ConicProgram, trials: int = 20,
@@ -140,8 +114,8 @@ def slater_rifeascone_check(p: program.ConicProgram, trials: int = 20,
     interior_yes = 0
     records = []
     for _ in range(trials):
-        x0 = sample_relint(ps.C, rng)
-        s0 = sample_relint(ps.K, rng)
+        x0 = cones.sample_relint(ps.C, rng, 0.3)
+        s0 = cones.sample_relint(ps.K, rng, 0.3)
         bprime = ps.A(x0) + s0
         shifted = replace(ps, b=bprime)
         v = slater(shifted, "primal")
@@ -161,21 +135,21 @@ def slack_dimension_screen(p: program.ConicProgram, samples: int = 24,
     is impossible.
     """
     ps = _as_sup(p)
-    gmap, g, kc = program.feasible_system(ps)
-    feas = solver.feasibility(gmap, g, kc)
+    sys_p = program.feasible_system(ps)
+    feas = solver.feasibility(sys_p)
     if feas.verdict != "Yes":
         return {"applicable": False, "detail": "no feasible point found"}
     rng = np.random.default_rng([seed, 102])
     pts = [feas.witness]
-    base = gmap(feas.witness) + g
+    base = sys_p.gmap(feas.witness) + sys_p.g
     for _ in range(samples):
-        d = rng.standard_normal(gmap.domain.dim)
-        step = gmap(d)
-        if cones.member(kc, step):
+        d = rng.standard_normal(sys_p.gmap.domain.dim)
+        step = sys_p.gmap(d)
+        if cones.member(sys_p.cone, step):
             pts.append(feas.witness + d)
             continue
         try:
-            t = cones.entry_threshold(kc, cones.project(kc, base), step)
+            t = cones.entry_threshold(sys_p.cone, cones.project(sys_p.cone, base), step)
         except (cones.UnboundedEntry, ValueError):
             continue
         if t > 0:
@@ -203,11 +177,9 @@ def slack_dimension_screen(p: program.ConicProgram, samples: int = 24,
 # recession cones
 
 
-def recession_cone(p: program.ConicProgram, side: str = "primal") -> RecessionSystem:
-    q = _side_program(p, side)
-    gmap, _, kc = program.recession_system(q)
-    return RecessionSystem(base=p, side=side, gmap=gmap, cone=kc,
-                           lineality=_recession_lineality(q))
+def recession_cone(p: program.ConicProgram, side: str = "primal") -> program.System:
+    """The homogeneous system whose solutions form the side's recession cone."""
+    return program.recession_system(_side_program(p, side))
 
 
 def recession_strict(p: program.ConicProgram, side: str = "primal",
@@ -219,20 +191,11 @@ def recession_strict(p: program.ConicProgram, side: str = "primal",
     which implements the hyperplane-restricted variants of the strict
     recession tests.
     """
-    q = _side_program(p, side)
-    gmap, g, kc = program.recession_system(q)
+    rs = recession_cone(p, side)
     if restrict_orthogonal_to is not None:
         v = np.asarray(restrict_orthogonal_to, dtype=float)
-        gmat = np.vstack([gmap.matrix, v[None, :]])
-        cod = product_space(gmap.codomain, space(real(1)))
-        gmap = LinearMap(gmap.domain, cod, gmat)
-        g = np.concatenate([g, [0.0]])
-        kc = cones.cone_product(kc, cones.cone(space(real(1)), cones.ZERO))
-    res = solver.strict_feasibility(gmap, g, kc, **kw)
-    if res.verdict == "Yes" and not cones.relint_member(kc, gmap(res.witness)):
-        return solver.MarginResult("Unknown", margin=res.margin,
-                                   detail="witness failed revalidation")
-    return res
+        rs = rs.stack(v[None, :], [0.0], cones.ZERO)
+    return solver.strict_feasibility(rs, **kw)
 
 
 def polar_recession_membership(p: program.ConicProgram, side: str, v: np.ndarray,
@@ -254,24 +217,8 @@ def polar_recession_membership(p: program.ConicProgram, side: str, v: np.ndarray
             return {"verdict": "No", "value": float(abs(comp[j])), "ray": ray,
                     "detail": "lineality direction with positive inner product"}
     e = rs.gmap.matrix.T @ cones.canonical_relint_point(cones.dual(rs.cone))
-    rows = [rs.gmap.matrix]
-    tags = list(rs.cone.tags)
-    factors = list(rs.cone.space.factors)
-    offs = [np.zeros(rs.gmap.codomain.dim)]
-    if lin.dim > 0:
-        rows.append(lin.basis.T)
-        tags.append(cones.ZERO)
-        factors.append(real(lin.dim))
-        offs.append(np.zeros(lin.dim))
-    rows.append(-e[None, :])
-    tags.append(cones.NONNEG)
-    factors.append(real(1))
-    offs.append(np.array([1.0]))
-    gmat = np.vstack(rows)
-    cod = space(*factors)
-    big = LinearMap(rs.gmap.domain, cod, gmat)
-    kc = cones.Cone(cod, tuple(tags))
-    vr = solver.conic_lp_value(v, big, np.concatenate(offs), kc)
+    pointed = rs.stack(lin.basis.T, np.zeros(lin.dim), cones.ZERO) if lin.dim > 0 else rs
+    vr = solver.conic_lp_value(pointed.stack(-e[None, :], [1.0], cones.NONNEG), v)
     out = {"value": vr.value, "detail": vr.status}
     if vr.status == "Optimal":
         if vr.value <= tol * (1 + np.linalg.norm(v)):
@@ -295,8 +242,7 @@ def polar_recession_membership(p: program.ConicProgram, side: str, v: np.ndarray
         if strict_rec.verdict == "Yes":
             other = "dual" if side == "primal" else "primal"
             q = _side_program(p, other)
-            gmap, g, kc2 = program.feasible_system(replace(q, b=v))
-            cross = solver.feasibility(gmap, g, kc2)
+            cross = solver.feasibility(program.feasible_system(replace(q, b=v)))
             out["exact_membership"] = cross.verdict
     return out
 
@@ -312,9 +258,8 @@ def boundedness(p: program.ConicProgram, side: str = "primal",
     Bounded comes with a strict recession point of the opposite homogeneous
     system; Unbounded with a validated nonzero recession ray.
     """
-    q = _side_program(p, side)
-    gmap, g, kc = program.feasible_system(q)
-    feas = solver.feasibility(gmap, g, kc, max_iter=max_iter)
+    feas = solver.feasibility(program.feasible_system(_side_program(p, side)),
+                              max_iter=max_iter)
     if feas.verdict == "No":
         return {"verdict": "Empty", "witness": feas.separator,
                 "detail": "feasible set is empty"}
@@ -329,15 +274,23 @@ def boundedness(p: program.ConicProgram, side: str = "primal",
         return {"verdict": "Bounded", "witness": sr.witness,
                 "detail": "strict recession point of the opposite homogeneous system",
                 "feasible": feas.verdict}
-    if sr.verdict == "No" and sr.separator is not None:
-        ray = sr.separator[:rs.gmap.domain.dim]
-        nr = np.linalg.norm(ray)
-        if nr > 1e-7 and rs.member(ray / nr):
-            return {"verdict": "Unbounded", "witness": ray / nr,
-                    "detail": "recession ray recovered from the separator",
-                    "separator": Separator(sr.separator, (side, other)),
-                    "feasible": feas.verdict}
+    ray = _separator_ray(rs, sr)
+    if ray is not None:
+        return {"verdict": "Unbounded", "witness": ray,
+                "detail": "recession ray recovered from the separator",
+                "separator": Separator(sr.separator, (side, other)),
+                "feasible": feas.verdict}
     return {"verdict": "Unknown", "detail": sr.detail, "feasible": feas.verdict}
+
+
+def _separator_ray(rs: program.System, sr: solver.MarginResult) -> np.ndarray | None:
+    """Unit recession direction carried by a separator of the opposite
+    homogeneous system, if it revalidates as a member of `rs`."""
+    if sr.verdict != "No" or sr.separator is None:
+        return None
+    ray = sr.separator[:rs.gmap.domain.dim]
+    nr = np.linalg.norm(ray)
+    return ray / nr if nr > 1e-7 and rs.member(ray / nr) else None
 
 
 def gordan_alternative(p: program.ConicProgram) -> dict:
@@ -359,10 +312,9 @@ def gordan_alternative(p: program.ConicProgram) -> dict:
         return {"branch": None, "verdict": "Unknown",
                 "detail": "branch 2 witness failed revalidation"}
     if sr.verdict == "No" and sr.separator is not None:
-        x = sr.separator[:rs.gmap.domain.dim]
-        nx = np.linalg.norm(x)
-        if nx > 1e-7 and rs.member(x / nx):
-            return {"branch": 1, "verdict": "Yes", "witness": x / nx,
+        x = _separator_ray(rs, sr)
+        if x is not None:
+            return {"branch": 1, "verdict": "Yes", "witness": x,
                     "detail": "nonzero primal recession direction"}
         return {"branch": None, "verdict": "Unknown",
                 "detail": "branch 1 witness failed revalidation"}
@@ -406,8 +358,8 @@ def closedness_conditions(p: program.ConicProgram, side: str = "primal",
 def _closed_cond1(lift: LinearMap, big: cones.Cone,
                   max_iter: int = solver.MAX_ITER) -> dict:
     # range(L) meets relint(cone)
-    res = solver.strict_feasibility(lift, np.zeros(lift.codomain.dim), big,
-                                    max_iter=max_iter)
+    res = solver.strict_feasibility(
+        program.System(lift, np.zeros(lift.codomain.dim), big), max_iter=max_iter)
     return {"condition": 1, "verdict": res.verdict, "witness": res.witness,
             "detail": res.detail}
 
@@ -415,14 +367,7 @@ def _closed_cond1(lift: LinearMap, big: cones.Cone,
 def _closed_cond2(lift: LinearMap, big: cones.Cone,
                   max_iter: int = solver.MAX_ITER) -> dict:
     # kernel(L*) meets relint(cone*): z in cone*, L* z = 0 strictly
-    dual_big = cones.dual(big)
-    ncon = lift.domain.dim
-    gmat = np.vstack([np.eye(lift.codomain.dim), lift.matrix.T])
-    cod = space(*(list(big.space.factors) + [real(ncon)]))
-    kc = cones.Cone(cod, dual_big.tags + (cones.ZERO,))
-    gmap = LinearMap(lift.codomain, cod, gmat)
-    res = solver.strict_feasibility(gmap, np.zeros(cod.dim), kc,
-                                    max_iter=max_iter)
+    res = solver.strict_feasibility(_kernel_system(lift, big), max_iter=max_iter)
     return {"condition": 2, "verdict": res.verdict, "witness": res.witness,
             "detail": res.detail}
 
@@ -436,13 +381,18 @@ def _closed_cond3(lift: LinearMap, big: cones.Cone,
     # pointed: need cone ∩ range(L) = {0}; parametrize range by L
     e = cones.canonical_relint_point(cones.dual(big))
     obj = lift.matrix.T @ e
-    gmat = np.vstack([lift.matrix, -obj[None, :]])
-    cod = space(*(list(big.space.factors) + [real(1)]))
-    kc = cones.Cone(cod, big.tags + (cones.NONNEG,))
-    gmap = LinearMap(lift.domain, cod, gmat)
-    g = np.concatenate([np.zeros(big.space.dim), [1.0]])
-    vr = solver.conic_lp_value(obj, gmap, g, kc, max_iter=max_iter)
-    return _intersection_verdict(3, vr, lambda z: lift(z), big)
+    normalized = program.System(lift, np.zeros(big.space.dim), big).stack(
+        -obj[None, :], [1.0], cones.NONNEG)
+    vr = solver.conic_lp_value(normalized, obj, max_iter=max_iter)
+    if vr.status == "Optimal" and vr.value <= 1e-6:
+        return {"condition": 3, "verdict": "Yes", "witness": None,
+                "detail": "intersection is trivial"}
+    if vr.status == "Optimal" and vr.witness is not None and vr.value > 1e-4:
+        z = lift(vr.witness)
+        if cones.member(big, z) and np.linalg.norm(z) > 1e-6:
+            return {"condition": 3, "verdict": "No", "witness": z,
+                    "detail": "nonzero point of the cone in the range"}
+    return {"condition": 3, "verdict": "Unknown", "detail": vr.status}
 
 
 def _closed_cond4(lift: LinearMap, big: cones.Cone,
@@ -452,13 +402,8 @@ def _closed_cond4(lift: LinearMap, big: cones.Cone,
     # cone: e vanishes on that lineality and is positive elsewhere on cone*
     dual_big = cones.dual(big)
     e = cones.canonical_relint_point(big)
-    nz = lift.domain.dim
-    gmat = np.vstack([np.eye(lift.codomain.dim), lift.matrix.T, -e[None, :]])
-    cod = space(*(list(dual_big.space.factors) + [real(nz), real(1)]))
-    kc = cones.Cone(cod, dual_big.tags + (cones.ZERO, cones.NONNEG))
-    gmap = LinearMap(lift.codomain, cod, gmat)
-    g = np.concatenate([np.zeros(lift.codomain.dim + nz), [1.0]])
-    vr = solver.conic_lp_value(e, gmap, g, kc, max_iter=max_iter)
+    normalized = _kernel_system(lift, big).stack(-e[None, :], [1.0], cones.NONNEG)
+    vr = solver.conic_lp_value(normalized, e, max_iter=max_iter)
     if vr.status == "Optimal" and vr.value <= 1e-6:
         return {"condition": 4, "verdict": "Yes", "witness": None,
                 "detail": "kernel meets the dual cone only in its lineality"}
@@ -471,16 +416,12 @@ def _closed_cond4(lift: LinearMap, big: cones.Cone,
     return {"condition": 4, "verdict": "Unknown", "detail": vr.status}
 
 
-def _intersection_verdict(cid: int, vr: solver.ValueResult, embed, big: cones.Cone) -> dict:
-    if vr.status == "Optimal" and vr.value <= 1e-6:
-        return {"condition": cid, "verdict": "Yes", "witness": None,
-                "detail": "intersection is trivial"}
-    if vr.status == "Optimal" and vr.witness is not None and vr.value > 1e-4:
-        z = embed(vr.witness)
-        if cones.member(big, z) and np.linalg.norm(z) > 1e-6:
-            return {"condition": cid, "verdict": "No", "witness": z,
-                    "detail": "nonzero point of the cone in the range"}
-    return {"condition": cid, "verdict": "Unknown", "detail": vr.status}
+def _kernel_system(lift: LinearMap, big: cones.Cone) -> program.System:
+    """{z : z in cone*, L* z = 0}."""
+    d = lift.codomain.dim
+    in_dual = program.System(LinearMap(lift.codomain, lift.codomain, np.eye(d)),
+                             np.zeros(d), cones.dual(big))
+    return in_dual.stack(lift.matrix.T, np.zeros(lift.domain.dim), cones.ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -509,19 +450,18 @@ def gap_bound_separation(p: program.ConicProgram, epsilon: float,
     #   -Lp(alpha, alpha0) in K x C
     #   <c, alpha> + alpha0 * level - s >= 0,   1 - s >= 0
     nv = n + 2
+    mc = pm.Lp.codomain.dim
+    lifted = program.System(
+        LinearMap(space(real(nv)), pm.Lp.codomain,
+                  np.hstack([-pm.Lp.matrix, np.zeros((mc, 1))])),
+        np.zeros(mc), cones.cone_product(ps.K, ps.C))
     lin = np.concatenate([ps.c, [level, -1.0]])
-    gmat = np.vstack([
-        np.hstack([-pm.Lp.matrix, np.zeros((pm.Lp.codomain.dim, 1))]),
-        lin[None, :],
-        np.concatenate([np.zeros(nv - 1), [-1.0]])[None, :],
-    ])
-    cod = space(*(list(pm.Lp.codomain.factors) + [real(1), real(1)]))
-    kc = cones.Cone(cod, cones.cone_product(ps.K, ps.C).tags + (cones.NONNEG, cones.NONNEG))
-    gmap = LinearMap(space(real(nv)), cod, gmat)
-    g = np.concatenate([np.zeros(pm.Lp.codomain.dim), [0.0, 1.0]])
+    cap = np.concatenate([np.zeros(nv - 1), [-1.0]])
+    sep = lifted.stack(lin[None, :], [0.0], cones.NONNEG).stack(
+        cap[None, :], [1.0], cones.NONNEG)
     obj = np.zeros(nv)
     obj[-1] = 1.0
-    vr = solver.conic_lp_value(obj, gmap, g, kc)
+    vr = solver.conic_lp_value(sep, obj)
     out = {"dobj": dobj, "epsilon": epsilon, "value": vr.value,
            "detail": vr.status}
     if vr.status == "Optimal" and vr.value > solver.STRICT_MARGIN and vr.witness is not None:
@@ -559,19 +499,18 @@ def almost_feasibility(p: program.ConicProgram, side: str = "dual",
     offset = q.b
     # variables (x, delta, tau): the side's system with offset b + delta,
     # (delta, tau) in a second-order cone, maximize -tau
-    gmap0, g0, kc0 = program.feasible_system(q)
-    rows = np.zeros((gmap0.codomain.dim + m + 1, n + m + 1))
-    rows[:gmap0.codomain.dim, :n] = gmap0.matrix
+    s0 = program.feasible_system(q)
+    shift = np.zeros((s0.gmap.codomain.dim, m + 1))
     sgn = 1.0 if q.sense == "sup" else -1.0
-    rows[:m, n:n + m] = sgn * np.eye(m)  # delta enters where b does
-    rows[gmap0.codomain.dim:, n:] = np.eye(m + 1)
-    cod = space(*(list(kc0.space.factors) + [real(m + 1)]))
-    kc = cones.Cone(cod, kc0.tags + (cones.SOC,))
-    gmap = LinearMap(space(real(n + m + 1)), cod, rows)
-    g = np.concatenate([g0, np.zeros(m + 1)])
+    shift[:m, :m] = sgn * np.eye(m)  # delta enters where b does
+    lifted = program.System(
+        LinearMap(space(real(n + m + 1)), s0.gmap.codomain,
+                  np.hstack([s0.gmap.matrix, shift])), s0.g, s0.cone)
+    ball = lifted.stack(np.hstack([np.zeros((m + 1, n)), np.eye(m + 1)]),
+                        np.zeros(m + 1), cones.SOC)
     obj = np.zeros(n + m + 1)
     obj[-1] = -1.0
-    vr = solver.conic_lp_value(obj, gmap, g, kc)
+    vr = solver.conic_lp_value(ball, obj)
     out = {"side": side, "status": vr.status}
     if vr.status == "Optimal":
         out["min_perturbation_norm"] = float(-vr.value)
@@ -599,19 +538,12 @@ def _polar_almost_side_condition(p: program.ConicProgram, side: str) -> str:
     if cones.is_subspace(q.K):
         return "Yes"
     lin_c = cones.lineality(q.C)
-    at = q.A.matrix.T
-    rows = [np.eye(q.A.codomain.dim)]
-    tags = list(cones.dual(q.K).tags)
-    factors = list(q.K.space.factors)
+    m = q.A.codomain.dim
+    slack = program.System(LinearMap(q.A.codomain, q.A.codomain, np.eye(m)),
+                           np.zeros(m), cones.dual(q.K))
     if lin_c.dim > 0:
-        rows.append(lin_c.basis.T @ at)
-        tags.append(cones.ZERO)
-        factors.append(real(lin_c.dim))
-    gmat = np.vstack(rows)
-    kc = cones.Cone(space(*factors), tuple(tags))
-    gmap = LinearMap(q.A.codomain, space(*factors), gmat)
-    res = solver.strict_feasibility(gmap, np.zeros(gmat.shape[0]), kc)
-    return res.verdict
+        slack = slack.stack(lin_c.basis.T @ q.A.matrix.T, np.zeros(lin_c.dim), cones.ZERO)
+    return solver.strict_feasibility(slack).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -626,14 +558,14 @@ def finiteness_check(p: program.ConicProgram, side: str = "primal") -> dict:
     if not applicable:
         sr = recession_strict(p, side)
         applicable = sr.verdict == "Yes" and solver.feasibility(
-            *program.feasible_system(_side_program(p, side))).verdict == "Yes"
+            program.feasible_system(_side_program(p, side))).verdict == "Yes"
     if not applicable:
         return {"applicable": False, "detail": "no strict feasibility established"}
     q = _side_program(p, side)
     res = solver.solve(q)
     other = "dual" if side == "primal" else "primal"
     qo = _side_program(p, other)
-    feas = solver.feasibility(*program.feasible_system(qo))
+    feas = solver.feasibility(program.feasible_system(qo))
     finite = res.status == "Optimal"
     unbounded = res.status == "Unbounded"
     out = {"applicable": True, "value_status": res.status,
@@ -654,6 +586,7 @@ def finiteness_check(p: program.ConicProgram, side: str = "primal") -> dict:
 # aggregate report
 
 
+@solver.memoised
 def strong_duality_report(p: program.ConicProgram,
                           max_iter: int = solver.MAX_ITER) -> DualityReport:
     ps = _as_sup(p)
@@ -662,9 +595,9 @@ def strong_duality_report(p: program.ConicProgram,
     sl_p = slater(ps, "primal", max_iter=max_iter)
     sl_d = slater(ps, "dual", max_iter=max_iter)
     feas_p = sl_p.verdict == "Yes" or solver.feasibility(
-        *program.feasible_system(ps), max_iter=max_iter).verdict == "Yes"
+        program.feasible_system(ps), max_iter=max_iter).verdict == "Yes"
     feas_d = sl_d.verdict == "Yes" or solver.feasibility(
-        *program.feasible_system(program.dualize(ps)),
+        program.feasible_system(program.dualize(ps)),
         max_iter=max_iter).verdict == "Yes"
 
     # the no-CQ conditions still require the stated side to be feasible
@@ -690,9 +623,9 @@ def strong_duality_report(p: program.ConicProgram,
         "citation": "when the other side is feasible, b in A(lineality of C) "
                     "gives strong duality without any constraint qualification",
         "margins": {"algebraic": bool(b_in)}})
+    both = feas_p and feas_d
     for name, sl, solvable in (("slater-primal", sl_p, "dual"),
                                ("slater-dual", sl_d, "primal")):
-        both = feas_p and feas_d
         rep.entries.append({
             "condition": name,
             "verdict": "Yes" if (sl.verdict == "Yes" and both) else
@@ -702,7 +635,6 @@ def strong_duality_report(p: program.ConicProgram,
                         "implies zero gap and solvability of the other side",
             "margins": {"margin": sl.margin}})
 
-    both = feas_p and feas_d
     span_k = cones.span(ps.K)
     lin_c_perp = cones.lineality(ps.C).complement()
     recs = {

@@ -26,6 +26,9 @@ _STREAM_B = 6
 _STREAM_C = 7
 _STREAM_SHAPE = 8
 
+# step of the planted construction points away from the canonical interior point
+RELINT_SCALE = 0.4
+
 
 @dataclass
 class InstanceSpec:
@@ -47,18 +50,6 @@ def _build_cone(descr: list[tuple[str, int]]) -> cones.Cone:
         factors.append(sym(size) if tag == cones.PSD else real(size))
         tags.append(tag)
     return cones.Cone(space(*factors), tuple(tags))
-
-
-def _sample_relint(c: cones.Cone, rng: np.random.Generator,
-                   scale: float = 0.4) -> np.ndarray:
-    e = cones.canonical_relint_point(c)
-    d = cones.span(c).project(rng.standard_normal(c.space.dim))
-    while scale > 1e-12:
-        cand = e + scale * d
-        if cones.relint_member(c, cand):
-            return cand
-        scale *= 0.5
-    return e
 
 
 def example_adapted(n: int) -> ConicProgram:
@@ -98,10 +89,10 @@ def planted_strong_duality(c_descr, k_descr, seed: int = 0) -> ConicProgram:
     n, m = big_c.space.dim, big_k.space.dim
     amat = _rng(seed, _STREAM_A).standard_normal((m, n)) / np.sqrt(max(n, 1))
     a = LinearMap(big_c.space, big_k.space, amat)
-    x0 = _sample_relint(big_c, _rng(seed, _STREAM_X0))
-    s0 = _sample_relint(big_k, _rng(seed, _STREAM_S0))
-    y0 = _sample_relint(cones.dual(big_k), _rng(seed, _STREAM_Y0))
-    w0 = _sample_relint(cones.dual(big_c), _rng(seed, _STREAM_W0))
+    x0 = cones.sample_relint(big_c, _rng(seed, _STREAM_X0), RELINT_SCALE)
+    s0 = cones.sample_relint(big_k, _rng(seed, _STREAM_S0), RELINT_SCALE)
+    y0 = cones.sample_relint(cones.dual(big_k), _rng(seed, _STREAM_Y0), RELINT_SCALE)
+    w0 = cones.sample_relint(cones.dual(big_c), _rng(seed, _STREAM_W0), RELINT_SCALE)
     b = a(x0) + s0
     c = a.adjoint()(y0) - w0
     p = ConicProgram(A=a, b=b, c=c, K=big_k, C=big_c, sense="sup")

@@ -17,12 +17,14 @@ which makes dualization an involution on the representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import cones
-from .spaces import EuclideanSpace, LinearMap, Subspace, inner, product_space, real, space
+from .spaces import (LinearMap, Subspace, inner, preimage_of_subspace, product_space,
+                     real, space)
 
 
 @dataclass(frozen=True)
@@ -48,14 +50,6 @@ class ConicProgram:
         if self.c.shape != (self.A.domain.dim,):
             raise ValueError("c has wrong dimension")
 
-    @property
-    def variable_space(self) -> EuclideanSpace:
-        return self.A.domain
-
-    @property
-    def constraint_space(self) -> EuclideanSpace:
-        return self.A.codomain
-
     def is_fully_polyhedral(self) -> bool:
         return cones.is_polyhedral(self.K) and cones.is_polyhedral(self.C)
 
@@ -72,38 +66,84 @@ def dualize(p: ConicProgram) -> ConicProgram:
     )
 
 
-def feasible_system(p: ConicProgram) -> tuple[LinearMap, np.ndarray, cones.Cone]:
+@dataclass(frozen=True)
+class System:
+    """The conic system {x : G x + g in cone}.
+
+    Every sufficient condition the diagnostics decide asks for a relative
+    interior point of such a system or for a support value over it.  Further
+    constraints are appended with `stack`, never by rebuilding the matrix,
+    offset and cone by hand.
+    """
+
+    gmap: LinearMap
+    g: np.ndarray
+    cone: cones.Cone
+
+    def __post_init__(self):
+        object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
+        if self.cone.space != self.gmap.codomain:
+            raise ValueError("the cone must live on the codomain of G")
+        if self.g.shape != (self.gmap.codomain.dim,):
+            raise ValueError("g has wrong dimension")
+
+    def stack(self, rows: np.ndarray, offsets, cone: cones.Cone | str) -> System:
+        """Append the constraints rows @ x + offsets in `cone`.
+
+        A factor tag in place of a cone puts all the rows under one real
+        factor of that kind.
+        """
+        if isinstance(cone, str):
+            cone = cones.cone(space(real(len(rows))), cone)
+        gmap = LinearMap(self.gmap.domain, product_space(self.gmap.codomain, cone.space),
+                         np.vstack([self.gmap.matrix, rows]))
+        return System(gmap, np.concatenate([self.g, offsets]),
+                      cones.cone_product(self.cone, cone))
+
+    def homogeneous(self) -> System:
+        """The same system with g = 0; its solutions form the recession cone."""
+        return replace(self, g=np.zeros_like(self.g))
+
+    def member(self, x: np.ndarray, tol: float | None = None) -> bool:
+        return cones.member(self.cone, self.gmap(x) + self.g, tol)
+
+    def relint_member(self, x: np.ndarray, tol: float | None = None) -> bool:
+        return cones.relint_member(self.cone, self.gmap(x) + self.g, tol)
+
+    @cached_property
+    def lineality(self) -> Subspace:
+        """{d : G d in lin(cone)}, the lineality space of a nonempty system."""
+        return preimage_of_subspace(self.gmap, cones.lineality(self.cone))
+
+    def as_program(self, c: np.ndarray) -> ConicProgram:
+        """sup{<c, x> : G x + g in cone} as a sup program over free x."""
+        dom = self.gmap.domain
+        free = cones.cone(dom, *([cones.FREE] * len(dom.factors)))
+        return ConicProgram(A=LinearMap(dom, self.gmap.codomain, -self.gmap.matrix),
+                            b=self.g, c=c, K=self.cone, C=free, sense="sup")
+
+
+def feasible_system(p: ConicProgram) -> System:
     """The feasible set as {z : G z + g in cone} with cone = K x C.
 
     sup:  (b - A x, x) in K x C
     inf:  (A y - b, y) in K x C
     """
     n = p.A.domain.dim
-    eye = np.eye(n)
     if p.sense == "sup":
-        gmat = np.vstack([-p.A.matrix, eye])
-        g = np.concatenate([p.b, np.zeros(n)])
+        slack = System(LinearMap(p.A.domain, p.A.codomain, -p.A.matrix), p.b, p.K)
     else:
-        gmat = np.vstack([p.A.matrix, eye])
-        g = np.concatenate([-p.b, np.zeros(n)])
-    prod = product_space(p.A.codomain, p.A.domain)
-    gmap = LinearMap(p.A.domain, prod, gmat)
-    return gmap, g, cones.cone_product(p.K, p.C)
+        slack = System(LinearMap(p.A.domain, p.A.codomain, p.A.matrix), -p.b, p.K)
+    return slack.stack(np.eye(n), np.zeros(n), p.C)
 
 
-def recession_system(p: ConicProgram) -> tuple[LinearMap, np.ndarray, cones.Cone]:
+def recession_system(p: ConicProgram) -> System:
     """Homogeneous variant of `feasible_system` (right-hand side zero)."""
-    gmap, g, kc = feasible_system(p)
-    return gmap, np.zeros_like(g), kc
-
-
-def objective(p: ConicProgram, x: np.ndarray) -> float:
-    return inner(p.c, x)
+    return feasible_system(p).homogeneous()
 
 
 def is_feasible_point(p: ConicProgram, x: np.ndarray, tol: float | None = None) -> bool:
-    gmap, g, kc = feasible_system(p)
-    return cones.member(kc, gmap(x) + g, tol)
+    return feasible_system(p).member(x, tol)
 
 
 @dataclass(frozen=True)

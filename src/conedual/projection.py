@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import cones, program, solver
-from .spaces import LinearMap, Subspace, inner, space, real
+from .spaces import LinearMap, Subspace, inner, product_space, real, space
 
 
 class NotPolyhedral(Exception):
@@ -179,55 +179,29 @@ def double_description(ineqs: list[list[Fraction]], dim: int
 # projection cone
 
 
-@dataclass
-class ProjectionCone:
-    base: program.ConicProgram
-    subspace: Subspace
-    equalities: np.ndarray  # rows E with E u = 0 for u = (y, w)
-    inequalities: np.ndarray  # rows B with B u >= 0
-
-    @property
-    def ydim(self) -> int:
-        return self.base.A.codomain.dim
-
-    def member(self, u: np.ndarray, tol: float = 1e-8) -> bool:
-        u = np.asarray(u, dtype=float)
-        s = tol * (1 + np.linalg.norm(u))
-        ok_eq = self.equalities.size == 0 or \
-            np.all(np.abs(self.equalities @ u) <= s)
-        ok_in = self.inequalities.size == 0 or \
-            np.all(self.inequalities @ u >= -s)
-        return bool(ok_eq and ok_in)
+def _cone_system(ps: program.ConicProgram, sub: Subspace) -> program.System:
+    """The projection cone {(y, w) in K* x C* : A* y - w in L} as a system."""
+    n = ps.A.domain.dim
+    d = ps.A.codomain.dim + n
+    pc = program.System(
+        LinearMap(space(real(d)), product_space(ps.K.space, ps.C.space), np.eye(d)),
+        np.zeros(d), cones.cone_product(cones.dual(ps.K), cones.dual(ps.C)))
+    comp = sub.complement()
+    if comp.dim > 0:
+        pc = pc.stack(comp.basis.T @ np.hstack([ps.A.matrix.T, -np.eye(n)]),
+                      np.zeros(comp.dim), cones.ZERO)
+    return pc
 
 
-def projection_cone(p: program.ConicProgram, sub: Subspace) -> ProjectionCone:
-    """H-form of {(y, w) in K* x C* : A* y - w in L}; polyhedral cones only."""
+def projection_cone(p: program.ConicProgram, sub: Subspace) -> program.System:
+    """{(y, w) in K* x C* : A* y - w in L}; polyhedral cones only."""
     ps = p if p.sense == "sup" else program.dualize(p)
     if not ps.is_fully_polyhedral():
         raise NotPolyhedral("extreme-ray enumeration needs Zero/Free/Nonneg factors")
-    m, n = ps.A.codomain.dim, ps.A.domain.dim
-    d = m + n
-    eye = np.eye(d)
-    eq_rows, in_rows = [], []
-    # y in K*, w in C*: duals of the factor cones, blockwise
-    for kcone, off in ((cones.dual(ps.K), 0), (cones.dual(ps.C), m)):
-        for tag, s in zip(kcone.tags, kcone.space.slices()):
-            rows = eye[off + s.start:off + s.stop]
-            if tag == cones.ZERO:
-                eq_rows.append(rows)
-            elif tag == cones.NONNEG:
-                in_rows.append(rows)
-    # A* y - w in L, written as vanishing against a basis of L-perp
-    comp = sub.complement()
-    if comp.dim > 0:
-        block = np.hstack([ps.A.matrix.T, -np.eye(n)])
-        eq_rows.append(comp.basis.T @ block)
-    eq = np.vstack(eq_rows) if eq_rows else np.zeros((0, d))
-    ineq = np.vstack(in_rows) if in_rows else np.zeros((0, d))
-    return ProjectionCone(ps, sub, eq, ineq)
+    return _cone_system(ps, sub)
 
 
-def extreme_rays(pc: ProjectionCone) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def extreme_rays(pc: program.System) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """(lineality basis, extreme rays) of the projection cone, as floats."""
     lin_f, rays_f = _exact_lift(pc)
     lin = [np.array([float(x) for x in g]) for g in lin_f]
@@ -238,17 +212,21 @@ def extreme_rays(pc: ProjectionCone) -> tuple[list[np.ndarray], list[np.ndarray]
     return lin, rays
 
 
-def _exact_lift(pc: ProjectionCone):
-    """Rational generators of the projection cone (lineality, rays)."""
-    d = pc.equalities.shape[1] if pc.equalities.size else pc.inequalities.shape[1]
-    eqs = _to_frac_matrix(pc.equalities) if pc.equalities.size else []
-    null = _frac_kernel(eqs, d) if eqs else \
-        [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+def _exact_rows(pc: program.System, tag: str) -> list[list[Fraction]]:
+    """Rational rows of the factors of one kind: Zero rows vanish on the cone,
+    Nonneg rows are nonnegative on it."""
+    return [row for t, s in zip(pc.cone.tags, pc.cone.space.slices()) if t == tag
+            for row in _to_frac_matrix(pc.gmap.matrix[s])]
+
+
+def _exact_lift(pc: program.System):
+    """Rational generators of the homogeneous polyhedral system (lineality, rays)."""
+    d = pc.gmap.domain.dim
+    eqs = _exact_rows(pc, cones.ZERO)
+    null = _frac_kernel(eqs, d)
     if not null:
         return [], []
-    bn = []
-    for row in (_to_frac_matrix(pc.inequalities) if pc.inequalities.size else []):
-        bn.append([_dot(row, nv) for nv in null])
+    bn = [[_dot(row, nv) for nv in null] for row in _exact_rows(pc, cones.NONNEG)]
     lin_z, rays_z = double_description(bn, len(null))
 
     def lift(z):
@@ -323,21 +301,7 @@ def precondition(p: program.ConicProgram, sub: Subspace, **kw) -> solver.MarginR
     """Strict feasibility of the projection cone system (hypothesis of the
     extreme-ray description)."""
     ps = p if p.sense == "sup" else program.dualize(p)
-    m, n = ps.A.codomain.dim, ps.A.domain.dim
-    d = m + n
-    comp = sub.complement()
-    rows = [np.eye(d)]
-    tags = list(cones.dual(ps.K).tags) + list(cones.dual(ps.C).tags)
-    factors = list(ps.K.space.factors) + list(ps.C.space.factors)
-    if comp.dim > 0:
-        rows.append(comp.basis.T @ np.hstack([ps.A.matrix.T, -np.eye(n)]))
-        tags.append(cones.ZERO)
-        factors.append(real(comp.dim))
-    gmat = np.vstack(rows)
-    cod = space(*factors)
-    kc = cones.Cone(cod, tuple(tags))
-    gmap = LinearMap(space(real(d)), cod, gmat)
-    return solver.strict_feasibility(gmap, np.zeros(gmat.shape[0]), kc, **kw)
+    return solver.strict_feasibility(_cone_system(ps, sub), **kw)
 
 
 def project(p: program.ConicProgram, sub: Subspace, samples: int = 64,
@@ -391,30 +355,12 @@ def _project_sampled(ps, sub, samples, seed) -> HRepresentation:
     m, n = ps.A.codomain.dim, ps.A.domain.dim
     d = m + n
     rng = np.random.default_rng([seed, 104])
-    comp = sub.complement()
-    tags = list(cones.dual(ps.K).tags) + list(cones.dual(ps.C).tags)
-    factors = list(ps.K.space.factors) + list(ps.C.space.factors)
-    rows = [np.eye(d)]
-    offs = [np.zeros(d)]
-    if comp.dim > 0:
-        rows.append(comp.basis.T @ np.hstack([ps.A.matrix.T, -np.eye(n)]))
-        offs.append(np.zeros(comp.dim))
-        tags.append(cones.ZERO)
-        factors.append(real(comp.dim))
-    kc0 = cones.Cone(space(*factors), tuple(tags))
-    e = np.ones(d)  # normalization functional, adequate after projection
-    rows.append(-e[None, :])
-    offs.append(np.array([1.0]))
-    tags.append(cones.NONNEG)
-    factors.append(real(1))
-    gmat = np.vstack(rows)
-    kc = cones.Cone(space(*factors), tuple(tags))
-    gmap = LinearMap(space(real(d)), kc.space, gmat)
-    g = np.concatenate(offs)
+    # normalized by <1, u> <= 1, adequate after projection
+    normalized = _cone_system(ps, sub).stack(-np.ones((1, d)), [1.0], cones.NONNEG)
     normals, offsets = [], []
     for _ in range(samples):
         obj = rng.standard_normal(d)
-        vr = solver.conic_lp_value(obj, gmap, g, kc, max_iter=4000)
+        vr = solver.conic_lp_value(normalized, obj, max_iter=4000)
         u = vr.witness if vr.status == "Optimal" else vr.ray
         if u is None or np.linalg.norm(u) < 1e-6:
             continue

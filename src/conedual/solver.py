@@ -16,10 +16,18 @@ finiteness and info checks), and the projection onto dual(K x C) is the plan
 `cones.projector` builds once from the cone's tags.  Neither changes the
 arithmetic, so the iterates are bitwise those of the per-call lu_solve and
 per-factor projection they replace.
+
+Inside a call decorated with `memoised` (`diagnostics.strong_duality_report`
+is), `strict_feasibility` decides a system whose exact bytes, cone,
+threshold, tolerance and budget it has already decided in that call from a
+memo, without solving again.  The memo lives for the call only, and its
+results are shared between callers, so they are treated as read-only.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +36,7 @@ from scipy.linalg import get_lapack_funcs, lu_factor
 from scipy.linalg import lu_solve  # noqa: F401
 
 from . import cones, program
-from .spaces import LinearMap, inner, product_space, real, space
+from .spaces import LinearMap, inner, real, space
 
 TOL_FEAS = 1e-8
 TOL_GAP = 1e-8
@@ -51,10 +59,6 @@ class SolveResult:
     iterations: int = 0
     certificate: dict = field(default_factory=dict)
 
-    @property
-    def value(self) -> float:
-        return self.pobj
-
 
 def solve(p: program.ConicProgram, tol_feas: float = TOL_FEAS,
           tol_gap: float = TOL_GAP, max_iter: int = MAX_ITER) -> SolveResult:
@@ -74,11 +78,9 @@ def solve(p: program.ConicProgram, tol_feas: float = TOL_FEAS,
 def _solve_sup(p, tol_feas, tol_gap, max_iter):
     n = p.A.domain.dim
     m = p.A.codomain.dim
-    at = np.vstack([p.A.matrix, -np.eye(n)])
-    bt = np.concatenate([p.b, np.zeros(n)])
-    ct = -p.c
-    kc = cones.cone_product(p.K, p.C)
-    kc_dual = cones.dual(kc)
+    fs = program.feasible_system(p)  # bt - At x in K x C
+    at, bt, ct = -fs.gmap.matrix, fs.g, -p.c
+    kc_dual = cones.dual(fs.cone)
     mm = m + n  # rows of the equality form
     nn = n + mm + 1
 
@@ -202,31 +204,46 @@ class MarginResult:
 STRICT_MARGIN = 1e-6
 
 
-def _margin_program(gmap: LinearMap, g: np.ndarray, kc: cones.Cone) -> program.ConicProgram:
+def _margin_program(s: program.System) -> program.ConicProgram:
     """sup t  s.t.  G x + g - t e in cone, t <= 1, over free (x, t).
 
     e is the canonical interior point on the curved/nonneg factors and zero on
     the Zero/Free factors, so t measures the achievable interior margin.
     """
-    n = gmap.domain.dim
-    mrows = gmap.codomain.dim
-    e = cones.canonical_relint_point(kc)
-    amat = np.zeros((mrows + 1, n + 1))
-    amat[:mrows, :n] = -gmap.matrix
-    amat[:mrows, n] = e
-    amat[mrows, n] = 1.0
-    b = np.concatenate([g, [1.0]])
+    n = s.gmap.domain.dim
+    e = cones.canonical_relint_point(s.cone)
+    dom = space(real(n + 1))
+    lifted = program.System(
+        LinearMap(dom, s.gmap.codomain, np.hstack([s.gmap.matrix, -e[:, None]])),
+        s.g, s.cone)
+    # -0.0, so that the program matrix -G carries +0.0 in the t <= 1 row
+    t_row = np.full((1, n + 1), -0.0)
+    t_row[0, n] = -1.0
     c = np.zeros(n + 1)
     c[n] = 1.0
-    dom = space(real(n + 1))
-    cod = product_space(gmap.codomain, space(real(1)))
-    big_cone = cones.cone_product(kc, cones.cone(space(real(1)), cones.NONNEG))
-    free_dom = cones.cone(dom, cones.FREE)
-    return program.ConicProgram(LinearMap(dom, cod, amat), b, c, big_cone,
-                                free_dom, "sup")
+    return lifted.stack(t_row, [1.0], cones.NONNEG).as_program(c)
 
 
-def strict_feasibility(gmap: LinearMap, g: np.ndarray, kc: cones.Cone,
+# strict_feasibility results of the innermost memoised call, keyed on the
+# exact system; None outside such a call
+_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "strict_feasibility_memo", default=None)
+
+
+def memoised(fn):
+    """Decorate fn so that each strict-feasibility system it poses is solved
+    once per call."""
+    @functools.wraps(fn)
+    def call(*args, **kw):
+        token = _memo.set({})
+        try:
+            return fn(*args, **kw)
+        finally:
+            _memo.reset(token)
+    return call
+
+
+def strict_feasibility(s: program.System,
                        margin_threshold: float = STRICT_MARGIN,
                        tol_feas: float = TOL_FEAS,
                        max_iter: int = MAX_ITER) -> MarginResult:
@@ -236,29 +253,36 @@ def strict_feasibility(gmap: LinearMap, g: np.ndarray, kc: cones.Cone,
     lam in cone* with G* lam = 0, <g, lam> <= 0, lam nonzero on the
     curved/nonneg part (or a certificate that the system is empty outright).
     """
-    g = np.asarray(g, dtype=float)
-    mp = _margin_program(gmap, g, kc)
-    res = solve(mp, tol_feas=tol_feas, max_iter=max_iter)
-    n = gmap.domain.dim
-    e = cones.canonical_relint_point(kc)
+    cache = _memo.get()
+    if cache is None:
+        return _strict_feasibility(s, margin_threshold, tol_feas, max_iter)
+    key = (s.gmap.domain, s.gmap.codomain, s.gmap.matrix.tobytes(), s.g.tobytes(),
+           s.cone, margin_threshold, tol_feas, max_iter)
+    if key not in cache:
+        cache[key] = _strict_feasibility(s, margin_threshold, tol_feas, max_iter)
+    return cache[key]
+
+
+def _strict_feasibility(s, margin_threshold, tol_feas, max_iter):
+    res = solve(_margin_program(s), tol_feas=tol_feas, max_iter=max_iter)
+    n = s.gmap.domain.dim
 
     if res.status == "Optimal":
         tstar = res.x[n]
         x = res.x[:n]
-        if tstar > margin_threshold and cones.relint_member(kc, gmap(x) + g):
+        if tstar > margin_threshold and s.relint_member(x):
             return MarginResult("Yes", margin=float(tstar), witness=x,
                                 detail="interior witness")
-        lam = res.y[:gmap.codomain.dim] if res.y is not None else None
+        lam = res.y[:s.gmap.codomain.dim] if res.y is not None else None
         if tstar <= margin_threshold and lam is not None:
             # a strictly negative <g, lam> upgrades the separator to a Farkas
             # certificate that the system is empty outright
-            lam_n = _validated_separator(gmap, g, kc, e, lam, tol_feas,
-                                         allow_zero_e=True)
-            if lam_n is not None and inner(g, lam_n) < -max(tol_feas, 1e-7) \
-                    * (1 + np.linalg.norm(g)):
+            lam_n = _validated_separator(s, lam, tol_feas, allow_zero_e=True)
+            if lam_n is not None and inner(s.g, lam_n) < -max(tol_feas, 1e-7) \
+                    * (1 + np.linalg.norm(s.g)):
                 return MarginResult("No", margin=float(tstar), separator=lam_n,
                                     witness=x, detail="the system is empty")
-            lam_n = _validated_separator(gmap, g, kc, e, lam, tol_feas)
+            lam_n = _validated_separator(s, lam, tol_feas)
             if lam_n is not None:
                 return MarginResult("No", margin=float(tstar), separator=lam_n,
                                     witness=x,
@@ -266,8 +290,8 @@ def strict_feasibility(gmap: LinearMap, g: np.ndarray, kc: cones.Cone,
         return MarginResult("Unknown", margin=float(tstar), witness=x,
                             detail="margin value inconclusive")
     if res.status == "PrimalInfeasible":
-        lam = res.certificate["y"][:gmap.codomain.dim]
-        lam = _validated_separator(gmap, g, kc, e, lam, tol_feas, allow_zero_e=True)
+        lam = res.certificate["y"][:s.gmap.codomain.dim]
+        lam = _validated_separator(s, lam, tol_feas, allow_zero_e=True)
         if lam is not None:
             return MarginResult("No", margin=-np.inf, separator=lam,
                                 detail="the system is empty")
@@ -276,41 +300,32 @@ def strict_feasibility(gmap: LinearMap, g: np.ndarray, kc: cones.Cone,
         # t can grow without bound, so deep interior points exist
         ray = res.certificate["ray"]
         x = ray[:n] * (2.0 / max(ray[n], 1e-12))
-        if cones.relint_member(kc, gmap(x) + g):
+        if s.relint_member(x):
             return MarginResult("Yes", margin=np.inf, witness=x,
                                 detail="interior witness from an improving ray")
         return MarginResult("Unknown", detail="unvalidated interior ray")
     return MarginResult("Unknown", detail="solver did not converge")
 
 
-def _validated_separator(gmap, g, kc, e, lam, tol, allow_zero_e=False):
+def _validated_separator(s, lam, tol, allow_zero_e=False):
     """Check lam in cone*, G* lam ~ 0, <g, lam> <~ 0; rescale to unit norm."""
     nl = np.linalg.norm(lam)
     if nl <= 1e-10:
         return None
     lam = lam / nl
     check = max(tol, 1e-6)
-    if cones.margin(cones.dual(kc), lam) < -check:
+    if cones.margin(cones.dual(s.cone), lam) < -check:
         return None
-    if np.linalg.norm(gmap.matrix.T @ lam) > check * (1 + np.linalg.norm(gmap.matrix)):
+    gmat = s.gmap.matrix
+    if np.linalg.norm(gmat.T @ lam) > check * (1 + np.linalg.norm(gmat)):
         return None
-    if inner(g, lam) > check * (1 + np.linalg.norm(g)):
+    if inner(s.g, lam) > check * (1 + np.linalg.norm(s.g)):
         return None
-    if not allow_zero_e and inner(e, lam) <= check:
+    if not allow_zero_e and inner(cones.canonical_relint_point(s.cone), lam) <= check:
         # separator must touch the non-subspace part to rule out interior points
-        if np.linalg.norm(lam - cones.lineality(cones.dual(kc)).project(lam)) <= check:
+        if np.linalg.norm(lam - cones.lineality(cones.dual(s.cone)).project(lam)) <= check:
             return None
     return lam
-
-
-def system_program(c: np.ndarray, gmap: LinearMap, g: np.ndarray,
-                   kc: cones.Cone) -> program.ConicProgram:
-    """sup{<c, x> : G x + g in cone} written as a standard sup program."""
-    free_dom = cones.cone(gmap.domain, *([cones.FREE] * len(gmap.domain.factors)))
-    return program.ConicProgram(
-        A=LinearMap(gmap.domain, gmap.codomain, -gmap.matrix),
-        b=np.asarray(g, dtype=float), c=np.asarray(c, dtype=float),
-        K=kc, C=free_dom, sense="sup")
 
 
 @dataclass
@@ -322,11 +337,10 @@ class ValueResult:
     status: str = ""
 
 
-def conic_lp_value(c: np.ndarray, gmap: LinearMap, g: np.ndarray, kc: cones.Cone,
-                   tol_feas: float = TOL_FEAS, max_iter: int = MAX_ITER) -> ValueResult:
+def conic_lp_value(s: program.System, c: np.ndarray, tol_feas: float = TOL_FEAS,
+                   max_iter: int = MAX_ITER) -> ValueResult:
     """sup of <c, x> over {x : G x + g in cone}; attainment is best-effort."""
-    p = system_program(c, gmap, g, kc)
-    res = solve(p, tol_feas=tol_feas, max_iter=max_iter)
+    res = solve(s.as_program(c), tol_feas=tol_feas, max_iter=max_iter)
     if res.status == "Optimal":
         return ValueResult(value=res.pobj, attained=True, witness=res.x,
                            status="Optimal")
@@ -339,18 +353,16 @@ def conic_lp_value(c: np.ndarray, gmap: LinearMap, g: np.ndarray, kc: cones.Cone
                        status="Unknown")
 
 
-def feasibility(gmap: LinearMap, g: np.ndarray, kc: cones.Cone,
-                tol_feas: float = TOL_FEAS, max_iter: int = MAX_ITER) -> MarginResult:
+def feasibility(s: program.System, tol_feas: float = TOL_FEAS,
+                max_iter: int = MAX_ITER) -> MarginResult:
     """Decide whether {x : G x + g in cone} is nonempty (not necessarily strictly)."""
-    g = np.asarray(g, dtype=float)
-    res = strict_feasibility(gmap, g, kc, tol_feas=tol_feas, max_iter=max_iter)
+    res = strict_feasibility(s, tol_feas=tol_feas, max_iter=max_iter)
     if res.verdict == "Yes":
         return res
     if res.detail == "the system is empty":
         return MarginResult("No", margin=res.margin, separator=res.separator,
                             detail=res.detail)
-    if res.witness is not None and cones.member(kc, gmap(res.witness) + g,
-                                               10 * tol_feas):
+    if res.witness is not None and s.member(res.witness, 10 * tol_feas):
         return MarginResult("Yes", margin=res.margin, witness=res.witness,
                             detail="boundary witness")
     return MarginResult("Unknown", detail="no witness or emptiness certificate found")

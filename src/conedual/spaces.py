@@ -151,14 +151,6 @@ class LinearMap:
         return LinearMap(self.codomain, self.domain, self.matrix.T)
 
 
-def identity_map(sp: EuclideanSpace) -> LinearMap:
-    return LinearMap(sp, sp, np.eye(sp.dim))
-
-
-def zero_map(domain: EuclideanSpace, codomain: EuclideanSpace) -> LinearMap:
-    return LinearMap(domain, codomain, np.zeros((codomain.dim, domain.dim)))
-
-
 def _orthonormal_basis(vectors: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis (columns) for the column span of `vectors`."""
     vectors = np.asarray(vectors, dtype=float)
@@ -264,14 +256,3 @@ def preimage_of_subspace(m: LinearMap, sub: Subspace) -> Subspace:
     comp = sub.complement()
     stacked = LinearMap(m.domain, m.codomain, comp.project(np.eye(m.codomain.dim)) @ m.matrix)
     return kernel(stacked)
-
-
-def adjoint_image_of_complement(m: LinearMap, sub: Subspace) -> Subspace:
-    """A*(L-perp) for L a subspace of the codomain; equals (preimage of L)-perp."""
-    if sub.ambient != m.codomain:
-        raise ValueError("subspace not in the map's codomain")
-    result = image_of_subspace(m.adjoint(), sub.complement())
-    check = preimage_of_subspace(m, sub).complement()
-    if not result.equals(check, tol=1e-7):
-        raise AssertionError("adjoint image disagrees with complement of preimage")
-    return result

@@ -114,9 +114,11 @@ def test_criterion_03_weak_duality_sweep():
         c_descr, k_descr = MIXES[seed % len(MIXES)]
         p = gallery.planted_strong_duality(c_descr, k_descr, seed=seed)
         # the construction points are feasible on their sides by design
-        x0 = gallery._sample_relint(p.C, gallery._rng(seed, gallery._STREAM_X0))
-        y0 = gallery._sample_relint(cones.dual(p.K),
-                                    gallery._rng(seed, gallery._STREAM_Y0))
+        x0 = cones.sample_relint(p.C, gallery._rng(seed, gallery._STREAM_X0),
+                                 gallery.RELINT_SCALE)
+        y0 = cones.sample_relint(cones.dual(p.K),
+                                 gallery._rng(seed, gallery._STREAM_Y0),
+                                 gallery.RELINT_SCALE)
         lhs, rhs = inner(p.c, x0), inner(p.b, y0)
         if lhs > rhs + 1e-6:
             violations.append((seed, lhs - rhs))

@@ -167,6 +167,35 @@ def test_cli_exit_codes(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("A", [[1.0, 2.0, 3.0], [1.0]]),  # ragged
+    ("A", [[float("nan"), 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    ("b", [float("inf"), 0.0]),
+    ("c", [0.0, float("nan"), 0.0]),
+])
+def test_cli_rejects_malformed_data(tmp_path, capsys, field, value):
+    doc = _instance_doc()
+    doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # json writes NaN and Infinity tokens
+    assert cli.main(["solve", str(path)]) == 2
+    assert f"field {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sdoc", [
+    {"columns": [[1.0], [0.0], [0.0]]},  # no basis
+    {"basis": [[1.0, 0.0], [0.0], [0.0, 1.0]]},  # ragged
+    {"basis": [["x", 0.0], [0.0, 1.0], [0.0, 0.0]]},  # not numeric
+])
+def test_cli_project_rejects_malformed_basis(tmp_path, capsys, sdoc):
+    ipath = tmp_path / "inst.json"
+    ipath.write_text(json.dumps(cli.dump(gallery.packing_instance(2, 3, seed=1))))
+    spath = tmp_path / "sub.json"
+    spath.write_text(json.dumps(sdoc))
+    assert cli.main(["project", "--subspace", str(spath), str(ipath)]) == 2
+    assert "field basis" in capsys.readouterr().err
+
+
 def test_cli_example_adapted_solve_is_honest():
     doc = json.loads(_run(["gallery", "example-adapted", "--n", "3"]).stdout)
     proc = _run(["--json", "solve", "-"], stdin_doc=doc)

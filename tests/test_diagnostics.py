@@ -1,5 +1,7 @@
 """Duality diagnostics: strict feasibility, recession, boundedness, reports."""
 
+import json
+
 import numpy as np
 
 from conedual import cones, diagnostics, gallery, program, solver
@@ -38,7 +40,8 @@ def test_slater_yes_on_planted():
             [(cones.SOC, 3)], [(cones.NONNEG, 2)], seed=seed)
         res = diagnostics.slater(p, "primal")
         assert res.verdict == "Yes"
-        gmap, g, kc = program.feasible_system(p)
+        fs = program.feasible_system(p)
+        gmap, g, kc = fs.gmap, fs.g, fs.cone
         assert cones.relint_member(kc, gmap(res.witness) + g)
         resd = diagnostics.slater(p, "dual")
         assert resd.verdict == "Yes"
@@ -217,6 +220,13 @@ def test_strong_duality_report_planted():
 def test_strong_duality_report_pathology_fires_nothing():
     rep = diagnostics.strong_duality_report(gallery.example_adapted(3))
     assert rep.fired() == []
+
+
+def test_report_json_is_strict():
+    # the pathology report has gap = inf and pobj = nan; they encode as strings
+    doc = diagnostics.strong_duality_report(gallery.example_adapted(3)).to_json()
+    doc = json.loads(json.dumps(doc, allow_nan=False))
+    assert doc["gap"] == "inf" and doc["pobj"] == "nan"
 
 
 def test_packing_suite():

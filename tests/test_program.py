@@ -66,10 +66,41 @@ def test_feasible_system_matches_point_test():
     for seed in range(5):
         p = gallery.planted_strong_duality(
             [(cones.NONNEG, 3)], [(cones.NONNEG, 2)], seed=seed)
-        gmap, g, kc = program.feasible_system(p)
+        fs = program.feasible_system(p)
+        gmap, g, kc = fs.gmap, fs.g, fs.cone
         for _ in range(10):
             x = rng.standard_normal(3)
             assert program.is_feasible_point(p, x) == cones.member(kc, gmap(x) + g)
+
+
+def test_system_stack_agrees_with_feasible_system():
+    rng = np.random.default_rng([4, 23])
+    for seed in range(5):
+        p = gallery.planted_strong_duality(
+            [(cones.NONNEG, 2), (cones.SOC, 3)], [(cones.NONNEG, 3)], seed=seed)
+        for q in (p, program.dualize(p)):
+            n = q.A.domain.dim
+            sgn = -1.0 if q.sense == "sup" else 1.0
+            slack = program.System(LinearMap(q.A.domain, q.A.codomain, sgn * q.A.matrix),
+                                   -sgn * q.b, q.K)
+            stacked = slack.stack(np.eye(n), np.zeros(n), q.C)
+            fs = program.feasible_system(q)
+            assert np.array_equal(stacked.gmap.matrix, fs.gmap.matrix)
+            assert np.array_equal(stacked.g, fs.g) and stacked.cone == fs.cone
+            for _ in range(20):
+                x = rng.standard_normal(n)
+                feasible = cones.member(q.K, sgn * q.A(x) - sgn * q.b) and \
+                    cones.member(q.C, x)
+                assert fs.member(x) == program.is_feasible_point(q, x) == feasible
+    # a factor tag stacks the rows under one real factor of that cone
+    one = program.System(LinearMap(space(real(2)), space(real(1)), np.ones((1, 2))),
+                         np.zeros(1), cones.cone(space(real(1)), cones.NONNEG))
+    two = one.stack(np.eye(2), -np.ones(2), cones.ZERO)  # and x = (1, 1)
+    assert two.cone.tags == (cones.NONNEG, cones.ZERO)
+    assert two.cone.space.factors == (real(1), real(2))
+    assert two.member(np.ones(2)) and not two.member(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        program.System(one.gmap, np.zeros(2), one.cone)
 
 
 def test_weak_duality_on_planted_pairs():
@@ -77,8 +108,10 @@ def test_weak_duality_on_planted_pairs():
         p = gallery.planted_strong_duality(
             [(cones.NONNEG, 2), (cones.SOC, 3)], [(cones.NONNEG, 3)], seed=seed)
         # the planted construction points are feasible by construction
-        xs = gallery._sample_relint(p.C, gallery._rng(seed, gallery._STREAM_X0))
-        ys = gallery._sample_relint(cones.dual(p.K), gallery._rng(seed, gallery._STREAM_Y0))
+        xs = cones.sample_relint(p.C, gallery._rng(seed, gallery._STREAM_X0),
+                                 gallery.RELINT_SCALE)
+        ys = cones.sample_relint(cones.dual(p.K), gallery._rng(seed, gallery._STREAM_Y0),
+                                 gallery.RELINT_SCALE)
         gap = program.weak_duality_check(p, xs, ys)
         assert gap >= -1e-6
 

@@ -134,8 +134,9 @@ def test_inf_sense_agrees_with_negated_sup():
 def test_strict_feasibility_yes():
     p = gallery.planted_strong_duality(
         [(cones.SOC, 3)], [(cones.NONNEG, 3)], seed=4)
-    gmap, g, kc = program.feasible_system(p)
-    res = solver.strict_feasibility(gmap, g, kc)
+    fs = program.feasible_system(p)
+    gmap, g, kc = fs.gmap, fs.g, fs.cone
+    res = solver.strict_feasibility(fs)
     assert res.verdict == "Yes"
     assert cones.relint_member(kc, gmap(res.witness) + g)
     assert res.margin > solver.STRICT_MARGIN
@@ -149,14 +150,14 @@ def test_strict_feasibility_empty_with_farkas():
     g = np.array([0.0, -1.0])
     kc = cones.cone(cod, cones.NONNEG)
     gmap = LinearMap(dom, cod, gmat)
-    res = solver.strict_feasibility(gmap, g, kc)
+    res = solver.strict_feasibility(program.System(gmap, g, kc))
     assert res.verdict == "No"
     assert res.detail == "the system is empty"
     lam = res.separator
     assert cones.member(cones.dual(kc), lam, 1e-6)
     assert np.linalg.norm(gmat.T @ lam) <= 1e-6
     assert inner(g, lam) < 0
-    feas = solver.feasibility(gmap, g, kc)
+    feas = solver.feasibility(program.System(gmap, g, kc))
     assert feas.verdict == "No"
 
 
@@ -168,13 +169,13 @@ def test_strict_feasibility_boundary_only():
     g = np.zeros(2)
     kc = cones.cone(cod, cones.NONNEG)
     gmap = LinearMap(dom, cod, gmat)
-    res = solver.strict_feasibility(gmap, g, kc)
+    res = solver.strict_feasibility(program.System(gmap, g, kc))
     assert res.verdict == "No"
     lam = res.separator
     assert lam is not None
     assert cones.member(cones.dual(kc), lam, 1e-6)
     assert np.linalg.norm(gmat.T @ lam) <= 1e-6
-    feas = solver.feasibility(gmap, g, kc)
+    feas = solver.feasibility(program.System(gmap, g, kc))
     assert feas.verdict == "Yes"
     assert abs(feas.witness[0]) <= 1e-5
 
@@ -185,18 +186,18 @@ def test_conic_lp_value_statuses():
     nonneg = cones.cone(cod, cones.NONNEG)
     gmap = LinearMap(dom, cod, np.eye(1))
     # sup -x over x >= -1 attains 1 at x = -1
-    vr = solver.conic_lp_value(np.array([-1.0]), gmap, np.ones(1), nonneg)
+    vr = solver.conic_lp_value(program.System(gmap, np.ones(1), nonneg), np.array([-1.0]))
     assert vr.status == "Optimal" and np.isclose(vr.value, 1.0, atol=1e-6)
     # sup x over x >= -1 is unbounded
-    vr = solver.conic_lp_value(np.array([1.0]), gmap, np.ones(1), nonneg)
+    vr = solver.conic_lp_value(program.System(gmap, np.ones(1), nonneg), np.array([1.0]))
     assert vr.status == "Unbounded" and vr.value == np.inf
     # empty set
     gmat = np.array([[1.0], [-1.0]])
     cod2 = space(real(2))
-    vr = solver.conic_lp_value(np.array([1.0]),
-                               LinearMap(dom, cod2, gmat),
-                               np.array([0.0, -1.0]),
-                               cones.cone(cod2, cones.NONNEG))
+    vr = solver.conic_lp_value(program.System(LinearMap(dom, cod2, gmat),
+                                              np.array([0.0, -1.0]),
+                                              cones.cone(cod2, cones.NONNEG)),
+                               np.array([1.0]))
     assert vr.status == "Empty" and vr.value == -np.inf
 
 
@@ -222,17 +223,23 @@ def test_solver_rejects_non_finite_iterates():
 def test_strict_feasibility_without_convergence_has_no_margin():
     # 50 iterations are far from enough on the Slater margin program of the
     # infinite-gap family; the solver's gap is not a margin
-    gmap, g, kc = program.feasible_system(gallery.example_adapted(3))
-    res = solver.strict_feasibility(gmap, g, kc, max_iter=50)
+    res = solver.strict_feasibility(program.feasible_system(gallery.example_adapted(3)),
+                                    max_iter=50)
     assert res.verdict == "Unknown"
     assert res.detail == "solver did not converge"
     assert np.isnan(res.margin)
 
 
-def _report_iterations(monkeypatch, p, **kw):
-    """Total HSDE iterations of one strong_duality_report (outermost solves)."""
+def _fingerprint(p, tol_feas=solver.TOL_FEAS, tol_gap=solver.TOL_GAP,
+                 max_iter=solver.MAX_ITER):
+    return (p.A.matrix.tobytes(), p.b.tobytes(), p.c.tobytes(), p.K, p.C, p.sense,
+            tol_feas, tol_gap, max_iter)
+
+
+def _report_solves(monkeypatch, p, **kw):
+    """(fingerprint, iterations) of each outermost solve of one report."""
     solve = solver.solve
-    total, depth = [0], [0]
+    solves, depth = [], [0]
 
     def counted(*args, **kwargs):
         depth[0] += 1
@@ -241,21 +248,28 @@ def _report_iterations(monkeypatch, p, **kw):
         finally:
             depth[0] -= 1
         if not depth[0]:
-            total[0] += res.iterations
+            solves.append((_fingerprint(*args, **kwargs), res.iterations))
         return res
 
     with monkeypatch.context() as mp:
         mp.setattr(solver, "solve", counted)
         diagnostics.strong_duality_report(p, **kw)
-    return total[0]
+    return solves
 
 
 def test_report_iteration_counts_are_pinned(monkeypatch):
     # Exact totals.  A change meant only for speed must leave every iterate,
     # and so these counts, unchanged; a change to the arithmetic moves them.
-    assert _report_iterations(monkeypatch, gallery.example_adapted(3),
-                              max_iter=1200) == 9825
+    # Each system is solved once per report, so the totals over all solves
+    # and over distinct solves agree; back-to-back reports share nothing.
     planted = gallery.planted_strong_duality(
         [(cones.PSD, 2), (cones.SOC, 3)], [(cones.ZERO, 1), (cones.NONNEG, 2)],
         seed=0)
-    assert _report_iterations(monkeypatch, planted) == 4575
+    for p, kw, total in ((gallery.example_adapted(3), {"max_iter": 1200}, 5875),
+                         (planted, {}, 3925)):
+        for _ in range(2):
+            solves = _report_solves(monkeypatch, p, **kw)
+            distinct = dict(solves)
+            assert len(distinct) == len(solves)
+            assert sum(distinct.values()) == total
+            assert sum(it for _, it in solves) == total
