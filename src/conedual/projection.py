@@ -5,15 +5,22 @@ is {(y, w) in K* x C* : A* y - w in L}.  Each of its rays (y, w) yields a
 valid inequality <A* y - w, x> <= <b, y> on the projection of X onto L, and
 for polyhedral cones the extreme rays give the full H-representation.
 
-Ray enumeration uses the double description method in exact rational
-arithmetic; a Fourier-Motzkin eliminator is provided as an independent
-oracle for tests.
+Ray enumeration uses the double description method in exact integer
+arithmetic: rational data are scaled to integers by positive factors, rays
+are kept as coprime integer vectors, and the tight constraints of each ray
+as a bitmask.  Two rays are adjacent when no third ray is tight wherever
+both are; on the minimal ray set the method maintains, this combinatorial
+test is equivalent to the rank test (Fukuda and Prodon, "Double description
+method revisited", 1996).  A Fourier-Motzkin eliminator is provided as an
+independent oracle for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 from scipy.optimize import linprog
@@ -70,109 +77,82 @@ def _frac_kernel(rows: list[list[Fraction]], d: int) -> list[list[Fraction]]:
     return basis
 
 
-def _dot(a, b) -> Fraction:
-    return sum(x * y for x, y in zip(a, b))
+def _dot(a, b):
+    return sum(map(mul, a, b))
 
 
-def _primitive(v: list[Fraction]) -> tuple:
-    """Scale to coprime integers with a canonical positive leading sign."""
-    from math import gcd
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+def _integers(rows) -> list[list[int]]:
+    """The rational rows times one positive integer clearing every denominator."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
+def _coprime(v: list[int]) -> list[int]:
+    """An integer vector divided by the gcd of its entries."""
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _primitive(v) -> tuple:
+    """Scale a rational vector by a positive factor to coprime integers."""
+    return tuple(_coprime(_integers([v])[0]))
 
 
 # ---------------------------------------------------------------------------
 # double description on {z : B z >= 0}
 
 
-def _frac_rank(rows) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    rank = 0
-    for col in range(len(rows[0])):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
-        rank += 1
-    return rank
-
-
 def double_description(ineqs: list[list[Fraction]], dim: int
                        ) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """Generators (lineality basis, extreme rays) of {z : B z >= 0}."""
-    lin = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    rays: list[list[Fraction]] = []
-    tight: list[set[int]] = []
-    for idx, a in enumerate(ineqs):
+    """Generators (lineality basis, extreme rays) of {z : B z >= 0}.
+
+    Rows and generators are rational at the boundary; inside, each row is
+    scaled to integers and every generator is a coprime integer vector, so
+    each update below is a positive multiple of the rational one.
+    """
+    lin = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    rays: list[list[int]] = []
+    tight: list[int] = []  # bit i set: processed row i vanishes at the ray
+    for idx, a in enumerate(_integers([row])[0] for row in ineqs):
+        bit = 1 << idx
         vals_lin = [_dot(a, l) for l in lin]
-        if any(v != 0 for v in vals_lin):
-            j0 = next(j for j, v in enumerate(vals_lin) if v != 0)
+        j0 = next((j for j, v in enumerate(vals_lin) if v != 0), None)
+        if j0 is not None:
             l0, v0 = lin[j0], vals_lin[j0]
             if v0 < 0:
-                l0 = [-x for x in l0]
-                v0 = -v0
-            new_lin = []
-            for j, l in enumerate(lin):
-                if j == j0:
-                    continue
-                f = vals_lin[j] / v0
-                new_lin.append([x - f * y for x, y in zip(l, l0)])
-            lin = new_lin
-            new_rays = []
-            new_tight = []
-            for r, t in zip(rays, tight):
-                f = _dot(a, r) / v0
-                new_rays.append([x - f * y for x, y in zip(r, l0)])
-                new_tight.append(t | {idx})
-            l0 = [x / v0 for x in l0]
-            new_rays.append(l0)
+                l0, v0 = [-x for x in l0], -v0
+            lin = [_coprime([v0 * x - vj * y for x, y in zip(l, l0)])
+                   for j, (l, vj) in enumerate(zip(lin, vals_lin)) if j != j0]
+            rays = [_coprime([v0 * x - _dot(a, r) * y for x, y in zip(r, l0)])
+                    for r in rays]
             # the promoted lineality vector is tight at every earlier
             # constraint, since processed rows vanish on the lineality
-            new_tight.append(set(range(idx)))
-            rays, tight = new_rays, new_tight
+            tight = [t | bit for t in tight] + [bit - 1]
+            rays.append(l0)
             continue
         vals = [_dot(a, r) for r in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
         keep_rays = [rays[i] for i in pos + zero]
-        keep_tight = [tight[i] | ({idx} if i in zero else set())
-                      for i in pos + zero]
-        # adjacency: the constraints tight at both rays must cut the pointed
-        # part down to a two-dimensional face
-        pointed_dim = dim - len(lin)
+        keep_tight = [tight[i] for i in pos] + [tight[i] | bit for i in zero]
+        # adjacency: at least pointed_dim - 2 common tight rows, and no third
+        # ray tight at all of them
+        need = dim - len(lin) - 2
         for ip in pos:
             for im in neg:
                 common = tight[ip] & tight[im]
-                rank = _frac_rank([ineqs[i] for i in sorted(common)])
-                if rank != pointed_dim - 2:
+                if common.bit_count() < need or \
+                        sum(common & t == common for t in tight) > 2:
                     continue
-                p, m = rays[ip], rays[im]
                 vp, vm = vals[ip], vals[im]
-                comb = [vp * x - vm * y for y, x in zip(p, m)]
-                keep_rays.append(comb)
-                keep_tight.append((tight[ip] & tight[im]) | {idx})
+                keep_rays.append(_coprime([vp * x - vm * y
+                                           for y, x in zip(rays[ip], rays[im])]))
+                keep_tight.append(common | bit)
         rays, tight = keep_rays, keep_tight
-    # dedupe rays up to positive scaling
-    seen = {}
-    for r in rays:
-        seen.setdefault(_primitive(r), r)
-    return lin, [list(map(Fraction, k)) for k in seen.keys() if any(k)]
+    # coprime rays are equal exactly when positive multiples of each other
+    return ([list(map(Fraction, l)) for l in lin],
+            [list(map(Fraction, k)) for k in dict.fromkeys(map(tuple, rays)) if any(k)])
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +183,12 @@ def projection_cone(p: program.ConicProgram, sub: Subspace) -> program.System:
 
 def extreme_rays(pc: program.System) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """(lineality basis, extreme rays) of the projection cone, as floats."""
-    lin_f, rays_f = _exact_lift(pc)
-    lin = [np.array([float(x) for x in g]) for g in lin_f]
-    rays = [np.array([float(x) for x in g]) for g in rays_f]
-    rays = [r for r in rays if np.linalg.norm(r) > 0]
+    lin_z, rays_z = _exact_lift(pc)
+    lin = [np.array([float(x) for x in g]) for g in lin_z]
+    rays = [np.array([float(x) for x in g]) for g in rays_z]
     for r in rays:
-        assert pc.member(r), "enumerated ray violates the cone system"
+        if not pc.member(r):
+            raise ValueError("enumerated ray violates the cone system")
     return lin, rays
 
 
@@ -220,17 +200,21 @@ def _exact_rows(pc: program.System, tag: str) -> list[list[Fraction]]:
 
 
 def _exact_lift(pc: program.System):
-    """Rational generators of the homogeneous polyhedral system (lineality, rays)."""
-    d = pc.gmap.domain.dim
-    eqs = _exact_rows(pc, cones.ZERO)
-    null = _frac_kernel(eqs, d)
+    """Integer generators of the homogeneous polyhedral system (lineality, rays)."""
+    null = _frac_kernel(_exact_rows(pc, cones.ZERO), pc.gmap.domain.dim)
     if not null:
         return [], []
-    bn = [[_dot(row, nv) for nv in null] for row in _exact_rows(pc, cones.NONNEG)]
+    # one common scale for the whole basis keeps the null-space coordinates
+    # of every generator, up to a positive factor
+    null = _integers(null)
+    bn = [[_dot(row, nv) for nv in null]
+          for row in _integers(_exact_rows(pc, cones.NONNEG))]
     lin_z, rays_z = double_description(bn, len(null))
+    cols = list(zip(*null))
 
     def lift(z):
-        return [sum(z[j] * null[j][i] for j in range(len(null))) for i in range(d)]
+        z = [int(x) for x in z]
+        return _coprime([_dot(z, col) for col in cols])
 
     return [lift(z) for z in lin_z], [lift(z) for z in rays_z]
 
@@ -277,24 +261,21 @@ def _canonical_rows(rows: list[tuple[list[Fraction], Fraction]]) -> list[tuple]:
 
 def _remove_redundant(rows: list[tuple]) -> list[tuple]:
     """Drop inequalities implied by the rest, by LP in floats."""
-    keep = list(rows)
-    i = 0
-    while i < len(keep):
-        a = np.array(keep[i][:-1], dtype=float)
-        b = float(keep[i][-1])
-        others = [r for j, r in enumerate(keep) if j != i]
-        if not others:
-            i += 1
+    if not rows:
+        return []
+    mat = np.array(rows, dtype=float)
+    normals, offsets = mat[:, :-1], mat[:, -1]
+    bounds = [(None, None)] * normals.shape[1]
+    keep = np.ones(len(rows), dtype=bool)
+    for i in range(len(rows)):
+        keep[i] = False
+        if not keep.any():
+            keep[i] = True
             continue
-        aub = np.array([r[:-1] for r in others], dtype=float)
-        bub = np.array([float(r[-1]) for r in others])
-        res = linprog(-a, A_ub=aub, b_ub=bub, bounds=[(None, None)] * len(a),
-                      method="highs")
-        if res.status == 0 and -res.fun <= b + 1e-9:
-            keep.pop(i)
-        else:
-            i += 1
-    return keep
+        res = linprog(-normals[i], A_ub=normals[keep], b_ub=offsets[keep],
+                      bounds=bounds, method="highs")
+        keep[i] = not (res.status == 0 and -res.fun <= offsets[i] + 1e-9)
+    return [r for r, k in zip(rows, keep) if k]
 
 
 def precondition(p: program.ConicProgram, sub: Subspace, **kw) -> solver.MarginResult:
@@ -321,34 +302,30 @@ def project(p: program.ConicProgram, sub: Subspace, samples: int = 64,
 
 
 def _project_polyhedral(ps, sub) -> HRepresentation:
-    pc = projection_cone(ps, sub)
-    lin, rays = _exact_lift(pc)
-    m = ps.A.codomain.dim
-    at = _to_frac_matrix(ps.A.matrix.T)
-    bfr = [Fraction(x).limit_denominator(10**12) for x in ps.b]
-    rows = []
-    for gen in rays:
-        rows.append(_ray_to_row(gen, at, bfr, m))
+    lin, rays = _exact_lift(projection_cone(ps, sub))
+    n = ps.A.domain.dim
+    # s [A* | -I] and s (b, 0) for one positive integer s: the row of a
+    # generator (y, w) is s times (A* y - w, <b, y>)
+    *amat, bvec = _integers(_to_frac_matrix(np.vstack([
+        np.hstack([ps.A.matrix.T, -np.eye(n)]), np.append(ps.b, np.zeros(n))])))
+    rows = [_ray_to_row(gen, amat, bvec) for gen in rays]
     for gen in lin:
-        rows.append(_ray_to_row(gen, at, bfr, m))
-        rows.append(_ray_to_row([-x for x in gen], at, bfr, m))
+        rows.append(_ray_to_row(gen, amat, bvec))
+        rows.append(_ray_to_row([-x for x in gen], amat, bvec))
     canon = _canonical_rows(rows)
     canon = _remove_redundant(canon)
     if canon:
         normals = np.array([r[:-1] for r in canon], dtype=float)
         offsets = np.array([float(r[-1]) for r in canon])
     else:
-        normals = np.zeros((0, ps.A.domain.dim))
+        normals = np.zeros((0, n))
         offsets = np.zeros(0)
     return HRepresentation(normals, offsets, sub.basis, exact=True,
                            frac_rows=list(canon))
 
 
-def _ray_to_row(gen, at, bfr, m):
-    y, w = gen[:m], gen[m:]
-    normal = [_dot(row, y) - wi for row, wi in zip(at, w)]
-    offset = _dot(bfr, y)
-    return normal, offset
+def _ray_to_row(gen, amat, bvec):
+    return [_dot(row, gen) for row in amat], _dot(bvec, gen)
 
 
 def _project_sampled(ps, sub, samples, seed) -> HRepresentation:

@@ -50,7 +50,6 @@ class SolveResult:
     status: str  # Optimal | PrimalInfeasible | Unbounded | Unknown
     x: np.ndarray | None = None
     y: np.ndarray | None = None
-    slack: np.ndarray | None = None
     pobj: float = np.nan
     dobj: float = np.nan
     gap: float = np.nan
@@ -132,14 +131,14 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
             gap = abs(pval - dval) / (1.0 + abs(pval) + abs(dval))
             if pres <= tol_feas and dres <= tol_gap and gap <= tol_gap:
                 return SolveResult(
-                    status="Optimal", x=xs, y=ys[:m], slack=ss[:m],
+                    status="Optimal", x=xs, y=ys[:m],
                     pobj=float(-pval), dobj=float(bt @ ys),
                     gap=float(gap), pres=float(pres), dres=float(dres),
                     iterations=k,
                     certificate={"kind": "optimal", "w": ys[m:]})
             if np.isnan(best.gap) or gap < best.gap:
                 best = SolveResult(
-                    status="Unknown", x=xs, y=ys[:m], slack=ss[:m],
+                    status="Unknown", x=xs, y=ys[:m],
                     pobj=float(-pval), dobj=float(bt @ ys),
                     gap=float(gap), pres=float(pres), dres=float(dres),
                     iterations=k)
@@ -331,7 +330,6 @@ def _validated_separator(s, lam, tol, allow_zero_e=False):
 @dataclass
 class ValueResult:
     value: float  # finite, +inf (improving ray), -inf (empty set)
-    attained: bool
     witness: np.ndarray | None = None
     ray: np.ndarray | None = None
     status: str = ""
@@ -342,15 +340,13 @@ def conic_lp_value(s: program.System, c: np.ndarray, tol_feas: float = TOL_FEAS,
     """sup of <c, x> over {x : G x + g in cone}; attainment is best-effort."""
     res = solve(s.as_program(c), tol_feas=tol_feas, max_iter=max_iter)
     if res.status == "Optimal":
-        return ValueResult(value=res.pobj, attained=True, witness=res.x,
-                           status="Optimal")
+        return ValueResult(value=res.pobj, witness=res.x, status="Optimal")
     if res.status == "Unbounded":
-        return ValueResult(value=np.inf, attained=False,
-                           ray=res.certificate["ray"], status="Unbounded")
+        return ValueResult(value=np.inf, ray=res.certificate["ray"],
+                           status="Unbounded")
     if res.status == "PrimalInfeasible":
-        return ValueResult(value=-np.inf, attained=False, status="Empty")
-    return ValueResult(value=np.nan, attained=False, witness=res.x,
-                       status="Unknown")
+        return ValueResult(value=-np.inf, status="Empty")
+    return ValueResult(value=np.nan, witness=res.x, status="Unknown")
 
 
 def feasibility(s: program.System, tol_feas: float = TOL_FEAS,

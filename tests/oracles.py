@@ -10,9 +10,13 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from hypothesis import settings
 from scipy.optimize import linprog
 
 from conedual import cones
+
+# one profile for every property test
+PROPERTY = settings(max_examples=300, deadline=None, database=None)
 
 
 def polyhedral_rows(p):

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conedual import cones, spaces
 from conedual.spaces import real, space, sym, sym_to_vec
+from oracles import PROPERTY
 
 ALL_TAGS = [cones.ZERO, cones.FREE, cones.NONNEG, cones.SOC, cones.PSD]
 
@@ -278,10 +279,7 @@ def _cone_and_point(draw):
     return c, np.array(x)
 
 
-_PROPERTY = settings(max_examples=300, deadline=None, database=None)
-
-
-@_PROPERTY
+@PROPERTY
 @given(_cone_and_point())
 def test_projector_lands_in_cone_and_is_idempotent(cx):
     c, x = cx
@@ -291,7 +289,7 @@ def test_projector_lands_in_cone_and_is_idempotent(cx):
     assert np.linalg.norm(cones.project(c, px) - px) <= tol
 
 
-@_PROPERTY
+@PROPERTY
 @given(_cone_and_point())
 def test_projector_moreau_decomposition(cx):
     c, x = cx
@@ -302,7 +300,7 @@ def test_projector_moreau_decomposition(cx):
     assert abs(px @ qx) <= 1e-12 * (1.0 + nx * nx)
 
 
-@_PROPERTY
+@PROPERTY
 @given(_cone_and_point())
 def test_projector_bitwise_matches_reference(cx):
     c, x = cx
@@ -310,7 +308,7 @@ def test_projector_bitwise_matches_reference(cx):
     assert cones.projector(c)(x).tobytes() == _ref_project(c, x).tobytes()
 
 
-@_PROPERTY
+@PROPERTY
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_svec_maps_bitwise_match_reference(m, seed):
     rng = np.random.default_rng(seed)

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conedual import cones, program, projection
 from conedual.spaces import LinearMap, Subspace, real, space
+from oracles import PROPERTY
 
 
 def _fr(rows):
@@ -68,6 +71,133 @@ def test_double_description_rays_satisfy_inequalities():
             assert all(projection._dot(a, l) == 0 for a in ineqs)
 
 
+# reference: double description in Fraction arithmetic with the rank test
+
+
+def _ref_rank(rows) -> int:
+    rows = [list(r) for r in rows]
+    if not rows:
+        return 0
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr = rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col] / pr[col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
+        rank += 1
+    return rank
+
+
+def _ref_double_description(ineqs, dim):
+    lin = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    rays, tight = [], []
+    for idx, a in enumerate(ineqs):
+        vals_lin = [projection._dot(a, l) for l in lin]
+        if any(v != 0 for v in vals_lin):
+            j0 = next(j for j, v in enumerate(vals_lin) if v != 0)
+            l0, v0 = lin[j0], vals_lin[j0]
+            if v0 < 0:
+                l0 = [-x for x in l0]
+                v0 = -v0
+            lin = [[x - vals_lin[j] / v0 * y for x, y in zip(l, l0)]
+                   for j, l in enumerate(lin) if j != j0]
+            rays = [[x - projection._dot(a, r) / v0 * y for x, y in zip(r, l0)]
+                    for r in rays] + [[x / v0 for x in l0]]
+            tight = [t | {idx} for t in tight] + [set(range(idx))]
+            continue
+        vals = [projection._dot(a, r) for r in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        keep_rays = [rays[i] for i in pos + zero]
+        keep_tight = [tight[i] | ({idx} if i in zero else set()) for i in pos + zero]
+        pointed_dim = dim - len(lin)
+        for ip in pos:
+            for im in neg:
+                common = tight[ip] & tight[im]
+                if _ref_rank([ineqs[i] for i in sorted(common)]) != pointed_dim - 2:
+                    continue
+                keep_rays.append([vals[ip] * x - vals[im] * y
+                                  for y, x in zip(rays[ip], rays[im])])
+                keep_tight.append(common | {idx})
+        rays, tight = keep_rays, keep_tight
+    seen = {}
+    for r in rays:
+        seen.setdefault(projection._primitive(r), r)
+    return lin, [list(map(Fraction, k)) for k in seen if any(k)]
+
+
+_RATIONAL = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def _rational_system(draw):
+    """Rows of B z >= 0 with negated pairs (implicit equalities), positively
+    scaled duplicates and a zero row among them, in a drawn order."""
+    dim = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_RATIONAL, min_size=dim, max_size=dim),
+                         min_size=2, max_size=8))
+    # a zero row is tight at every ray, so it passes the count test for
+    # pairs that are not adjacent
+    extra = [[Fraction(0)] * dim] if draw(st.booleans()) else []
+    for row in rows:
+        kind = draw(st.sampled_from(["none", "negated", "scaled"]))
+        if kind == "negated":
+            extra.append([-x for x in row])
+        elif kind == "scaled":
+            f = draw(st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(5, 3)]))
+            extra.append([f * x for x in row])
+    return draw(st.permutations(rows + extra)), dim
+
+
+@PROPERTY
+@given(_rational_system())
+@example((_fr([[0, 0, 0], [0, -2, -2], [-2, 1, 0], [-2, -2, 1], [-2, 1, 2],
+               [-2, 0, 2]]), 3))
+def test_double_description_matches_rank_test_reference(system):
+    ineqs, dim = system
+    lin, rays = projection.double_description(ineqs, dim)
+    ref_lin, ref_rays = _ref_double_description(ineqs, dim)
+    assert [projection._primitive(r) for r in rays] == \
+        [projection._primitive(r) for r in ref_rays]
+    assert all(isinstance(x, Fraction) for g in lin + rays for x in g)
+    # the same lineality space
+    assert _ref_rank(lin) == _ref_rank(ref_lin) == _ref_rank(lin + ref_lin) == len(lin)
+
+
+_HALVES_THIRDS = st.builds(Fraction, st.integers(1, 6), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def _rational_packing(draw):
+    """x >= 0, A x <= b with entries k/2 and k/3, and the kept dimension."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    amat = draw(st.lists(st.lists(_HALVES_THIRDS, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    b = draw(st.lists(_HALVES_THIRDS, min_size=m, max_size=m))
+    return np.array(amat, dtype=float), np.array(b, dtype=float), draw(st.integers(1, n - 1))
+
+
+@PROPERTY
+@given(_rational_packing())
+def test_project_matches_fm_on_rational_packings(data):
+    # non-integer rows and null-space bases exercise the denominator scaling
+    amat, b, k = data
+    amat, b = np.array(amat, dtype=float), np.array(b, dtype=float)
+    n = amat.shape[1]
+    p = _packing(amat, b)
+    h = projection.project(p, Subspace(p.A.domain, np.eye(n)[:, :k]))
+    fm = projection.fourier_motzkin(np.vstack([amat, -np.eye(n)]),
+                                    np.concatenate([b, np.zeros(n)]),
+                                    list(range(k, n)))
+    assert h.canonical_set() == fm.canonical_set()
+
+
 def test_projection_cone_and_extreme_rays():
     p = _packing([[1, 1, 2], [2, 1, 1]])
     sub = Subspace(p.A.domain, np.eye(3)[:, :2])
@@ -81,6 +211,16 @@ def test_projection_cone_and_extreme_rays():
         assert cones.member(cones.dual(p.C), w, 1e-9)
         # A* y - w must lie in the subspace: last coordinate vanishes
         assert abs((p.A.matrix.T @ y - w)[2]) <= 1e-9
+
+
+def test_extreme_rays_rejects_a_ray_outside_the_cone(monkeypatch):
+    p = _packing([[1, 1, 2], [2, 1, 1]])
+    pc = projection.projection_cone(p, Subspace(p.A.domain, np.eye(3)[:, :2]))
+    # y_1 < 0 leaves K* = the nonnegative orthant
+    outside = [-1] + [0] * (pc.gmap.domain.dim - 1)
+    monkeypatch.setattr(projection, "_exact_lift", lambda pc: ([], [outside]))
+    with pytest.raises(ValueError, match="violates the cone system"):
+        projection.extreme_rays(pc)
 
 
 def test_precondition_failure_raises():
