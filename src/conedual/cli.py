@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -138,7 +137,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _emit(args, payload: dict, text_lines: list[str]):
+def _emit(args, payload, text_lines: list[str]):
     if args.json:
         json.dump(diagnostics.jsonable(payload), sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -148,7 +147,6 @@ def _emit(args, payload: dict, text_lines: list[str]):
 
 
 def main(argv: list[str] | None = None) -> int:
-    default_seed = int(os.environ.get("CONEDUAL_SEED", "0"))
     ap = _Parser(prog="conedual",
                  description="conic duality diagnostics toolkit")
     ap.add_argument("--json", action="store_true", help="emit JSON reports")
@@ -176,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
                     + sorted(gallery.PROFILES))
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--m", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=default_seed)
+    sp.add_argument("--seed", type=int, default=0)
 
     try:
         args = ap.parse_args(argv)
@@ -203,12 +201,7 @@ def _dispatch(args) -> int:
         return 0
     if args.command == "solve":
         res = solver.solve(p, tol_feas=args.tol_feas, tol_gap=args.tol_gap)
-        payload = {"status": res.status, "pobj": res.pobj, "dobj": res.dobj,
-                   "gap": res.gap, "pres": res.pres, "dres": res.dres,
-                   "iterations": res.iterations,
-                   "x": res.x, "y": res.y,
-                   "certificate": res.certificate}
-        _emit(args, payload, [
+        _emit(args, res, [
             f"status: {res.status}",
             f"pobj: {res.pobj:.9g}  dobj: {res.dobj:.9g}",
             f"iterations: {res.iterations}"])
@@ -220,16 +213,10 @@ def _dispatch(args) -> int:
         lines.append(f"pobj: {rep.pobj}  dobj: {rep.dobj}  gap: {rep.gap}")
         _emit(args, payload, lines)
         return 0
-    if args.command == "bounded":
-        out = diagnostics.boundedness(p, args.side)
-        _emit(args, out, [f"verdict: {out['verdict']}",
-                          f"detail: {out['detail']}"])
-        return 0
-    if args.command == "gordan":
-        out = diagnostics.gordan_alternative(p)
-        _emit(args, out, [f"branch: {out['branch']}",
-                          f"verdict: {out['verdict']}",
-                          f"detail: {out['detail']}"])
+    if args.command in ("bounded", "gordan"):
+        out = (diagnostics.boundedness(p, args.side) if args.command == "bounded"
+               else diagnostics.gordan_alternative(p))
+        _emit(args, out, [f"verdict: {out.verdict}", f"detail: {out.detail}"])
         return 0
     if args.command == "almost":
         eps = tuple(args.eps) if args.eps else (1e-2, 1e-4)

@@ -1,8 +1,10 @@
 """Certified duality diagnostics for primal-dual conic pairs.
 
-Every test returns a three-valued verdict (Yes / No / Unknown) together with a
-numeric witness or certificate that is revalidated by cone membership alone.
-A "No" without a certificate is reported as Unknown.
+Every test returns a `solver.Verdict` (Yes / No / Unknown, or the question's
+own outcomes) with a numeric witness or certificate that is revalidated by
+cone membership alone; a "No" without a certificate is reported as Unknown.
+The composite checks (gap bound, finiteness, almost feasibility, packing)
+return dicts of several numbers.
 
 Sides are named relative to the sup member of the pair: side "primal" is the
 sup program, side "dual" its inf conic dual.  Passing an inf program selects
@@ -16,7 +18,7 @@ strict-feasibility system is solved once, and nothing is kept between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 
 import numpy as np
 
@@ -30,12 +32,8 @@ TOL = 1e-8
 # plumbing
 
 
-def _as_sup(p: program.ConicProgram) -> program.ConicProgram:
-    return p if p.sense == "sup" else program.dualize(p)
-
-
 def _side_program(p: program.ConicProgram, side: str) -> program.ConicProgram:
-    ps = _as_sup(p)
+    ps = program.as_sup(p)
     if side == "primal":
         return ps
     if side == "dual":
@@ -48,12 +46,6 @@ def sample_member(c: cones.Cone, rng: np.random.Generator, scale: float = 1.0) -
 
 
 @dataclass
-class Separator:
-    lam: np.ndarray
-    sides: tuple[str, str]
-
-
-@dataclass
 class DualityReport:
     entries: list[dict] = field(default_factory=list)
     pobj: float = np.nan
@@ -61,26 +53,18 @@ class DualityReport:
     gap: float = np.nan
 
     def fired(self) -> list[str]:
-        return [e["condition"] for e in self.entries
-                if e["verdict"] == "Yes" and e.get("sufficient", False)]
+        """The sufficient conditions for strong duality that hold."""
+        return [e["condition"] for e in self.entries if e["verdict"] == "Yes"]
 
     def to_json(self) -> dict:
-        return jsonable({
-            "version": "report/v1",
-            "entries": [
-                {"condition": e["condition"], "verdict": e["verdict"],
-                 "witness": e.get("witness"),
-                 "citation": e.get("citation", ""),
-                 "margins": e.get("margins", {})}
-                for e in self.entries
-            ],
-            "pobj": self.pobj, "dobj": self.dobj, "gap": self.gap,
-        })
+        return jsonable({"version": "report/v1", "entries": self.entries,
+                         "pobj": self.pobj, "dobj": self.dobj, "gap": self.gap})
 
 
 def jsonable(v):
-    """Copy of a result that JSON encodes strictly: arrays become lists, numpy
-    scalars Python floats, and non-finite floats the strings nan, inf, -inf."""
+    """Copy of a result that JSON encodes strictly: dataclasses become dicts
+    of their fields, arrays lists, numpy scalars Python floats, and non-finite
+    floats the strings nan, inf, -inf."""
     if isinstance(v, np.ndarray):
         return jsonable(v.tolist())
     if isinstance(v, (np.floating, np.integer)):
@@ -91,8 +75,8 @@ def jsonable(v):
         return {str(k): jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [jsonable(x) for x in v]
-    if isinstance(v, Separator):
-        return {"lam": jsonable(v.lam), "sides": list(v.sides)}
+    if is_dataclass(v):
+        return jsonable(vars(v))
     return v
 
 
@@ -101,7 +85,7 @@ def jsonable(v):
 
 
 def slater(p: program.ConicProgram, side: str = "primal",
-           **kw) -> solver.MarginResult:
+           **kw) -> solver.Verdict:
     """Relative strict feasibility of the chosen side's feasible set."""
     return solver.strict_feasibility(program.feasible_system(_side_program(p, side)), **kw)
 
@@ -109,7 +93,7 @@ def slater(p: program.ConicProgram, side: str = "primal",
 def slater_rifeascone_check(p: program.ConicProgram, trials: int = 20,
                             seed: int = 0) -> dict:
     """Interior right-hand sides built from relint points must be strictly feasible."""
-    ps = _as_sup(p)
+    ps = program.as_sup(p)
     rng = np.random.default_rng([seed, 101])
     interior_yes = 0
     records = []
@@ -134,7 +118,7 @@ def slack_dimension_screen(p: program.ConicProgram, samples: int = 24,
     feasible set has affine dimension below dim span C, strict feasibility
     is impossible.
     """
-    ps = _as_sup(p)
+    ps = program.as_sup(p)
     sys_p = program.feasible_system(ps)
     feas = solver.feasibility(sys_p)
     if feas.verdict != "Yes":
@@ -184,7 +168,7 @@ def recession_cone(p: program.ConicProgram, side: str = "primal") -> program.Sys
 
 def recession_strict(p: program.ConicProgram, side: str = "primal",
                      restrict_orthogonal_to: np.ndarray | None = None,
-                     **kw) -> solver.MarginResult:
+                     **kw) -> solver.Verdict:
     """Strict feasibility of the homogeneous system defining the recession cone.
 
     `restrict_orthogonal_to` adds the equality <v, r> = 0 as a Zero-cone row,
@@ -199,12 +183,15 @@ def recession_strict(p: program.ConicProgram, side: str = "primal",
 
 
 def polar_recession_membership(p: program.ConicProgram, side: str, v: np.ndarray,
-                               tol: float = 1e-6) -> dict:
+                               tol: float = 1e-6) -> solver.Verdict:
     """Test v in (rec of the side's feasible set)-polar.
 
     Maximizes <v, r> over the recession cone normalized against a strictly
     positive functional on its pointed part; a value near zero certifies
-    membership, a validated ray with positive inner product refutes it.
+    membership, a validated ray with positive inner product (the witness of
+    No) refutes it.  With a strictly interior recession point the polar is
+    exactly the set of offsets that make the other side feasible, so a Yes
+    is cross-checked on that system and becomes Unknown if it is empty.
     """
     v = np.asarray(v, dtype=float)
     rs = recession_cone(p, side)
@@ -213,38 +200,25 @@ def polar_recession_membership(p: program.ConicProgram, side: str, v: np.ndarray
         comp = lin.basis.T @ v
         j = int(np.argmax(np.abs(comp)))
         if abs(comp[j]) > tol * (1 + np.linalg.norm(v)):
-            ray = np.sign(comp[j]) * lin.basis[:, j]
-            return {"verdict": "No", "value": float(abs(comp[j])), "ray": ray,
-                    "detail": "lineality direction with positive inner product"}
+            return solver.Verdict(
+                "No", witness=np.sign(comp[j]) * lin.basis[:, j], value=float(abs(comp[j])),
+                detail="lineality direction with positive inner product")
     e = rs.gmap.matrix.T @ cones.canonical_relint_point(cones.dual(rs.cone))
     pointed = rs.stack(lin.basis.T, np.zeros(lin.dim), cones.ZERO) if lin.dim > 0 else rs
     vr = solver.conic_lp_value(pointed.stack(-e[None, :], [1.0], cones.NONNEG), v)
-    out = {"value": vr.value, "detail": vr.status}
-    if vr.status == "Optimal":
-        if vr.value <= tol * (1 + np.linalg.norm(v)):
-            out["verdict"] = "Yes"
-        elif vr.witness is not None and rs.member(vr.witness) \
-                and inner(v, vr.witness) > tol:
-            out["verdict"] = "No"
-            out["ray"] = vr.witness
-        else:
-            out["verdict"] = "Unknown"
-    elif vr.status == "Unbounded" and vr.ray is not None and rs.member(vr.ray) \
-            and inner(v, vr.ray) > tol:
-        out["verdict"] = "No"
-        out["ray"] = vr.ray
-    else:
-        out["verdict"] = "Unknown"
-    # with a strictly interior recession point the polar equals the dual
-    # feasibility cone exactly, so cross-check by solving that system
-    if out["verdict"] == "Yes":
-        strict_rec = recession_strict(p, side)
-        if strict_rec.verdict == "Yes":
-            other = "dual" if side == "primal" else "primal"
-            q = _side_program(p, other)
-            cross = solver.feasibility(program.feasible_system(replace(q, b=v)))
-            out["exact_membership"] = cross.verdict
-    return out
+    if not (vr.verdict == "Optimal" and vr.value <= tol * (1 + np.linalg.norm(v))):
+        if vr.witness is not None and rs.member(vr.witness) and inner(v, vr.witness) > tol:
+            return replace(vr, verdict="No", detail="recession ray with positive inner product")
+        return solver.Verdict("Unknown", value=vr.value,
+                              detail=f"support value inconclusive ({vr.verdict})")
+    if recession_strict(p, side).verdict == "Yes":
+        other = "dual" if side == "primal" else "primal"
+        q = _side_program(p, other)
+        if solver.feasibility(program.feasible_system(replace(q, b=v))).verdict == "No":
+            return solver.Verdict("Unknown", value=vr.value,
+                                  detail="support value is zero, but the other side "
+                                         "is empty at offset v")
+    return solver.Verdict("Yes", value=vr.value, detail="support value is zero")
 
 
 # ---------------------------------------------------------------------------
@@ -252,38 +226,37 @@ def polar_recession_membership(p: program.ConicProgram, side: str, v: np.ndarray
 
 
 def boundedness(p: program.ConicProgram, side: str = "primal",
-                max_iter: int = solver.MAX_ITER) -> dict:
+                max_iter: int = solver.MAX_ITER) -> solver.Verdict:
     """Bounded / Unbounded / Empty / Unknown for the side's feasible set.
 
     Bounded comes with a strict recession point of the opposite homogeneous
-    system; Unbounded with a validated nonzero recession ray.
+    system; Unbounded with a validated nonzero recession ray (and the
+    separator it was read from, if any); Empty with the emptiness
+    certificate.  Otherwise the detail ends with the feasibility verdict.
     """
     feas = solver.feasibility(program.feasible_system(_side_program(p, side)),
                               max_iter=max_iter)
     if feas.verdict == "No":
-        return {"verdict": "Empty", "witness": feas.separator,
-                "detail": "feasible set is empty"}
+        return solver.Verdict("Empty", witness=feas.separator,
+                              detail="feasible set is empty")
+    found = f" (feasibility {feas.verdict})"
     rs = recession_cone(p, side)
     if rs.lineality.dim > 0:
-        return {"verdict": "Unbounded", "witness": rs.lineality.basis[:, 0],
-                "detail": "nonzero lineality in the recession cone",
-                "feasible": feas.verdict}
+        return solver.Verdict("Unbounded", witness=rs.lineality.basis[:, 0],
+                              detail="nonzero lineality in the recession cone" + found)
     other = "dual" if side == "primal" else "primal"
     sr = recession_strict(p, other, max_iter=max_iter)
     if sr.verdict == "Yes":
-        return {"verdict": "Bounded", "witness": sr.witness,
-                "detail": "strict recession point of the opposite homogeneous system",
-                "feasible": feas.verdict}
+        return replace(sr, verdict="Bounded", detail="strict recession point of the "
+                       "opposite homogeneous system" + found)
     ray = _separator_ray(rs, sr)
     if ray is not None:
-        return {"verdict": "Unbounded", "witness": ray,
-                "detail": "recession ray recovered from the separator",
-                "separator": Separator(sr.separator, (side, other)),
-                "feasible": feas.verdict}
-    return {"verdict": "Unknown", "detail": sr.detail, "feasible": feas.verdict}
+        return replace(sr, verdict="Unbounded", witness=ray,
+                       detail="recession ray recovered from the separator" + found)
+    return solver.Verdict("Unknown", detail=sr.detail + found)
 
 
-def _separator_ray(rs: program.System, sr: solver.MarginResult) -> np.ndarray | None:
+def _separator_ray(rs: program.System, sr: solver.Verdict) -> np.ndarray | None:
     """Unit recession direction carried by a separator of the opposite
     homogeneous system, if it revalidates as a member of `rs`."""
     if sr.verdict != "No" or sr.separator is None:
@@ -293,32 +266,28 @@ def _separator_ray(rs: program.System, sr: solver.MarginResult) -> np.ndarray | 
     return ray / nr if nr > 1e-7 and rs.member(ray / nr) else None
 
 
-def gordan_alternative(p: program.ConicProgram) -> dict:
-    """Exactly one of: a nonzero x in C with Ax in -K, or y in relint K* with
-    A*y in relint C*.  Requires a pointed primal recession cone."""
-    ps = _as_sup(p)
+def gordan_alternative(p: program.ConicProgram) -> solver.Verdict:
+    """Exactly one of: a nonzero x in C with Ax in -K (verdict Ray), or y in
+    relint K* with A*y in relint C* (verdict Interior).  Requires a pointed
+    primal recession cone."""
+    ps = program.as_sup(p)
     rs = recession_cone(ps, "primal")
     if rs.lineality.dim > 0:
-        return {"branch": None, "verdict": "Unknown",
-                "detail": "primal recession cone is not pointed"}
+        return solver.Verdict("Unknown", detail="primal recession cone is not pointed")
     sr = recession_strict(ps, "dual")
     if sr.verdict == "Yes":
         y = sr.witness
-        ok = cones.relint_member(cones.dual(ps.K), y) and \
-            cones.relint_member(cones.dual(ps.C), ps.A.adjoint()(y))
-        if ok:
-            return {"branch": 2, "verdict": "Yes", "witness": y,
-                    "detail": "interior dual homogeneous point"}
-        return {"branch": None, "verdict": "Unknown",
-                "detail": "branch 2 witness failed revalidation"}
-    if sr.verdict == "No" and sr.separator is not None:
+        if cones.relint_member(cones.dual(ps.K), y) and \
+                cones.relint_member(cones.dual(ps.C), ps.A.adjoint()(y)):
+            return replace(sr, verdict="Interior", detail="interior dual homogeneous point")
+        return solver.Verdict("Unknown", detail="interior witness failed revalidation")
+    if sr.verdict == "No":
         x = _separator_ray(rs, sr)
         if x is not None:
-            return {"branch": 1, "verdict": "Yes", "witness": x,
-                    "detail": "nonzero primal recession direction"}
-        return {"branch": None, "verdict": "Unknown",
-                "detail": "branch 1 witness failed revalidation"}
-    return {"branch": None, "verdict": "Unknown", "detail": sr.detail}
+            return replace(sr, verdict="Ray", witness=x,
+                           detail="nonzero primal recession direction")
+        return solver.Verdict("Unknown", detail="ray witness failed revalidation")
+    return solver.Verdict("Unknown", detail=sr.detail)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +295,19 @@ def gordan_alternative(p: program.ConicProgram) -> dict:
 
 
 def closedness_conditions(p: program.ConicProgram, side: str = "primal",
-                          max_iter: int = solver.MAX_ITER) -> list[dict]:
-    """Four sufficient conditions for the relevant lifted adjoint image to be
-    closed.  Side "primal" examines the image whose closedness makes the dual
+                          max_iter: int = solver.MAX_ITER) -> list[solver.Verdict]:
+    """Verdicts on four sufficient conditions, in order, for the relevant
+    lifted adjoint image L to be closed:
+
+    1. range(L) meets the relative interior of the lifted cone;
+    2. kernel(L*) meets the relative interior of its dual;
+    3. every point of the cone in range(L) lies in the cone's lineality;
+    4. every point of the dual cone in kernel(L*) lies in (span cone)-perp.
+
+    Side "primal" examines the image whose closedness makes the dual
     solvable (the lift carrying b), side "dual" the symmetric one carrying c.
     """
-    ps = _as_sup(p)
+    ps = program.as_sup(p)
     pm = program.paired_maps(ps)
     if side == "primal":
         lift = pm.Lp
@@ -341,79 +317,61 @@ def closedness_conditions(p: program.ConicProgram, side: str = "primal",
         big = cones.cone_product(cones.dual(ps.C), cones.dual(ps.K))
     else:
         raise ValueError("side must be 'primal' or 'dual'")
-    out = [_closed_cond1(lift, big, max_iter), _closed_cond2(lift, big, max_iter),
+    out = [solver.strict_feasibility(program.System(lift, np.zeros(lift.codomain.dim), big),
+                                     max_iter=max_iter),
+           solver.strict_feasibility(_kernel_system(lift, big), max_iter=max_iter),
            _closed_cond3(lift, big, max_iter), _closed_cond4(lift, big, max_iter)]
     if side == "primal":
         # perspective cross-check: restricted to a positive last coordinate,
         # condition 1 is exactly primal strict feasibility
         sl = slater(ps, "primal", max_iter=max_iter)
-        if sl.verdict == "Yes" and out[0]["verdict"] != "Yes":
-            out[0] = {"condition": 1, "verdict": "Yes",
-                      "witness": np.concatenate([-sl.witness, [1.0]]),
-                      "detail": "via the perspective route (strict feasibility)"}
-        out[0]["perspective_verdict"] = sl.verdict
+        if sl.verdict == "Yes" and out[0].verdict != "Yes":
+            out[0] = replace(sl, witness=np.concatenate([-sl.witness, [1.0]]),
+                             detail="via the perspective route (strict feasibility)")
     return out
 
 
-def _closed_cond1(lift: LinearMap, big: cones.Cone,
-                  max_iter: int = solver.MAX_ITER) -> dict:
-    # range(L) meets relint(cone)
-    res = solver.strict_feasibility(
-        program.System(lift, np.zeros(lift.codomain.dim), big), max_iter=max_iter)
-    return {"condition": 1, "verdict": res.verdict, "witness": res.witness,
-            "detail": res.detail}
-
-
-def _closed_cond2(lift: LinearMap, big: cones.Cone,
-                  max_iter: int = solver.MAX_ITER) -> dict:
-    # kernel(L*) meets relint(cone*): z in cone*, L* z = 0 strictly
-    res = solver.strict_feasibility(_kernel_system(lift, big), max_iter=max_iter)
-    return {"condition": 2, "verdict": res.verdict, "witness": res.witness,
-            "detail": res.detail}
-
-
 def _closed_cond3(lift: LinearMap, big: cones.Cone,
-                  max_iter: int = solver.MAX_ITER) -> dict:
-    # every z in cone ∩ range(L) lies in the lineality of the cone
+                  max_iter: int = solver.MAX_ITER) -> solver.Verdict:
     if not cones.is_pointed(big):
-        return {"condition": 3, "verdict": "Unknown",
-                "detail": "lifted cone is not pointed"}
+        return solver.Verdict("Unknown", detail="lifted cone is not pointed")
     # pointed: need cone ∩ range(L) = {0}; parametrize range by L
     e = cones.canonical_relint_point(cones.dual(big))
     obj = lift.matrix.T @ e
     normalized = program.System(lift, np.zeros(big.space.dim), big).stack(
         -obj[None, :], [1.0], cones.NONNEG)
     vr = solver.conic_lp_value(normalized, obj, max_iter=max_iter)
-    if vr.status == "Optimal" and vr.value <= 1e-6:
-        return {"condition": 3, "verdict": "Yes", "witness": None,
-                "detail": "intersection is trivial"}
-    if vr.status == "Optimal" and vr.witness is not None and vr.value > 1e-4:
+    if vr.verdict == "Optimal" and vr.value <= 1e-6:
+        return solver.Verdict("Yes", value=vr.value, detail="intersection is trivial")
+    if vr.verdict == "Optimal" and vr.value > 1e-4:
         z = lift(vr.witness)
         if cones.member(big, z) and np.linalg.norm(z) > 1e-6:
-            return {"condition": 3, "verdict": "No", "witness": z,
-                    "detail": "nonzero point of the cone in the range"}
-    return {"condition": 3, "verdict": "Unknown", "detail": vr.status}
+            return solver.Verdict("No", witness=z, value=vr.value,
+                                  detail="nonzero point of the cone in the range")
+    return solver.Verdict("Unknown", value=vr.value,
+                          detail=f"support value inconclusive ({vr.verdict})")
 
 
 def _closed_cond4(lift: LinearMap, big: cones.Cone,
-                  max_iter: int = solver.MAX_ITER) -> dict:
-    # every z in cone* ∩ kernel(L*) must lie in (span cone)-perp, which is
-    # exactly the lineality of cone*; maximize <e, z> with e interior to the
-    # cone: e vanishes on that lineality and is positive elsewhere on cone*
+                  max_iter: int = solver.MAX_ITER) -> solver.Verdict:
+    # (span cone)-perp is exactly the lineality of cone*; maximize <e, z>
+    # with e interior to the cone: e vanishes on that lineality and is
+    # positive elsewhere on cone*
     dual_big = cones.dual(big)
     e = cones.canonical_relint_point(big)
     normalized = _kernel_system(lift, big).stack(-e[None, :], [1.0], cones.NONNEG)
     vr = solver.conic_lp_value(normalized, e, max_iter=max_iter)
-    if vr.status == "Optimal" and vr.value <= 1e-6:
-        return {"condition": 4, "verdict": "Yes", "witness": None,
-                "detail": "kernel meets the dual cone only in its lineality"}
-    if vr.status == "Optimal" and vr.witness is not None and vr.value > 1e-4:
+    if vr.verdict == "Optimal" and vr.value <= 1e-6:
+        return solver.Verdict("Yes", value=vr.value,
+                              detail="kernel meets the dual cone only in its lineality")
+    if vr.verdict == "Optimal" and vr.value > 1e-4:
         z = vr.witness
         if cones.member(dual_big, z) and inner(e, z) > 1e-6 and \
                 np.linalg.norm(lift.matrix.T @ z) <= 1e-6 * (1 + np.linalg.norm(z)):
-            return {"condition": 4, "verdict": "No", "witness": z,
-                    "detail": "kernel direction outside the orthogonal complement"}
-    return {"condition": 4, "verdict": "Unknown", "detail": vr.status}
+            return solver.Verdict("No", witness=z, value=vr.value,
+                                  detail="kernel direction outside the orthogonal complement")
+    return solver.Verdict("Unknown", value=vr.value,
+                          detail=f"support value inconclusive ({vr.verdict})")
 
 
 def _kernel_system(lift: LinearMap, big: cones.Cone) -> program.System:
@@ -436,7 +394,7 @@ def gap_bound_separation(p: program.ConicProgram, epsilon: float,
     <c, alpha> + alpha0 (dobj - eps) > 0; a success with alpha0 < 0 recovers
     the eps-suboptimal feasible point x = -alpha / alpha0.
     """
-    ps = _as_sup(p)
+    ps = program.as_sup(p)
     if dobj is None:
         dres = solver.solve(program.dualize(ps))
         if dres.status != "Optimal":
@@ -463,8 +421,8 @@ def gap_bound_separation(p: program.ConicProgram, epsilon: float,
     obj[-1] = 1.0
     vr = solver.conic_lp_value(sep, obj)
     out = {"dobj": dobj, "epsilon": epsilon, "value": vr.value,
-           "detail": vr.status}
-    if vr.status == "Optimal" and vr.value > solver.STRICT_MARGIN and vr.witness is not None:
+           "detail": vr.verdict}
+    if vr.verdict == "Optimal" and vr.value > solver.STRICT_MARGIN:
         alpha, alpha0 = vr.witness[:n], vr.witness[n]
         if alpha0 < -1e-9:
             x = -alpha / alpha0
@@ -477,7 +435,7 @@ def gap_bound_separation(p: program.ConicProgram, epsilon: float,
         out.update(separated="Unknown",
                    detail="separator found but recovery failed")
         return out
-    if vr.status == "Optimal" and vr.value <= solver.STRICT_MARGIN:
+    if vr.verdict == "Optimal" and vr.value <= solver.STRICT_MARGIN:
         out["separated"] = "No"
         out["detail"] = "maximal separation margin is zero"
         return out
@@ -511,8 +469,8 @@ def almost_feasibility(p: program.ConicProgram, side: str = "dual",
     obj = np.zeros(n + m + 1)
     obj[-1] = -1.0
     vr = solver.conic_lp_value(ball, obj)
-    out = {"side": side, "status": vr.status}
-    if vr.status == "Optimal":
+    out = {"side": side, "status": vr.verdict}
+    if vr.verdict == "Optimal":
         out["min_perturbation_norm"] = float(-vr.value)
         out["almost_feasible_at"] = {float(e): bool(-vr.value <= e) for e in epsilons}
     else:
@@ -520,9 +478,9 @@ def almost_feasibility(p: program.ConicProgram, side: str = "dual",
         out["almost_feasible_at"] = {}
     other = "dual" if side == "primal" else "primal"
     polar = polar_recession_membership(p, other, offset)
-    out["polar_membership"] = polar["verdict"]
-    if polar["verdict"] == "No" and "ray" in polar and vr.status == "Optimal":
-        r = polar["ray"]
+    out["polar_membership"] = polar.verdict
+    if polar.verdict == "No" and vr.verdict == "Optimal":
+        r = polar.witness
         delta = inner(offset, r)
         out["lower_bound"] = float(delta / (2 * np.linalg.norm(r)))
         out["lower_bound_respected"] = bool(-vr.value >= out["lower_bound"] - 1e-6)
@@ -589,7 +547,7 @@ def finiteness_check(p: program.ConicProgram, side: str = "primal") -> dict:
 @solver.memoised
 def strong_duality_report(p: program.ConicProgram,
                           max_iter: int = solver.MAX_ITER) -> DualityReport:
-    ps = _as_sup(p)
+    ps = program.as_sup(p)
     rep = DualityReport()
 
     sl_p = slater(ps, "primal", max_iter=max_iter)
@@ -608,7 +566,7 @@ def strong_duality_report(p: program.ConicProgram,
         "condition": "objective-in-adjoint-image",
         "verdict": "Yes" if (c_in and feas_p) else
                    ("Unknown" if c_in else "No"),
-        "witness": None, "sufficient": True, "solvable": "dual",
+        "witness": None,
         "citation": "for a feasible program, c in the adjoint image of the "
                     "orthogonal complement of span K gives strong duality "
                     "without any constraint qualification",
@@ -619,72 +577,68 @@ def strong_duality_report(p: program.ConicProgram,
         "condition": "rhs-in-image-of-lineality",
         "verdict": "Yes" if (b_in and feas_d) else
                    ("Unknown" if b_in else "No"),
-        "witness": None, "sufficient": True, "solvable": "primal",
+        "witness": None,
         "citation": "when the other side is feasible, b in A(lineality of C) "
                     "gives strong duality without any constraint qualification",
         "margins": {"algebraic": bool(b_in)}})
     both = feas_p and feas_d
-    for name, sl, solvable in (("slater-primal", sl_p, "dual"),
-                               ("slater-dual", sl_d, "primal")):
+    for name, sl in (("slater-primal", sl_p), ("slater-dual", sl_d)):
         rep.entries.append({
             "condition": name,
             "verdict": "Yes" if (sl.verdict == "Yes" and both) else
                        ("No" if sl.verdict == "No" else "Unknown"),
-            "witness": sl.witness, "sufficient": True, "solvable": solvable,
+            "witness": sl.witness,
             "citation": "strict feasibility on one side with both sides feasible "
                         "implies zero gap and solvability of the other side",
-            "margins": {"margin": sl.margin}})
+            "margins": {"margin": sl.value}})
 
     span_k = cones.span(ps.K)
     lin_c_perp = cones.lineality(ps.C).complement()
     recs = {
         "strict-recession-primal": (recession_strict(ps, "primal",
                                                      max_iter=max_iter),
-                                    span_k.contains(ps.b), "dual"),
+                                    span_k.contains(ps.b)),
         "strict-recession-dual": (recession_strict(ps, "dual",
                                                    max_iter=max_iter),
-                                  lin_c_perp.contains(ps.c), "primal"),
+                                  lin_c_perp.contains(ps.c)),
         "strict-recession-dual-b-perp": (
             recession_strict(ps, "dual", restrict_orthogonal_to=ps.b,
-                             max_iter=max_iter), True, "dual"),
+                             max_iter=max_iter), True),
         "strict-recession-primal-c-perp": (
             recession_strict(ps, "primal", restrict_orthogonal_to=ps.c,
-                             max_iter=max_iter), True, "primal"),
+                             max_iter=max_iter), True),
     }
-    for name, (res, side_ok, solvable) in recs.items():
+    for name, (res, side_ok) in recs.items():
         fired = res.verdict == "Yes" and side_ok and both
         rep.entries.append({
             "condition": name,
             "verdict": "Yes" if fired else ("No" if res.verdict == "No" else "Unknown"),
-            "witness": res.witness, "sufficient": True, "solvable": solvable,
+            "witness": res.witness,
             "citation": "strict feasibility of the homogeneous (recession) system, "
                         "possibly restricted to a hyperplane, with both sides feasible",
-            "margins": {"margin": res.margin, "side_condition": bool(side_ok)}})
+            "margins": {"margin": res.value, "side_condition": bool(side_ok)}})
 
     bd = boundedness(ps, "primal", max_iter=max_iter)
     rep.entries.append({
         "condition": "boundedness-cq",
-        "verdict": "Yes" if (bd["verdict"] == "Bounded" and feas_p
+        "verdict": "Yes" if (bd.verdict == "Bounded" and feas_p
                              and lin_c_perp.contains(ps.c)) else
-                   ("Unknown" if bd["verdict"] == "Unknown" else "No"),
-        "witness": bd.get("witness"), "sufficient": True, "solvable": "primal",
+                   ("Unknown" if bd.verdict == "Unknown" else "No"),
+        "witness": bd.witness,
         "citation": "a nonempty bounded feasible region with the objective in "
                     "the right subspace implies strong duality",
-        "margins": {"boundedness": bd["verdict"]}})
+        "margins": {"boundedness": bd.verdict}})
 
     for side in ("primal", "dual"):
         cc = closedness_conditions(ps, side, max_iter=max_iter)
-        agg = "Yes" if any(e["verdict"] == "Yes" for e in cc) else (
-            "No" if all(e["verdict"] == "No" for e in cc) else "Unknown")
-        fired = agg == "Yes" and both
+        fired = any(v.verdict == "Yes" for v in cc) and both
         rep.entries.append({
             "condition": f"closedness-{side}",
             "verdict": "Yes" if fired else "Unknown",
-            "witness": None, "sufficient": True,
-            "solvable": "dual" if side == "primal" else "primal",
+            "witness": None,
             "citation": "closedness of the lifted adjoint image implies strong "
                         "duality when both sides are feasible",
-            "margins": {f"condition_{e['condition']}": e["verdict"] for e in cc}})
+            "margins": {f"condition_{k}": v.verdict for k, v in enumerate(cc, 1)}})
 
     pres = solver.solve(ps, max_iter=max_iter)
     dres = solver.solve(program.dualize(ps), max_iter=max_iter)
@@ -717,19 +671,19 @@ def packing_suite(p: program.ConicProgram, seed: int = 0) -> dict:
     Detection is exact for polyhedral C (generator check) and sampled
     otherwise; the feasibility verdict is simply b in K.
     """
-    ps = _as_sup(p)
+    ps = program.as_sup(p)
     detected, mode = _detect_packing(ps, seed)
     out = {"packing_detected": detected, "detection_mode": mode}
     if not detected:
         return out
     out["feasible"] = "Yes" if cones.member(ps.K, ps.b) else "No"
     ga = gordan_alternative(ps)
-    if ga["branch"] == 2:
+    if ga.verdict == "Interior":
         out["bounded"] = "Yes"
-        out["bounded_witness"] = ga["witness"]
-    elif ga["branch"] == 1:
+        out["bounded_witness"] = ga.witness
+    elif ga.verdict == "Ray":
         out["bounded"] = "No"
-        out["unbounded_ray"] = ga["witness"]
+        out["unbounded_ray"] = ga.witness
     else:
         out["bounded"] = "Unknown"
     ker = kernel(ps.A)

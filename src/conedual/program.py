@@ -66,6 +66,11 @@ def dualize(p: ConicProgram) -> ConicProgram:
     )
 
 
+def as_sup(p: ConicProgram) -> ConicProgram:
+    """The sup member of the pair that p belongs to."""
+    return p if p.sense == "sup" else dualize(p)
+
+
 @dataclass(frozen=True)
 class System:
     """The conic system {x : G x + g in cone}.
@@ -248,8 +253,7 @@ def necessary_feasibility_screens(p: ConicProgram, tol: float = 1e-8) -> list[di
     """
     from .spaces import image_of_subspace
 
-    if p.sense != "sup":
-        p = dualize(p)
+    p = as_sup(p)
     out = []
     span_c = cones.span(p.C)
     span_k = cones.span(p.K)

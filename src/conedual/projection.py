@@ -175,7 +175,7 @@ def _cone_system(ps: program.ConicProgram, sub: Subspace) -> program.System:
 
 def projection_cone(p: program.ConicProgram, sub: Subspace) -> program.System:
     """{(y, w) in K* x C* : A* y - w in L}; polyhedral cones only."""
-    ps = p if p.sense == "sup" else program.dualize(p)
+    ps = program.as_sup(p)
     if not ps.is_fully_polyhedral():
         raise NotPolyhedral("extreme-ray enumeration needs Zero/Free/Nonneg factors")
     return _cone_system(ps, sub)
@@ -278,10 +278,10 @@ def _remove_redundant(rows: list[tuple]) -> list[tuple]:
     return [r for r, k in zip(rows, keep) if k]
 
 
-def precondition(p: program.ConicProgram, sub: Subspace, **kw) -> solver.MarginResult:
+def precondition(p: program.ConicProgram, sub: Subspace, **kw) -> solver.Verdict:
     """Strict feasibility of the projection cone system (hypothesis of the
     extreme-ray description)."""
-    ps = p if p.sense == "sup" else program.dualize(p)
+    ps = program.as_sup(p)
     return solver.strict_feasibility(_cone_system(ps, sub), **kw)
 
 
@@ -292,7 +292,7 @@ def project(p: program.ConicProgram, sub: Subspace, samples: int = 64,
     Exact (double description) for polyhedral cones; otherwise a sampled
     outer approximation flagged exact=False.
     """
-    ps = p if p.sense == "sup" else program.dualize(p)
+    ps = program.as_sup(p)
     pre = precondition(ps, sub)
     if pre.verdict == "No":
         raise PreconditionFailed(pre.detail)
@@ -338,7 +338,7 @@ def _project_sampled(ps, sub, samples, seed) -> HRepresentation:
     for _ in range(samples):
         obj = rng.standard_normal(d)
         vr = solver.conic_lp_value(normalized, obj, max_iter=4000)
-        u = vr.witness if vr.status == "Optimal" else vr.ray
+        u = vr.witness  # the maximiser, or the improving ray
         if u is None or np.linalg.norm(u) < 1e-6:
             continue
         u = u / np.linalg.norm(u)

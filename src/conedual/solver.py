@@ -21,14 +21,15 @@ Inside a call decorated with `memoised` (`diagnostics.strong_duality_report`
 is), `strict_feasibility` decides a system whose exact bytes, cone,
 threshold, tolerance and budget it has already decided in that call from a
 memo, without solving again.  The memo lives for the call only, and its
-results are shared between callers, so they are treated as read-only.
+results are shared between callers; `Verdict` is frozen, so a caller derives
+a new one with `dataclasses.replace` rather than editing a shared one.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor
@@ -47,16 +48,35 @@ ALPHA = 1.5  # over-relaxation
 
 @dataclass
 class SolveResult:
+    # field order is the key order of `conedual --json solve`
     status: str  # Optimal | PrimalInfeasible | Unbounded | Unknown
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
     pobj: float = np.nan
     dobj: float = np.nan
     gap: float = np.nan
     pres: float = np.nan
     dres: float = np.nan
     iterations: int = 0
+    x: np.ndarray | None = None
+    y: np.ndarray | None = None
     certificate: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The outcome of one decision and what backs it.
+
+    `verdict` is Yes / No / Unknown, or the question's own outcomes
+    (Optimal / Unbounded / Empty for `conic_lp_value`).  `witness` is the
+    point or ray a Yes (or a named outcome) rests on, `separator` the
+    functional that refutes, `value` the margin or support value, and
+    `detail` the reason, which every Unknown gives.
+    """
+
+    verdict: str
+    witness: np.ndarray | None = None
+    separator: np.ndarray | None = None
+    value: float = np.nan
+    detail: str = ""
 
 
 def solve(p: program.ConicProgram, tol_feas: float = TOL_FEAS,
@@ -190,15 +210,6 @@ def _unbounded_certificate(p, xray):
     }
 
 
-@dataclass
-class MarginResult:
-    verdict: str  # Yes | No | Unknown
-    margin: float = np.nan
-    witness: np.ndarray | None = None
-    separator: np.ndarray | None = None
-    detail: str = ""
-
-
 # verdicts below this achieved interior margin stay Unknown rather than Yes
 STRICT_MARGIN = 1e-6
 
@@ -245,7 +256,7 @@ def memoised(fn):
 def strict_feasibility(s: program.System,
                        margin_threshold: float = STRICT_MARGIN,
                        tol_feas: float = TOL_FEAS,
-                       max_iter: int = MAX_ITER) -> MarginResult:
+                       max_iter: int = MAX_ITER) -> Verdict:
     """Decide whether {x : G x + g in cone} meets the relative interior.
 
     Yes comes with a validated witness, No with a separating functional
@@ -270,8 +281,8 @@ def _strict_feasibility(s, margin_threshold, tol_feas, max_iter):
         tstar = res.x[n]
         x = res.x[:n]
         if tstar > margin_threshold and s.relint_member(x):
-            return MarginResult("Yes", margin=float(tstar), witness=x,
-                                detail="interior witness")
+            return Verdict("Yes", witness=x, value=float(tstar),
+                           detail="interior witness")
         lam = res.y[:s.gmap.codomain.dim] if res.y is not None else None
         if tstar <= margin_threshold and lam is not None:
             # a strictly negative <g, lam> upgrades the separator to a Farkas
@@ -279,31 +290,30 @@ def _strict_feasibility(s, margin_threshold, tol_feas, max_iter):
             lam_n = _validated_separator(s, lam, tol_feas, allow_zero_e=True)
             if lam_n is not None and inner(s.g, lam_n) < -max(tol_feas, 1e-7) \
                     * (1 + np.linalg.norm(s.g)):
-                return MarginResult("No", margin=float(tstar), separator=lam_n,
-                                    witness=x, detail="the system is empty")
+                return Verdict("No", witness=x, separator=lam_n,
+                               value=float(tstar), detail="the system is empty")
             lam_n = _validated_separator(s, lam, tol_feas)
             if lam_n is not None:
-                return MarginResult("No", margin=float(tstar), separator=lam_n,
-                                    witness=x,
-                                    detail="separating functional from the margin dual")
-        return MarginResult("Unknown", margin=float(tstar), witness=x,
-                            detail="margin value inconclusive")
+                return Verdict("No", witness=x, separator=lam_n, value=float(tstar),
+                               detail="separating functional from the margin dual")
+        return Verdict("Unknown", witness=x, value=float(tstar),
+                       detail="margin value inconclusive")
     if res.status == "PrimalInfeasible":
         lam = res.certificate["y"][:s.gmap.codomain.dim]
         lam = _validated_separator(s, lam, tol_feas, allow_zero_e=True)
         if lam is not None:
-            return MarginResult("No", margin=-np.inf, separator=lam,
-                                detail="the system is empty")
-        return MarginResult("Unknown", detail="unvalidated emptiness certificate")
+            return Verdict("No", separator=lam, value=-np.inf,
+                           detail="the system is empty")
+        return Verdict("Unknown", detail="unvalidated emptiness certificate")
     if res.status == "Unbounded":
         # t can grow without bound, so deep interior points exist
         ray = res.certificate["ray"]
         x = ray[:n] * (2.0 / max(ray[n], 1e-12))
         if s.relint_member(x):
-            return MarginResult("Yes", margin=np.inf, witness=x,
-                                detail="interior witness from an improving ray")
-        return MarginResult("Unknown", detail="unvalidated interior ray")
-    return MarginResult("Unknown", detail="solver did not converge")
+            return Verdict("Yes", witness=x, value=np.inf,
+                           detail="interior witness from an improving ray")
+        return Verdict("Unknown", detail="unvalidated interior ray")
+    return Verdict("Unknown", detail="solver did not converge")
 
 
 def _validated_separator(s, lam, tol, allow_zero_e=False):
@@ -327,38 +337,31 @@ def _validated_separator(s, lam, tol, allow_zero_e=False):
     return lam
 
 
-@dataclass
-class ValueResult:
-    value: float  # finite, +inf (improving ray), -inf (empty set)
-    witness: np.ndarray | None = None
-    ray: np.ndarray | None = None
-    status: str = ""
-
-
 def conic_lp_value(s: program.System, c: np.ndarray, tol_feas: float = TOL_FEAS,
-                   max_iter: int = MAX_ITER) -> ValueResult:
-    """sup of <c, x> over {x : G x + g in cone}; attainment is best-effort."""
+                   max_iter: int = MAX_ITER) -> Verdict:
+    """sup of <c, x> over {x : G x + g in cone}; attainment is best-effort.
+
+    Optimal carries the value and a maximiser, Unbounded the improving ray
+    (value +inf), Empty value -inf.
+    """
     res = solve(s.as_program(c), tol_feas=tol_feas, max_iter=max_iter)
     if res.status == "Optimal":
-        return ValueResult(value=res.pobj, witness=res.x, status="Optimal")
+        return Verdict("Optimal", witness=res.x, value=res.pobj)
     if res.status == "Unbounded":
-        return ValueResult(value=np.inf, ray=res.certificate["ray"],
-                           status="Unbounded")
+        return Verdict("Unbounded", witness=res.certificate["ray"], value=np.inf)
     if res.status == "PrimalInfeasible":
-        return ValueResult(value=-np.inf, status="Empty")
-    return ValueResult(value=np.nan, witness=res.x, status="Unknown")
+        return Verdict("Empty", value=-np.inf)
+    return Verdict("Unknown", detail="solver did not converge")
 
 
 def feasibility(s: program.System, tol_feas: float = TOL_FEAS,
-                max_iter: int = MAX_ITER) -> MarginResult:
+                max_iter: int = MAX_ITER) -> Verdict:
     """Decide whether {x : G x + g in cone} is nonempty (not necessarily strictly)."""
     res = strict_feasibility(s, tol_feas=tol_feas, max_iter=max_iter)
     if res.verdict == "Yes":
         return res
     if res.detail == "the system is empty":
-        return MarginResult("No", margin=res.margin, separator=res.separator,
-                            detail=res.detail)
+        return replace(res, witness=None)
     if res.witness is not None and s.member(res.witness, 10 * tol_feas):
-        return MarginResult("Yes", margin=res.margin, witness=res.witness,
-                            detail="boundary witness")
-    return MarginResult("Unknown", detail="no witness or emptiness certificate found")
+        return replace(res, verdict="Yes", separator=None, detail="boundary witness")
+    return Verdict("Unknown", detail="no witness or emptiness certificate found")

@@ -130,7 +130,8 @@ def test_criterion_03_weak_duality_sweep():
 
 
 # ---------------------------------------------------------------------------
-# criterion 4: the homogeneous alternative picks exactly one branch
+# criterion 4: the homogeneous alternative picks exactly one branch (Ray or
+# Interior)
 
 
 def test_criterion_04_homogeneous_alternative():
@@ -143,19 +144,20 @@ def test_criterion_04_homogeneous_alternative():
         rs = diagnostics.recession_cone(p, "primal")
         assert rs.lineality.dim == 0  # population is pointed by construction
         out = diagnostics.gordan_alternative(p)
-        if out["branch"] is None:
+        if out.verdict == "Unknown":
             unknown += 1
             continue
-        if out["branch"] == 1:
-            x = out["witness"]
+        if out.verdict == "Ray":
+            x = out.witness
             ok = (np.linalg.norm(x) > 1e-6 and cones.member(p.C, x, 1e-6)
                   and cones.member(p.K, -p.A(x), 1e-6))
         else:
-            y = out["witness"]
+            assert out.verdict == "Interior", out.verdict
+            y = out.witness
             ok = (cones.relint_member(cones.dual(p.K), y)
                   and cones.relint_member(cones.dual(p.C), p.A.adjoint()(y)))
         if not ok:
-            failures.append((seed, out["branch"]))
+            failures.append((seed, out.verdict))
     elapsed = time.perf_counter() - t0
     ok = unknown <= 5 and not failures
     _report(4, ok, f"unknown {unknown}/100, {elapsed:.1f}s"
@@ -260,7 +262,7 @@ def test_criterion_06_boundedness_classification():
         c_descr, k_descr = MIXES[seed % len(MIXES)]
         p = gallery.planted_strong_duality(c_descr, k_descr, seed=seed)
         out = diagnostics.boundedness(p, "primal")
-        v = out["verdict"]
+        v = out.verdict
         if v == "Unknown":
             unknown += 1
             continue
@@ -269,12 +271,12 @@ def test_criterion_06_boundedness_classification():
             continue
         counts[v] += 1
         if v == "Unbounded":
-            r = out["witness"]
+            r = out.witness
             rs = diagnostics.recession_cone(p, "primal")
             if np.linalg.norm(r) < 1e-7 or not rs.member(r, 1e-6):
                 failures.append((seed, "bad recession ray"))
         else:
-            w = out["witness"]
+            w = out.witness
             rs_d = diagnostics.recession_cone(p, "dual")
             if not cones.relint_member(rs_d.cone, rs_d.gmap(w)):
                 failures.append((seed, "bad strict dual recession point"))

@@ -1,5 +1,6 @@
 """CLI front end: schema validation, round trips, commands, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from conedual import cli, cones, gallery, program
+from conedual import cli, cones, gallery, program, solver
 
 
 def _instance_doc(seed=0):
@@ -72,6 +73,8 @@ def test_cli_solve_json(tmp_path):
     proc = _run(["--json", "solve", str(path)])
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
+    assert list(out) == ["status", "pobj", "dobj", "gap", "pres", "dres",
+                         "iterations", "x", "y", "certificate"]
     assert out["status"] == "Optimal"
     assert abs(out["pobj"] - out["dobj"]) <= 1e-5 * (1 + abs(out["pobj"]))
 
@@ -99,14 +102,25 @@ def test_cli_diagnose_json():
     assert conds["slater-primal"] == "Yes"
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_cli_bounded_and_gordan():
+    fields = [f.name for f in dataclasses.fields(solver.Verdict)]
     proc = _run(["--json", "bounded", "--side", "primal", "-"],
                 stdin_doc=_instance_doc())
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["verdict"] in ("Bounded", "Unbounded")
+    out = _strict_json(proc.stdout)
+    assert list(out) == fields
+    assert out["verdict"] in ("Bounded", "Unbounded")
     proc = _run(["--json", "gordan", "-"], stdin_doc=_instance_doc())
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["branch"] in (1, 2, None)
+    out = _strict_json(proc.stdout)
+    assert list(out) == fields
+    assert out["verdict"] in ("Ray", "Interior", "Unknown")
 
 
 def test_cli_almost():

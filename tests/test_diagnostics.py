@@ -1,5 +1,6 @@
 """Duality diagnostics: strict feasibility, recession, boundedness, reports."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -22,6 +23,16 @@ def _orthant_free_objective(n=2):
     dom, cod = space(real(n)), space(real(1))
     return program.ConicProgram(
         A=LinearMap(dom, cod, np.zeros((1, n))), b=np.ones(1), c=np.ones(n),
+        K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.NONNEG),
+        sense="sup")
+
+
+def _strict_orthant_recession():
+    # x >= 0 and 1 + x_1 + x_2 >= 0: the recession cone has interior points,
+    # since -A x must reach the interior of K and the row has nonzero entries
+    dom, cod = space(real(2)), space(real(1))
+    return program.ConicProgram(
+        A=LinearMap(dom, cod, -np.ones((1, 2))), b=np.ones(1), c=np.ones(2),
         K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.NONNEG),
         sense="sup")
 
@@ -87,12 +98,7 @@ def test_recession_cone_membership():
 
 
 def test_recession_strict():
-    # -A x must reach the interior of K, so the row needs nonzero entries
-    dom, cod = space(real(2)), space(real(1))
-    q = program.ConicProgram(
-        A=LinearMap(dom, cod, -np.ones((1, 2))), b=np.ones(1), c=np.ones(2),
-        K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.NONNEG),
-        sense="sup")
+    q = _strict_orthant_recession()
     res = diagnostics.recession_strict(q, "primal")
     assert res.verdict == "Yes"
     assert cones.relint_member(q.C, res.witness)
@@ -106,48 +112,62 @@ def test_polar_recession_membership():
     q = _orthant_free_objective()
     # rec X is the nonnegative orthant; its polar is the nonpositive orthant
     yes = diagnostics.polar_recession_membership(q, "primal", -np.ones(2))
-    assert yes["verdict"] == "Yes"
-    if "exact_membership" in yes:
-        assert yes["exact_membership"] == "Yes"
+    assert yes.verdict == "Yes"
+    # the exact cross-check behind the Yes: the dual is feasible at offset v
+    dual = program.dualize(q)
+    exact = solver.feasibility(program.feasible_system(dataclasses.replace(dual, b=-np.ones(2))))
+    assert exact.verdict == "Yes"
     no = diagnostics.polar_recession_membership(q, "primal", np.array([1.0, 0.0]))
-    assert no["verdict"] == "No"
-    r = no["ray"]
+    assert no.verdict == "No"
+    r = no.witness
     rs = diagnostics.recession_cone(q, "primal")
     assert rs.member(r)
     assert inner(np.array([1.0, 0.0]), r) > 0
 
 
+def test_polar_recession_membership_yes_needs_exact_cross_check(monkeypatch):
+    # a zero support value is a Yes only if the exact cross-check does not
+    # find the other side empty at offset v
+    q = _strict_orthant_recession()
+    assert diagnostics.polar_recession_membership(q, "primal", -np.ones(2)).verdict == "Yes"
+    monkeypatch.setattr(solver, "feasibility",
+                        lambda s, **kw: solver.Verdict("No", detail="the system is empty"))
+    out = diagnostics.polar_recession_membership(q, "primal", -np.ones(2))
+    assert out.verdict == "Unknown"
+    assert "empty" in out.detail
+
+
 def test_boundedness_trichotomy():
     out = diagnostics.boundedness(_box(), "primal")
-    assert out["verdict"] == "Bounded"
+    assert out.verdict == "Bounded"
     out = diagnostics.boundedness(_orthant_free_objective(), "primal")
-    assert out["verdict"] == "Unbounded"
+    assert out.verdict == "Unbounded"
     rs = diagnostics.recession_cone(_orthant_free_objective(), "primal")
-    assert rs.member(out["witness"])
+    assert rs.member(out.witness)
     out = diagnostics.boundedness(_empty(), "primal")
-    assert out["verdict"] == "Empty"
+    assert out.verdict == "Empty"
 
 
 def test_gordan_both_branches():
-    # branch 2: y interior with A* y interior (A = I works)
+    # Interior: y interior with A* y interior (A = I works)
     dom, cod = space(real(2)), space(real(2))
     p = program.ConicProgram(
         A=LinearMap(dom, cod, np.eye(2)), b=np.zeros(2), c=np.zeros(2),
         K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.NONNEG),
         sense="sup")
     out = diagnostics.gordan_alternative(p)
-    assert out["branch"] == 2
-    y = out["witness"]
+    assert out.verdict == "Interior"
+    y = out.witness
     assert cones.relint_member(cones.dual(p.K), y)
     assert cones.relint_member(cones.dual(p.C), p.A.adjoint()(y))
-    # branch 1: A = -I gives x = e with Ax in -K
+    # Ray: A = -I gives x = e with Ax in -K
     q = program.ConicProgram(
         A=LinearMap(dom, cod, -np.eye(2)), b=np.zeros(2), c=np.zeros(2),
         K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.NONNEG),
         sense="sup")
     out = diagnostics.gordan_alternative(q)
-    assert out["branch"] == 1
-    x = out["witness"]
+    assert out.verdict == "Ray"
+    x = out.witness
     assert np.linalg.norm(x) > 1e-6
     assert cones.member(q.C, x, 1e-6)
     assert cones.member(q.K, -q.A(x), 1e-6)
@@ -158,7 +178,7 @@ def test_closedness_conditions_on_slater_instance():
         [(cones.SOC, 3)], [(cones.NONNEG, 2)], seed=3)
     out = diagnostics.closedness_conditions(p, "primal")
     assert len(out) == 4
-    assert any(e["verdict"] == "Yes" for e in out)
+    assert any(v.verdict == "Yes" for v in out)
 
 
 def test_gap_bound_separation_on_planted():
@@ -214,7 +234,9 @@ def test_strong_duality_report_planted():
     assert rep.gap <= 1e-5
     doc = rep.to_json()
     assert doc["version"] == "report/v1"
-    assert {"condition", "verdict", "witness", "citation", "margins"} <= set(doc["entries"][0])
+    keys = {"condition", "verdict", "witness", "citation", "margins"}
+    assert all(set(e) == keys for e in rep.entries)
+    assert all(set(e) == keys for e in doc["entries"])
 
 
 def test_strong_duality_report_pathology_fires_nothing():

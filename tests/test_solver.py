@@ -139,7 +139,7 @@ def test_strict_feasibility_yes():
     res = solver.strict_feasibility(fs)
     assert res.verdict == "Yes"
     assert cones.relint_member(kc, gmap(res.witness) + g)
-    assert res.margin > solver.STRICT_MARGIN
+    assert res.value > solver.STRICT_MARGIN
 
 
 def test_strict_feasibility_empty_with_farkas():
@@ -187,10 +187,10 @@ def test_conic_lp_value_statuses():
     gmap = LinearMap(dom, cod, np.eye(1))
     # sup -x over x >= -1 attains 1 at x = -1
     vr = solver.conic_lp_value(program.System(gmap, np.ones(1), nonneg), np.array([-1.0]))
-    assert vr.status == "Optimal" and np.isclose(vr.value, 1.0, atol=1e-6)
+    assert vr.verdict == "Optimal" and np.isclose(vr.value, 1.0, atol=1e-6)
     # sup x over x >= -1 is unbounded
     vr = solver.conic_lp_value(program.System(gmap, np.ones(1), nonneg), np.array([1.0]))
-    assert vr.status == "Unbounded" and vr.value == np.inf
+    assert vr.verdict == "Unbounded" and vr.value == np.inf
     # empty set
     gmat = np.array([[1.0], [-1.0]])
     cod2 = space(real(2))
@@ -198,7 +198,7 @@ def test_conic_lp_value_statuses():
                                               np.array([0.0, -1.0]),
                                               cones.cone(cod2, cones.NONNEG)),
                                np.array([1.0]))
-    assert vr.status == "Empty" and vr.value == -np.inf
+    assert vr.verdict == "Empty" and vr.value == -np.inf
 
 
 def test_solver_respects_iteration_budget():
@@ -227,7 +227,7 @@ def test_strict_feasibility_without_convergence_has_no_margin():
                                     max_iter=50)
     assert res.verdict == "Unknown"
     assert res.detail == "solver did not converge"
-    assert np.isnan(res.margin)
+    assert np.isnan(res.value)
 
 
 def _fingerprint(p, tol_feas=solver.TOL_FEAS, tol_gap=solver.TOL_GAP,
