@@ -137,6 +137,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive(cast):
+    """argparse type: the text as `cast`, finite and greater than 0."""
+    def number(text: str):
+        value = cast(text)
+        if not 0 < value < np.inf:
+            raise argparse.ArgumentTypeError(f"expected a finite {cast.__name__} > 0, "
+                                             f"got {text!r}")
+        return value
+    return number
+
+
 def _emit(args, payload, text_lines: list[str]):
     if args.json:
         json.dump(diagnostics.jsonable(payload), sys.stdout, indent=2)
@@ -150,8 +161,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = _Parser(prog="conedual",
                  description="conic duality diagnostics toolkit")
     ap.add_argument("--json", action="store_true", help="emit JSON reports")
-    ap.add_argument("--tol-feas", type=float, default=solver.TOL_FEAS)
-    ap.add_argument("--tol-gap", type=float, default=solver.TOL_GAP)
+    ap.add_argument("--tol-feas", type=_positive(float), default=solver.TOL_FEAS)
+    ap.add_argument("--tol-gap", type=_positive(float), default=solver.TOL_GAP)
     sub = ap.add_subparsers(dest="command", required=True)
 
     for name in ("dualize", "solve", "diagnose", "bounded", "gordan"):
@@ -164,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     sp = sub.add_parser("almost")
     sp.add_argument("instance", nargs="?", default="-")
     sp.add_argument("--side", choices=["primal", "dual"], default="dual")
-    sp.add_argument("--eps", type=float, action="append", default=None)
+    sp.add_argument("--eps", type=_positive(float), action="append", default=None)
     sp = sub.add_parser("project")
     sp.add_argument("instance", nargs="?", default="-")
     sp.add_argument("--subspace", required=True,
@@ -172,8 +183,8 @@ def main(argv: list[str] | None = None) -> int:
     sp = sub.add_parser("gallery")
     sp.add_argument("family", choices=["example-adapted", "planted", "packing"]
                     + sorted(gallery.PROFILES))
-    sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--m", type=int, default=3)
+    sp.add_argument("--n", type=_positive(int), default=3)
+    sp.add_argument("--m", type=_positive(int), default=3)
     sp.add_argument("--seed", type=int, default=0)
 
     try:
@@ -253,19 +264,24 @@ def _dispatch(args) -> int:
 
 
 def _cmd_gallery(args) -> int:
-    if args.family == "example-adapted":
-        p = gallery.example_adapted(args.n)
-        ann = gallery.example_adapted_spec(args.n).expected
-    elif args.family == "planted":
-        p = gallery.planted_strong_duality(
-            [(cones.NONNEG, args.n)], [(cones.NONNEG, args.m)], seed=args.seed)
-        ann = {"zero_gap": True}
-    elif args.family == "packing":
-        p = gallery.packing_instance(args.m, args.n, seed=args.seed)
-        ann = {"packing": True}
-    else:
-        p = gallery.random_program(args.family, seed=args.seed)
-        ann = {}
+    try:
+        if args.family == "example-adapted":
+            p = gallery.example_adapted(args.n)
+            ann = gallery.example_adapted_spec(args.n).expected
+        elif args.family == "planted":
+            p = gallery.planted_strong_duality(
+                [(cones.NONNEG, args.n)], [(cones.NONNEG, args.m)], seed=args.seed)
+            ann = {"zero_gap": True}
+        elif args.family == "packing":
+            p = gallery.packing_instance(args.m, args.n, seed=args.seed)
+            ann = {"packing": True}
+        else:
+            p = gallery.random_program(args.family, seed=args.seed)
+            ann = {}
+    except ValueError as exc:
+        # the generators reject sizes and seeds out of their range
+        sys.stderr.write(f"error: gallery {args.family}: {exc}\n")
+        return 1
     json.dump(dump(p, ann), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

@@ -241,106 +241,3 @@ def project(c: Cone, x: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the cone."""
     return projector(c)(x)
 
-
-# entry-threshold line search: bisection cap and iteration budget
-ENTRY_CAP = 1e8
-ENTRY_ITERS = 200
-
-
-class UnboundedEntry(Exception):
-    """x + t*y stays in the cone out to the cap, i.e. y is in the cone."""
-
-
-def _factor_entry(tag: str, x: np.ndarray, y: np.ndarray) -> float:
-    """sup{t >= 0 : x + t y in factor cone} for a single factor, analytic cases."""
-    if tag == FREE:
-        return np.inf
-    if tag == NONNEG:
-        ts = np.inf
-        for xi, yi in zip(x, y):
-            if yi < 0:
-                ts = min(ts, xi / (-yi))
-        return ts
-    if tag == SOC:
-        # solve (t: ||x'+t y'|| <= x_n + t y_n), quadratic in t
-        a = float(np.dot(y[:-1], y[:-1]) - y[-1] ** 2)
-        b = float(2 * np.dot(x[:-1], y[:-1]) - 2 * x[-1] * y[-1])
-        c0 = float(np.dot(x[:-1], x[:-1]) - x[-1] ** 2)
-        # feasible while a t^2 + b t + c0 <= 0 and x_n + t y_n >= 0
-        lin_cap = np.inf
-        if y[-1] < 0:
-            lin_cap = x[-1] / (-y[-1])
-        if abs(a) < 1e-14:
-            if b <= 1e-14:
-                return lin_cap
-            return min(max(-c0 / b, 0.0), lin_cap)
-        disc = b * b - 4 * a * c0
-        if disc < 0:
-            # no real roots: q keeps the sign of a everywhere
-            return 0.0 if a > 0 else lin_cap
-        sq = np.sqrt(disc)
-        lo_root, hi_root = sorted(((-b - sq) / (2 * a), (-b + sq) / (2 * a)))
-        if a > 0:
-            # q <= 0 exactly on [lo_root, hi_root]; x feasible at t = 0
-            return min(max(hi_root, 0.0), lin_cap)
-        # a < 0: q >= 0 exactly on [lo_root, hi_root]
-        if lo_root > 1e-14:
-            return min(lo_root, lin_cap)
-        if hi_root <= 1e-14:
-            return lin_cap
-        return 0.0
-    return np.nan  # bisection fallback (Zero, Psd)
-
-
-def entry_threshold(c: Cone, x: np.ndarray, y: np.ndarray, tol: float | None = None) -> float:
-    """sup{t >= 0 : x + t y in cone} for x in the cone, y in span, y not in the cone.
-
-    Raises UnboundedEntry when the segment stays inside out to the cap,
-    which signals a precondition violation (y itself is in the cone).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not member(c, x, tol):
-        raise ValueError("x must be a member of the cone")
-    if not span(c).contains(y):
-        raise ValueError("y must lie in the span of the cone")
-    if member(c, y, tol):
-        raise UnboundedEntry("y is in the cone; x + t y never leaves it")
-
-    # per-factor analytic thresholds where available, else bisection
-    analytic = []
-    needs_bisect = False
-    if c.negated:
-        x, y = -x, -y
-    for tag, s in zip(c.tags, c.space.slices()):
-        t = _factor_entry(tag, x[s], y[s])
-        if np.isnan(t):
-            needs_bisect = True
-        else:
-            analytic.append(t)
-    hi_cap = min(analytic) if analytic else ENTRY_CAP
-    if not needs_bisect:
-        if np.isinf(hi_cap):
-            raise UnboundedEntry("segment never leaves the cone")
-        return float(hi_cap)
-
-    view = replace(c, negated=False)
-
-    def inside(t):
-        return member(view, x + t * y, tol)
-
-    hi = min(hi_cap, ENTRY_CAP)
-    if inside(hi):
-        if hi >= ENTRY_CAP:
-            raise UnboundedEntry("segment in cone out to the cap")
-        return float(hi)
-    lo = 0.0
-    for _ in range(ENTRY_ITERS):
-        mid = 0.5 * (lo + hi)
-        if inside(mid):
-            lo = mid
-        else:
-            hi = mid
-    return float(lo)
-
-

@@ -4,7 +4,8 @@ Every test returns a `solver.Verdict` (Yes / No / Unknown, or the question's
 own outcomes) with a numeric witness or certificate that is revalidated by
 cone membership alone; a "No" without a certificate is reported as Unknown.
 The composite checks (gap bound, finiteness, almost feasibility, packing)
-return dicts of several numbers.
+return dicts of several numbers; packing is detected only from the exact
+generators of a polyhedral variable cone.
 
 Sides are named relative to the sup member of the pair: side "primal" is the
 sup program, side "dual" its inf conic dual.  Passing an inf program selects
@@ -25,8 +26,6 @@ import numpy as np
 from . import cones, program, solver
 from .spaces import LinearMap, image_of_subspace, inner, kernel, real, space
 
-TOL = 1e-8
-
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -39,10 +38,6 @@ def _side_program(p: program.ConicProgram, side: str) -> program.ConicProgram:
     if side == "dual":
         return program.dualize(ps)
     raise ValueError("side must be 'primal' or 'dual'")
-
-
-def sample_member(c: cones.Cone, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    return cones.project(c, scale * rng.standard_normal(c.space.dim))
 
 
 @dataclass
@@ -88,73 +83,6 @@ def slater(p: program.ConicProgram, side: str = "primal",
            **kw) -> solver.Verdict:
     """Relative strict feasibility of the chosen side's feasible set."""
     return solver.strict_feasibility(program.feasible_system(_side_program(p, side)), **kw)
-
-
-def slater_rifeascone_check(p: program.ConicProgram, trials: int = 20,
-                            seed: int = 0) -> dict:
-    """Interior right-hand sides built from relint points must be strictly feasible."""
-    ps = program.as_sup(p)
-    rng = np.random.default_rng([seed, 101])
-    interior_yes = 0
-    records = []
-    for _ in range(trials):
-        x0 = cones.sample_relint(ps.C, rng, 0.3)
-        s0 = cones.sample_relint(ps.K, rng, 0.3)
-        bprime = ps.A(x0) + s0
-        shifted = replace(ps, b=bprime)
-        v = slater(shifted, "primal")
-        records.append(v.verdict)
-        if v.verdict == "Yes":
-            interior_yes += 1
-    return {"trials": trials, "interior_yes": interior_yes, "records": records}
-
-
-def slack_dimension_screen(p: program.ConicProgram, samples: int = 24,
-                           seed: int = 0) -> dict:
-    """Dimension screens on the sampled slack span versus span K.
-
-    Sufficient: slack samples span all of span K and some sample is interior
-    on the C side.  Necessary: if A(span C) is inside span K and the sampled
-    feasible set has affine dimension below dim span C, strict feasibility
-    is impossible.
-    """
-    ps = program.as_sup(p)
-    sys_p = program.feasible_system(ps)
-    feas = solver.feasibility(sys_p)
-    if feas.verdict != "Yes":
-        return {"applicable": False, "detail": "no feasible point found"}
-    rng = np.random.default_rng([seed, 102])
-    pts = [feas.witness]
-    base = sys_p.gmap(feas.witness) + sys_p.g
-    for _ in range(samples):
-        d = rng.standard_normal(sys_p.gmap.domain.dim)
-        step = sys_p.gmap(d)
-        if cones.member(sys_p.cone, step):
-            pts.append(feas.witness + d)
-            continue
-        try:
-            t = cones.entry_threshold(sys_p.cone, cones.project(sys_p.cone, base), step)
-        except (cones.UnboundedEntry, ValueError):
-            continue
-        if t > 0:
-            pts.append(feas.witness + 0.9 * t * d)
-    pts = np.array(pts)
-    slacks = np.array([ps.b - ps.A(x) for x in pts])
-    slack_dim = np.linalg.matrix_rank(slacks, tol=1e-7)
-    x_dim = np.linalg.matrix_rank(pts - pts[0], tol=1e-7)
-    span_k = cones.span(ps.K)
-    span_c = cones.span(ps.C)
-    a_span_c_in_span_k = program._sub_contains(span_k, image_of_subspace(ps.A, span_c))
-    interior_on_c = any(cones.relint_member(ps.C, x) for x in pts)
-    return {
-        "applicable": True,
-        "slack_dim": int(slack_dim),
-        "span_k_dim": int(span_k.dim),
-        "x_dim": int(x_dim),
-        "span_c_dim": int(span_c.dim),
-        "sufficient": bool(slack_dim == span_k.dim and interior_on_c),
-        "necessary_violated": bool(a_span_c_in_span_k and x_dim < span_c.dim),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +472,40 @@ def finiteness_check(p: program.ConicProgram, side: str = "primal") -> dict:
 # aggregate report
 
 
+CITATIONS = {
+    "objective": "for a feasible program, c in the adjoint image of the "
+                 "orthogonal complement of span K gives strong duality "
+                 "without any constraint qualification",
+    "rhs": "when the other side is feasible, b in A(lineality of C) "
+           "gives strong duality without any constraint qualification",
+    "slater": "strict feasibility on one side with both sides feasible "
+              "implies zero gap and solvability of the other side",
+    "recession": "strict feasibility of the homogeneous (recession) system, "
+                 "possibly restricted to a hyperplane, with both sides feasible",
+    "boundedness": "a nonempty bounded feasible region with the objective in "
+                   "the right subspace implies strong duality",
+    "closedness": "closedness of the lifted adjoint image implies strong "
+                  "duality when both sides are feasible",
+}
+
+
+def _fires(sub: str, ok: bool) -> str:
+    """Yes when the sub-verdict is Yes and the side conditions hold, No when
+    the sub-verdict is No, Unknown otherwise."""
+    if sub == "Yes" and ok:
+        return "Yes"
+    return "No" if sub == "No" else "Unknown"
+
+
 @solver.memoised
 def strong_duality_report(p: program.ConicProgram,
                           max_iter: int = solver.MAX_ITER) -> DualityReport:
-    ps = program.as_sup(p)
-    rep = DualityReport()
+    """The sufficient conditions for strong duality, one entry per row of
+    (condition, citation, verdict, witness, margins), and both optimal values.
 
+    The no-CQ conditions still require the stated side to be feasible.
+    """
+    ps = program.as_sup(p)
     sl_p = slater(ps, "primal", max_iter=max_iter)
     sl_d = slater(ps, "dual", max_iter=max_iter)
     feas_p = sl_p.verdict == "Yes" or solver.feasibility(
@@ -557,88 +513,39 @@ def strong_duality_report(p: program.ConicProgram,
     feas_d = sl_d.verdict == "Yes" or solver.feasibility(
         program.feasible_system(program.dualize(ps)),
         max_iter=max_iter).verdict == "Yes"
-
-    # the no-CQ conditions still require the stated side to be feasible
-    span_k_perp = cones.span(ps.K).complement()
-    img = image_of_subspace(ps.A.adjoint(), span_k_perp)
-    c_in = img.contains(ps.c)
-    rep.entries.append({
-        "condition": "objective-in-adjoint-image",
-        "verdict": "Yes" if (c_in and feas_p) else
-                   ("Unknown" if c_in else "No"),
-        "witness": None,
-        "citation": "for a feasible program, c in the adjoint image of the "
-                    "orthogonal complement of span K gives strong duality "
-                    "without any constraint qualification",
-        "margins": {"algebraic": bool(c_in)}})
-    img_b = image_of_subspace(ps.A, cones.lineality(ps.C))
-    b_in = img_b.contains(ps.b)
-    rep.entries.append({
-        "condition": "rhs-in-image-of-lineality",
-        "verdict": "Yes" if (b_in and feas_d) else
-                   ("Unknown" if b_in else "No"),
-        "witness": None,
-        "citation": "when the other side is feasible, b in A(lineality of C) "
-                    "gives strong duality without any constraint qualification",
-        "margins": {"algebraic": bool(b_in)}})
     both = feas_p and feas_d
-    for name, sl in (("slater-primal", sl_p), ("slater-dual", sl_d)):
-        rep.entries.append({
-            "condition": name,
-            "verdict": "Yes" if (sl.verdict == "Yes" and both) else
-                       ("No" if sl.verdict == "No" else "Unknown"),
-            "witness": sl.witness,
-            "citation": "strict feasibility on one side with both sides feasible "
-                        "implies zero gap and solvability of the other side",
-            "margins": {"margin": sl.value}})
+    c_in = image_of_subspace(ps.A.adjoint(), cones.span(ps.K).complement()).contains(ps.c)
+    b_in = image_of_subspace(ps.A, cones.lineality(ps.C)).contains(ps.b)
+    c_in_lin_perp = cones.lineality(ps.C).complement().contains(ps.c)
 
-    span_k = cones.span(ps.K)
-    lin_c_perp = cones.lineality(ps.C).complement()
-    recs = {
-        "strict-recession-primal": (recession_strict(ps, "primal",
-                                                     max_iter=max_iter),
-                                    span_k.contains(ps.b)),
-        "strict-recession-dual": (recession_strict(ps, "dual",
-                                                   max_iter=max_iter),
-                                  lin_c_perp.contains(ps.c)),
-        "strict-recession-dual-b-perp": (
-            recession_strict(ps, "dual", restrict_orthogonal_to=ps.b,
-                             max_iter=max_iter), True),
-        "strict-recession-primal-c-perp": (
-            recession_strict(ps, "primal", restrict_orthogonal_to=ps.c,
-                             max_iter=max_iter), True),
-    }
-    for name, (res, side_ok) in recs.items():
-        fired = res.verdict == "Yes" and side_ok and both
-        rep.entries.append({
-            "condition": name,
-            "verdict": "Yes" if fired else ("No" if res.verdict == "No" else "Unknown"),
-            "witness": res.witness,
-            "citation": "strict feasibility of the homogeneous (recession) system, "
-                        "possibly restricted to a hyperplane, with both sides feasible",
-            "margins": {"margin": res.value, "side_condition": bool(side_ok)}})
-
+    rows = [("objective-in-adjoint-image", CITATIONS["objective"],
+             _fires("Yes" if c_in else "No", feas_p), None, {"algebraic": bool(c_in)}),
+            ("rhs-in-image-of-lineality", CITATIONS["rhs"],
+             _fires("Yes" if b_in else "No", feas_d), None, {"algebraic": bool(b_in)})]
+    for side, sl in (("primal", sl_p), ("dual", sl_d)):
+        rows.append((f"slater-{side}", CITATIONS["slater"], _fires(sl.verdict, both),
+                     sl.witness, {"margin": sl.value}))
+    for name, side, hyperplane, side_ok in (
+            ("strict-recession-primal", "primal", None, cones.span(ps.K).contains(ps.b)),
+            ("strict-recession-dual", "dual", None, c_in_lin_perp),
+            ("strict-recession-dual-b-perp", "dual", ps.b, True),
+            ("strict-recession-primal-c-perp", "primal", ps.c, True)):
+        rs = recession_strict(ps, side, restrict_orthogonal_to=hyperplane, max_iter=max_iter)
+        rows.append((name, CITATIONS["recession"], _fires(rs.verdict, side_ok and both),
+                     rs.witness, {"margin": rs.value, "side_condition": bool(side_ok)}))
     bd = boundedness(ps, "primal", max_iter=max_iter)
-    rep.entries.append({
-        "condition": "boundedness-cq",
-        "verdict": "Yes" if (bd.verdict == "Bounded" and feas_p
-                             and lin_c_perp.contains(ps.c)) else
-                   ("Unknown" if bd.verdict == "Unknown" else "No"),
-        "witness": bd.witness,
-        "citation": "a nonempty bounded feasible region with the objective in "
-                    "the right subspace implies strong duality",
-        "margins": {"boundedness": bd.verdict}})
-
+    rows.append(("boundedness-cq", CITATIONS["boundedness"],
+                 "Yes" if bd.verdict == "Bounded" and feas_p and c_in_lin_perp else
+                 ("Unknown" if bd.verdict == "Unknown" else "No"),
+                 bd.witness, {"boundedness": bd.verdict}))
     for side in ("primal", "dual"):
         cc = closedness_conditions(ps, side, max_iter=max_iter)
-        fired = any(v.verdict == "Yes" for v in cc) and both
-        rep.entries.append({
-            "condition": f"closedness-{side}",
-            "verdict": "Yes" if fired else "Unknown",
-            "witness": None,
-            "citation": "closedness of the lifted adjoint image implies strong "
-                        "duality when both sides are feasible",
-            "margins": {f"condition_{k}": v.verdict for k, v in enumerate(cc, 1)}})
+        rows.append((f"closedness-{side}", CITATIONS["closedness"],
+                     "Yes" if both and any(v.verdict == "Yes" for v in cc) else "Unknown",
+                     None, {f"condition_{k}": v.verdict for k, v in enumerate(cc, 1)}))
+    rep = DualityReport([{"condition": name, "verdict": verdict, "witness": witness,
+                          "citation": citation, "margins": margins}
+                         for name, citation, verdict, witness, margins in rows])
 
     pres = solver.solve(ps, max_iter=max_iter)
     dres = solver.solve(program.dualize(ps), max_iter=max_iter)
@@ -665,14 +572,15 @@ def strong_duality_report(p: program.ConicProgram,
 # packing structure
 
 
-def packing_suite(p: program.ConicProgram, seed: int = 0) -> dict:
+def packing_suite(p: program.ConicProgram) -> dict:
     """Feasibility and boundedness for programs with A(C) inside K.
 
-    Detection is exact for polyhedral C (generator check) and sampled
-    otherwise; the feasibility verdict is simply b in K.
+    Detection checks the exact generators of a polyhedral C; any other C is
+    reported as not detected (mode "not-polyhedral").  The feasibility
+    verdict is simply b in K.
     """
     ps = program.as_sup(p)
-    detected, mode = _detect_packing(ps, seed)
+    detected, mode = _detect_packing(ps)
     out = {"packing_detected": detected, "detection_mode": mode}
     if not detected:
         return out
@@ -691,22 +599,17 @@ def packing_suite(p: program.ConicProgram, seed: int = 0) -> dict:
     return out
 
 
-def _detect_packing(ps, seed) -> tuple[bool, str]:
-    if cones.is_polyhedral(ps.C):
-        gens = []
-        eye = np.eye(ps.C.space.dim)
-        for tag, s in zip(ps.C.tags, ps.C.space.slices()):
-            idx = range(s.start, s.stop)
-            if tag == cones.NONNEG:
-                gens.extend(eye[:, j] for j in idx)
-            elif tag == cones.FREE:
-                for j in idx:
-                    gens.extend([eye[:, j], -eye[:, j]])
-        ok = all(cones.member(ps.K, ps.A(g)) for g in gens)
-        return ok, "exact-generators"
-    rng = np.random.default_rng([seed, 103])
-    for _ in range(50):
-        x = sample_member(ps.C, rng)
-        if not cones.member(ps.K, ps.A(x), 1e-6):
-            return False, "sampled"
-    return True, "sampled"
+def _detect_packing(ps) -> tuple[bool, str]:
+    if not cones.is_polyhedral(ps.C):
+        return False, "not-polyhedral"
+    gens = []
+    eye = np.eye(ps.C.space.dim)
+    for tag, s in zip(ps.C.tags, ps.C.space.slices()):
+        idx = range(s.start, s.stop)
+        if tag == cones.NONNEG:
+            gens.extend(eye[:, j] for j in idx)
+        elif tag == cones.FREE:
+            for j in idx:
+                gens.extend([eye[:, j], -eye[:, j]])
+    ok = all(cones.member(ps.K, ps.A(g)) for g in gens)
+    return ok, "exact-generators"

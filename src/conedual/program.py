@@ -165,14 +165,6 @@ class PairedMaps:
     Lp: LinearMap
     Ld: LinearMap
 
-    @property
-    def Lp_adjoint(self) -> LinearMap:
-        return self.Lp.adjoint()
-
-    @property
-    def Ld_adjoint(self) -> LinearMap:
-        return self.Ld.adjoint()
-
 
 def paired_maps(p: ConicProgram) -> PairedMaps:
     if p.sense != "sup":

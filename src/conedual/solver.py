@@ -277,12 +277,17 @@ def _strict_feasibility(s, margin_threshold, tol_feas, max_iter):
     res = solve(_margin_program(s), tol_feas=tol_feas, max_iter=max_iter)
     n = s.gmap.domain.dim
 
+    # a Yes needs only a validated point: an unconverged solve's best iterate
+    # serves too, though its t is no margin
+    if res.x is not None and res.x[n] > margin_threshold:
+        w = _interior_witness(s, res.x[:n])
+        if w is not None and res.status == "Optimal":
+            return Verdict("Yes", witness=w, value=float(res.x[n]), detail="interior witness")
+        if w is not None:
+            return Verdict("Yes", witness=w, detail="interior witness from an unconverged solve")
     if res.status == "Optimal":
         tstar = res.x[n]
         x = res.x[:n]
-        if tstar > margin_threshold and s.relint_member(x):
-            return Verdict("Yes", witness=x, value=float(tstar),
-                           detail="interior witness")
         lam = res.y[:s.gmap.codomain.dim] if res.y is not None else None
         if tstar <= margin_threshold and lam is not None:
             # a strictly negative <g, lam> upgrades the separator to a Farkas
@@ -314,6 +319,19 @@ def _strict_feasibility(s, margin_threshold, tol_feas, max_iter):
                            detail="interior witness from an improving ray")
         return Verdict("Unknown", detail="unvalidated interior ray")
     return Verdict("Unknown", detail="solver did not converge")
+
+
+def _interior_witness(s: program.System, x: np.ndarray) -> np.ndarray | None:
+    """x if it is a relint point of the system, else x moved by the least-norm
+    step onto the Zero-factor equalities if that point is one: an iterate
+    meets them only to the solver's tolerance, which can exceed the
+    membership tolerance."""
+    if s.relint_member(x):
+        return x
+    zero = cones.span(s.cone).complement().basis.T  # the Zero coordinates
+    gz = zero @ s.gmap.matrix
+    x = x + np.linalg.lstsq(gz, -zero @ (s.gmap(x) + s.g), rcond=None)[0]
+    return x if s.relint_member(x) else None
 
 
 def _validated_separator(s, lam, tol, allow_zero_e=False):

@@ -155,7 +155,7 @@ def test_cli_project(tmp_path):
     assert len(out["normals"]) >= 3
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # usage error: unknown command
     proc = _run(["frobnicate"])
     assert proc.returncode == 1
@@ -179,6 +179,20 @@ def test_cli_exit_codes(tmp_path):
     # missing file
     proc = _run(["solve", str(tmp_path / "absent.json")])
     assert proc.returncode == 2
+    # usage error: numeric arguments out of range, rejected before any solve;
+    # in process, so a traceback would fail the test
+    good = tmp_path / "inst.json"
+    good.write_text(json.dumps(_instance_doc()))
+    for argv in (["gallery", "example-adapted", "--n", "2"],
+                 ["gallery", "packing", "--m", "0"],
+                 ["gallery", "planted", "--n", "0"],
+                 ["gallery", "lp-small", "--seed", "-1"],
+                 ["--tol-feas", "-1", "solve", str(good)],
+                 ["--tol-gap", "nan", "solve", str(good)],
+                 ["almost", "--eps", "nan", "--eps", "-1", str(good)]):
+        assert cli.main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err, argv
 
 
 @pytest.mark.parametrize("field, value", [

@@ -119,39 +119,6 @@ def test_product_cone_blocks():
     assert not cones.member(c, x)
 
 
-def test_entry_threshold_nonneg_analytic():
-    c = _single(cones.NONNEG)
-    x = np.array([2.0, 1.0, 3.0])
-    y = np.array([-1.0, -0.5, 1.0])
-    t = cones.entry_threshold(c, x, y)
-    assert np.isclose(t, 2.0)
-    assert cones.member(c, x + t * y)
-    assert not cones.member(c, x + (t + 1e-4) * y, tol=1e-9)
-
-
-def test_entry_threshold_unbounded():
-    c = _single(cones.NONNEG)
-    with pytest.raises(cones.UnboundedEntry):
-        cones.entry_threshold(c, np.ones(3), np.ones(3))
-
-
-def test_entry_threshold_bisection_matches_definition():
-    # psd and soc thresholds revalidated against membership at the boundary
-    rng = np.random.default_rng([11, 3])
-    for tag in (cones.SOC, cones.PSD):
-        c = _single(tag, 3)
-        e = cones.canonical_relint_point(c)
-        for _ in range(20):
-            y = rng.standard_normal(c.space.dim)
-            try:
-                t = cones.entry_threshold(c, e, y)
-            except cones.UnboundedEntry:
-                assert cones.member(c, e + 50.0 * y, tol=1e-6)
-                continue
-            assert cones.member(c, e + t * y, tol=1e-6)
-            assert not cones.member(c, e + (t + 1e-3) * y, tol=1e-9)
-
-
 def test_relint_absorption():
     # relint C + C stays in relint C
     rng = np.random.default_rng([11, 4])

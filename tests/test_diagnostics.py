@@ -4,9 +4,13 @@ import dataclasses
 import json
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conedual import cones, diagnostics, gallery, program, solver
 from conedual.spaces import LinearMap, inner, real, space
+from oracles import PROPERTY
+from test_acceptance import MIXES
 
 
 def _box(n=2):
@@ -70,20 +74,19 @@ def test_slater_no_with_separator():
     assert res.separator is not None
 
 
-def test_slater_rifeascone_check():
-    p = gallery.planted_strong_duality(
-        [(cones.NONNEG, 3)], [(cones.NONNEG, 2)], seed=1)
-    out = diagnostics.slater_rifeascone_check(p, trials=6, seed=0)
-    assert out["interior_yes"] == out["trials"]
-
-
-def test_slack_dimension_screen_on_planted():
-    p = gallery.planted_strong_duality(
-        [(cones.NONNEG, 3)], [(cones.NONNEG, 3)], seed=2)
-    out = diagnostics.slack_dimension_screen(p)
-    assert out["applicable"]
-    assert out["sufficient"]
-    assert not out["necessary_violated"]
+@PROPERTY
+@given(st.sampled_from(MIXES), st.integers(0, 1000), st.integers(0, 2**32 - 1))
+def test_slater_yes_at_interior_rhs(mix, gallery_seed, seed):
+    # b' = A x0 + s0 with x0 in relint C and s0 in relint K is strictly
+    # feasible at x0, so the solver must find a relint witness
+    p = program.as_sup(gallery.planted_strong_duality(*mix, seed=gallery_seed))
+    rng = np.random.default_rng(seed)
+    x0 = cones.sample_relint(p.C, rng, 0.3)
+    s0 = cones.sample_relint(p.K, rng, 0.3)
+    shifted = dataclasses.replace(p, b=p.A(x0) + s0)
+    res = diagnostics.slater(shifted, "primal")
+    assert res.verdict == "Yes"
+    assert program.feasible_system(shifted).relint_member(res.witness)
 
 
 def test_recession_cone_membership():
@@ -239,6 +242,48 @@ def test_strong_duality_report_planted():
     assert all(set(e) == keys for e in doc["entries"])
 
 
+REPORT_MARGIN_KEYS = {
+    "objective-in-adjoint-image": ["algebraic"],
+    "rhs-in-image-of-lineality": ["algebraic"],
+    "slater-primal": ["margin"],
+    "slater-dual": ["margin"],
+    "strict-recession-primal": ["margin", "side_condition"],
+    "strict-recession-dual": ["margin", "side_condition"],
+    "strict-recession-dual-b-perp": ["margin", "side_condition"],
+    "strict-recession-primal-c-perp": ["margin", "side_condition"],
+    "boundedness-cq": ["boundedness"],
+    "closedness-primal": ["condition_1", "condition_2", "condition_3", "condition_4"],
+    "closedness-dual": ["condition_1", "condition_2", "condition_3", "condition_4"],
+}
+
+
+def test_report_verdicts_are_pinned():
+    # one verdict per condition above, in report order, then the boundedness
+    # outcome behind boundedness-cq; together the instances reach Yes, No and
+    # Unknown on every rule and all four boundedness outcomes
+    y, n, u = "Yes", "No", "Unknown"
+    planted = gallery.planted_strong_duality(
+        [(cones.NONNEG, 2), (cones.SOC, 3)],
+        [(cones.ZERO, 1), (cones.NONNEG, 3)], seed=5)
+    cases = [
+        (gallery.example_adapted(3), 1200, [u, n, u, n, n, n, n, n, n, u, u], "Unbounded"),
+        (planted, solver.MAX_ITER, [n, n, y, y, u, n, n, n, u, y, y], "Unknown"),
+        (_box(), solver.MAX_ITER, [n, n, y, y, n, y, n, n, y, y, y], "Bounded"),
+        (_orthant_free_objective(), solver.MAX_ITER,
+         [n, n, u, n, n, n, n, n, n, u, u], "Unbounded"),
+        (_strict_orthant_recession(), solver.MAX_ITER,
+         [n, n, u, n, u, n, n, n, n, u, u], "Unbounded"),
+        (_empty(), solver.MAX_ITER, [n, n, n, u, n, u, n, n, n, u, u], "Empty"),
+    ]
+    for p, max_iter, verdicts, bounded in cases:
+        rep = diagnostics.strong_duality_report(p, max_iter=max_iter)
+        assert [(e["condition"], e["verdict"]) for e in rep.entries] == \
+            list(zip(REPORT_MARGIN_KEYS, verdicts))
+        assert all(sorted(e["margins"]) == REPORT_MARGIN_KEYS[e["condition"]]
+                   for e in rep.entries)
+        assert rep.entries[8]["margins"]["boundedness"] == bounded
+
+
 def test_strong_duality_report_pathology_fires_nothing():
     rep = diagnostics.strong_duality_report(gallery.example_adapted(3))
     assert rep.fired() == []
@@ -259,3 +304,10 @@ def test_packing_suite():
         [(cones.NONNEG, 3)], [(cones.NONNEG, 3)], seed=0)
     out2 = diagnostics.packing_suite(q)
     assert not out2["packing_detected"]
+
+
+def test_packing_suite_needs_polyhedral_variable_cone():
+    p = gallery.planted_strong_duality(
+        [(cones.SOC, 3)], [(cones.ZERO, 1), (cones.NONNEG, 2)], seed=0)
+    out = diagnostics.packing_suite(p)
+    assert out == {"packing_detected": False, "detection_mode": "not-polyhedral"}

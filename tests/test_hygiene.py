@@ -1,0 +1,69 @@
+"""Dead-name guard: every name the package defines is used somewhere.
+
+A top-level def, class or assignment in src/conedual, or a public method of
+one of its classes, must be loaded (as a name or an attribute) or named as a
+string somewhere in src/, tests/ or perfbench/ outside its own definition.
+Strings count because perfbench and monkeypatching reach functions by name.
+Dunder names (__all__, __version__, ...) are read by tools and are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "conedual"
+
+
+def _definitions(tree):
+    """(name, node) for the module's top-level names and public methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for name in ast.walk(t):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+        if isinstance(node, ast.ClassDef):
+            for meth in node.body:
+                if isinstance(meth, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not meth.name.startswith("_"):
+                    yield meth.name, meth
+
+
+def _uses(node, enclosing, out):
+    """Record every loaded name, attribute and string constant under node,
+    with the ids of the definitions it sits in."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing = enclosing | {id(node)}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        out.setdefault(node.id, []).append(enclosing)
+    elif isinstance(node, ast.Attribute):
+        out.setdefault(node.attr, []).append(enclosing)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        out.setdefault(node.value, []).append(enclosing)
+    for child in ast.iter_child_nodes(node):
+        _uses(child, enclosing, out)
+
+
+def _trees(*dirs):
+    return {path: ast.parse(path.read_text(), str(path))
+            for d in dirs for path in sorted((ROOT / d).rglob("*.py"))}
+
+
+def test_every_package_name_is_used():
+    trees = _trees("src", "tests", "perfbench")
+    uses: dict[str, list[frozenset]] = {}
+    for tree in trees.values():
+        _uses(tree, frozenset(), uses)
+    dead = []
+    for path, tree in trees.items():
+        if PACKAGE not in path.parents:
+            continue
+        for name, node in _definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if not any(id(node) not in where for where in uses.get(name, [])):
+                dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert dead == []

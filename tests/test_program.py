@@ -137,17 +137,17 @@ def test_paired_maps_adjoints():
     rng = np.random.default_rng([5, 24])
     u = rng.standard_normal(pm.Lp.domain.dim)
     v = rng.standard_normal(pm.Lp.codomain.dim)
-    assert np.isclose(inner(pm.Lp(u), v), inner(pm.Lp_adjoint(v), u))
+    assert np.isclose(inner(pm.Lp(u), v), inner(pm.Lp.adjoint()(v), u))
     # Lp*(y, w) = (A* y - w, <b, y>)
     m, n = p.A.codomain.dim, p.A.domain.dim
     y, w = v[:m], v[m:]
-    out = pm.Lp_adjoint(v)
+    out = pm.Lp.adjoint()(v)
     assert np.allclose(out[:n], p.A.matrix.T @ y - w)
     assert np.isclose(out[n], inner(p.b, y))
     # Ld*(x, s) = (A x + s, <c, x>)
     z = rng.standard_normal(pm.Ld.codomain.dim)
     x, s = z[:n], z[n:]
-    out = pm.Ld_adjoint(z)
+    out = pm.Ld.adjoint()(z)
     assert np.allclose(out[:m], p.A.matrix @ x + s)
     assert np.isclose(out[m], inner(p.c, x))
 

@@ -1,5 +1,7 @@
 """Operator-splitting solver against independent oracles and hand instances."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,27 @@ def test_strict_feasibility_yes():
     assert res.verdict == "Yes"
     assert cones.relint_member(kc, gmap(res.witness) + g)
     assert res.value > solver.STRICT_MARGIN
+
+
+def test_strict_feasibility_yes_despite_equality_residual():
+    # b = A x0 + s0 with x0, s0 relint points, so x0 is strictly feasible.
+    # The solver meets the Zero row only to its residual tolerance, above the
+    # membership tolerance, so the witness is stepped onto the equality; with
+    # far too few iterations the unconverged iterate still gives a witness,
+    # but no margin value
+    p = program.as_sup(gallery.planted_strong_duality(
+        [(cones.SOC, 3)], [(cones.ZERO, 1), (cones.NONNEG, 2)], seed=150))
+    rng = np.random.default_rng(0)
+    b = p.A(cones.sample_relint(p.C, rng, 0.3)) + cones.sample_relint(p.K, rng, 0.3)
+    fs = program.feasible_system(dataclasses.replace(p, b=b))
+    res = solver.strict_feasibility(fs)
+    assert (res.verdict, res.detail) == ("Yes", "interior witness")
+    assert fs.relint_member(res.witness)
+    assert res.value > solver.STRICT_MARGIN
+    res = solver.strict_feasibility(fs, max_iter=solver.CHECK_EVERY)
+    assert (res.verdict, res.detail) == ("Yes", "interior witness from an unconverged solve")
+    assert fs.relint_member(res.witness)
+    assert np.isnan(res.value)
 
 
 def test_strict_feasibility_empty_with_farkas():
