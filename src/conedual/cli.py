@@ -194,10 +194,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _dispatch(args)
-    except InstanceError as exc:
-        sys.stderr.write(f"invalid instance: {exc}\n")
-        return 2
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InstanceError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"invalid instance: {exc}\n")
         return 2
 

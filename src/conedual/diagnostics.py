@@ -15,6 +15,9 @@ Every condition is a question about a `program.System`.  The tests a
 `strong_duality_report` runs share their Slater, feasibility and recession
 systems, so the report is `solver.memoised`: within one call each
 strict-feasibility system is solved once, and nothing is kept between calls.
+The two closedness conditions are the sides of a conic Gordan-Stiemke
+alternative; the second is a hyperplane-restricted strict recession system,
+so inside a report it reuses the solve of the matching recession row.
 """
 
 from __future__ import annotations
@@ -224,31 +227,38 @@ def gordan_alternative(p: program.ConicProgram) -> solver.Verdict:
 
 def closedness_conditions(p: program.ConicProgram, side: str = "primal",
                           max_iter: int = solver.MAX_ITER) -> list[solver.Verdict]:
-    """Verdicts on four sufficient conditions, in order, for the relevant
-    lifted adjoint image L to be closed:
+    """Verdicts on two sufficient conditions, in order, for the lifted
+    adjoint image L with lifted cone M to be closed:
 
-    1. range(L) meets the relative interior of the lifted cone;
-    2. kernel(L*) meets the relative interior of its dual;
-    3. every point of the cone in range(L) lies in the cone's lineality;
-    4. every point of the dual cone in kernel(L*) lies in (span cone)-perp.
+    1. range(L) meets the relative interior of M;
+    2. kernel(L*) meets the relative interior of M*.
+
+    By the conic Gordan-Stiemke alternative, range(G) meets ri Q exactly when
+    kernel(G*) meets Q* only in (span Q)-perp, so each No carries the other
+    side's certificate.  Condition 1 is strict feasibility of {u : L u in M};
+    its No separator is a point of M* in kernel(L*) outside (span M)-perp.
+    Condition 2 is the other side's strict recession system, which is
+    kernel(L*) meet M*, restricted to <b, y> = 0 (side "primal") or
+    <c, x> = 0 (side "dual"); its No separator (lam_1, lam_2, t) gives
+    z = (lam_2, lam_1) = Lp(-lam_1, -t) or Ld(lam_1, -t), a point of M in
+    range(L) outside the lineality of M.
 
     Side "primal" examines the image whose closedness makes the dual
-    solvable (the lift carrying b), side "dual" the symmetric one carrying c.
+    solvable (Lp carries b, M = K x C), side "dual" the symmetric one
+    (Ld carries c, M = C* x K*).
     """
     ps = program.as_sup(p)
     pm = program.paired_maps(ps)
     if side == "primal":
-        lift = pm.Lp
-        big = cones.cone_product(ps.K, ps.C)
+        lift, big, other, hyperplane = pm.Lp, cones.cone_product(ps.K, ps.C), "dual", ps.b
     elif side == "dual":
-        lift = pm.Ld
-        big = cones.cone_product(cones.dual(ps.C), cones.dual(ps.K))
+        lift, big, other, hyperplane = (
+            pm.Ld, cones.cone_product(cones.dual(ps.C), cones.dual(ps.K)), "primal", ps.c)
     else:
         raise ValueError("side must be 'primal' or 'dual'")
     out = [solver.strict_feasibility(program.System(lift, np.zeros(lift.codomain.dim), big),
                                      max_iter=max_iter),
-           solver.strict_feasibility(_kernel_system(lift, big), max_iter=max_iter),
-           _closed_cond3(lift, big, max_iter), _closed_cond4(lift, big, max_iter)]
+           recession_strict(ps, other, restrict_orthogonal_to=hyperplane, max_iter=max_iter)]
     if side == "primal":
         # perspective cross-check: restricted to a positive last coordinate,
         # condition 1 is exactly primal strict feasibility
@@ -257,57 +267,6 @@ def closedness_conditions(p: program.ConicProgram, side: str = "primal",
             out[0] = replace(sl, witness=np.concatenate([-sl.witness, [1.0]]),
                              detail="via the perspective route (strict feasibility)")
     return out
-
-
-def _closed_cond3(lift: LinearMap, big: cones.Cone,
-                  max_iter: int = solver.MAX_ITER) -> solver.Verdict:
-    if not cones.is_pointed(big):
-        return solver.Verdict("Unknown", detail="lifted cone is not pointed")
-    # pointed: need cone ∩ range(L) = {0}; parametrize range by L
-    e = cones.canonical_relint_point(cones.dual(big))
-    obj = lift.matrix.T @ e
-    normalized = program.System(lift, np.zeros(big.space.dim), big).stack(
-        -obj[None, :], [1.0], cones.NONNEG)
-    vr = solver.conic_lp_value(normalized, obj, max_iter=max_iter)
-    if vr.verdict == "Optimal" and vr.value <= 1e-6:
-        return solver.Verdict("Yes", value=vr.value, detail="intersection is trivial")
-    if vr.verdict == "Optimal" and vr.value > 1e-4:
-        z = lift(vr.witness)
-        if cones.member(big, z) and np.linalg.norm(z) > 1e-6:
-            return solver.Verdict("No", witness=z, value=vr.value,
-                                  detail="nonzero point of the cone in the range")
-    return solver.Verdict("Unknown", value=vr.value,
-                          detail=f"support value inconclusive ({vr.verdict})")
-
-
-def _closed_cond4(lift: LinearMap, big: cones.Cone,
-                  max_iter: int = solver.MAX_ITER) -> solver.Verdict:
-    # (span cone)-perp is exactly the lineality of cone*; maximize <e, z>
-    # with e interior to the cone: e vanishes on that lineality and is
-    # positive elsewhere on cone*
-    dual_big = cones.dual(big)
-    e = cones.canonical_relint_point(big)
-    normalized = _kernel_system(lift, big).stack(-e[None, :], [1.0], cones.NONNEG)
-    vr = solver.conic_lp_value(normalized, e, max_iter=max_iter)
-    if vr.verdict == "Optimal" and vr.value <= 1e-6:
-        return solver.Verdict("Yes", value=vr.value,
-                              detail="kernel meets the dual cone only in its lineality")
-    if vr.verdict == "Optimal" and vr.value > 1e-4:
-        z = vr.witness
-        if cones.member(dual_big, z) and inner(e, z) > 1e-6 and \
-                np.linalg.norm(lift.matrix.T @ z) <= 1e-6 * (1 + np.linalg.norm(z)):
-            return solver.Verdict("No", witness=z, value=vr.value,
-                                  detail="kernel direction outside the orthogonal complement")
-    return solver.Verdict("Unknown", value=vr.value,
-                          detail=f"support value inconclusive ({vr.verdict})")
-
-
-def _kernel_system(lift: LinearMap, big: cones.Cone) -> program.System:
-    """{z : z in cone*, L* z = 0}."""
-    d = lift.codomain.dim
-    in_dual = program.System(LinearMap(lift.codomain, lift.codomain, np.eye(d)),
-                             np.zeros(d), cones.dual(big))
-    return in_dual.stack(lift.matrix.T, np.zeros(lift.domain.dim), cones.ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ from scipy.optimize import linprog
 from . import cones, program, solver
 from .spaces import LinearMap, Subspace, inner, product_space, real, space
 
+SAMPLES = 64  # seeded objectives of the outer approximation for non-polyhedral cones
+
 
 class NotPolyhedral(Exception):
     pass
@@ -285,8 +287,7 @@ def precondition(p: program.ConicProgram, sub: Subspace, **kw) -> solver.Verdict
     return solver.strict_feasibility(_cone_system(ps, sub), **kw)
 
 
-def project(p: program.ConicProgram, sub: Subspace, samples: int = 64,
-            seed: int = 0) -> HRepresentation:
+def project(p: program.ConicProgram, sub: Subspace) -> HRepresentation:
     """H-representation of the projection of the feasible set onto `sub`.
 
     Exact (double description) for polyhedral cones; otherwise a sampled
@@ -298,7 +299,7 @@ def project(p: program.ConicProgram, sub: Subspace, samples: int = 64,
         raise PreconditionFailed(pre.detail)
     if ps.is_fully_polyhedral():
         return _project_polyhedral(ps, sub)
-    return _project_sampled(ps, sub, samples, seed)
+    return _project_sampled(ps, sub)
 
 
 def _project_polyhedral(ps, sub) -> HRepresentation:
@@ -328,14 +329,14 @@ def _ray_to_row(gen, amat, bvec):
     return [_dot(row, gen) for row in amat], _dot(bvec, gen)
 
 
-def _project_sampled(ps, sub, samples, seed) -> HRepresentation:
+def _project_sampled(ps, sub) -> HRepresentation:
     m, n = ps.A.codomain.dim, ps.A.domain.dim
     d = m + n
-    rng = np.random.default_rng([seed, 104])
+    rng = np.random.default_rng([0, 104])
     # normalized by <1, u> <= 1, adequate after projection
     normalized = _cone_system(ps, sub).stack(-np.ones((1, d)), [1.0], cones.NONNEG)
     normals, offsets = [], []
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         obj = rng.standard_normal(d)
         vr = solver.conic_lp_value(normalized, obj, max_iter=4000)
         u = vr.witness  # the maximiser, or the improving ray

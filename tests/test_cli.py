@@ -179,10 +179,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     # missing file
     proc = _run(["solve", str(tmp_path / "absent.json")])
     assert proc.returncode == 2
-    # usage error: numeric arguments out of range, rejected before any solve;
+    # unreadable instance or subspace paths: a directory, non-UTF-8 bytes;
     # in process, so a traceback would fail the test
     good = tmp_path / "inst.json"
     good.write_text(json.dumps(_instance_doc()))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00{")
+    for argv in (["diagnose", str(tmp_path)],
+                 ["project", str(good), "--subspace", str(tmp_path)],
+                 ["solve", str(binary)]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "invalid instance" in err, argv
+    # usage error: numeric arguments out of range, rejected before any solve
     for argv in (["gallery", "example-adapted", "--n", "2"],
                  ["gallery", "packing", "--m", "0"],
                  ["gallery", "planted", "--n", "0"],

@@ -6,9 +6,10 @@ import json
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from conedual import cones, diagnostics, gallery, program, solver
-from conedual.spaces import LinearMap, inner, real, space
+from conedual.spaces import LinearMap, inner, kernel, real, space
 from oracles import PROPERTY
 from test_acceptance import MIXES
 
@@ -176,12 +177,83 @@ def test_gordan_both_branches():
     assert cones.member(q.K, -q.A(x), 1e-6)
 
 
+def _lifted(p):
+    """(side, L, M) for both sides: the lifted adjoint map and its cone."""
+    pm = program.paired_maps(p)
+    return (("primal", pm.Lp, cones.cone_product(p.K, p.C)),
+            ("dual", pm.Ld, cones.cone_product(cones.dual(p.C), cones.dual(p.K))))
+
+
 def test_closedness_conditions_on_slater_instance():
     p = gallery.planted_strong_duality(
         [(cones.SOC, 3)], [(cones.NONNEG, 2)], seed=3)
     out = diagnostics.closedness_conditions(p, "primal")
-    assert len(out) == 4
+    assert len(out) == 2
     assert any(v.verdict == "Yes" for v in out)
+    # on the pathology both conditions are No on both sides, and each No
+    # carries the certificate of its alternative, checked by membership alone
+    q = gallery.example_adapted(3)
+    for side, lift, big in _lifted(q):
+        cond1, cond2 = diagnostics.closedness_conditions(q, side, max_iter=1200)
+        assert (cond1.verdict, cond2.verdict) == ("No", "No")
+        # condition 1: lam in cone*, L* lam = 0, lam not in (span cone)-perp
+        lam = cond1.separator
+        assert cones.member(cones.dual(big), lam, 1e-6)
+        assert np.linalg.norm(lift.matrix.T @ lam) <= \
+            1e-6 * (1 + np.linalg.norm(lift.matrix, 2))
+        assert np.linalg.norm(cones.span(big).project(lam)) > 1e-6
+        # condition 2: the separator (lam_1, lam_2, t) maps to z = Lp(-lam_1,
+        # -t) or Ld(lam_1, -t), a point of the cone in range(L) outside the
+        # cone's lineality
+        sep = cond2.separator
+        k = lift.domain.dim - 1
+        sign = -1.0 if side == "primal" else 1.0
+        z = lift(np.append(sign * sep[:k], -sep[-1]))
+        assert cones.member(big, z, 1e-6)
+        assert np.linalg.norm(z - cones.lineality(big).project(z)) > 1e-6
+
+
+def _highs_margin(gens, cone):
+    """HiGHS's max of t <= 1 over v = gens u with v >= t on the Nonneg and
+    v = 0 on the Zero coordinates of a polyhedral cone: positive exactly when
+    the range of gens meets the relative interior of the cone."""
+    k = gens.shape[1]
+    ub, eq = [], []
+    for tag, sl in zip(cone.tags, cone.space.slices()):
+        rows = gens[sl]
+        if tag == cones.NONNEG:
+            ub.append(np.hstack([-rows, np.ones((len(rows), 1))]))
+        elif tag == cones.ZERO:
+            eq.append(np.hstack([rows, np.zeros((len(rows), 1))]))
+    res = linprog(np.append(np.zeros(k), -1.0),
+                  A_ub=np.vstack(ub) if ub else None, b_ub=np.zeros(sum(map(len, ub))),
+                  A_eq=np.vstack(eq) if eq else None, b_eq=np.zeros(sum(map(len, eq))),
+                  bounds=[(None, None)] * k + [(None, 1.0)], method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+_POLYHEDRAL_DESCR = st.lists(
+    st.tuples(st.sampled_from([cones.NONNEG, cones.ZERO, cones.FREE]), st.integers(1, 3)),
+    min_size=1, max_size=2)
+
+
+@PROPERTY
+@given(st.one_of(
+    st.builds(gallery.random_program, st.sampled_from(["lp-small", "lp-eq", "free-ineq"]),
+              st.integers(0, 10**6)),
+    st.builds(gallery.planted_strong_duality, _POLYHEDRAL_DESCR, _POLYHEDRAL_DESCR,
+              st.integers(0, 10**6))))
+def test_closedness_conditions_agree_with_highs(p):
+    # condition 1 asks whether range(L) meets ri M, condition 2 whether
+    # kernel(L*) meets ri M*; HiGHS decides both on the lifted vectors
+    for side, lift, big in _lifted(p):
+        out = diagnostics.closedness_conditions(p, side, max_iter=5000)
+        margins = [_highs_margin(lift.matrix, big),
+                   _highs_margin(kernel(lift.adjoint()).basis, cones.dual(big))]
+        for v, t in zip(out, margins):
+            assert not (t > 1e-5 and v.verdict == "No"), (side, v, t)
+            assert not (t <= 1e-9 and v.verdict == "Yes"), (side, v, t)
 
 
 def test_gap_bound_separation_on_planted():
@@ -252,8 +324,8 @@ REPORT_MARGIN_KEYS = {
     "strict-recession-dual-b-perp": ["margin", "side_condition"],
     "strict-recession-primal-c-perp": ["margin", "side_condition"],
     "boundedness-cq": ["boundedness"],
-    "closedness-primal": ["condition_1", "condition_2", "condition_3", "condition_4"],
-    "closedness-dual": ["condition_1", "condition_2", "condition_3", "condition_4"],
+    "closedness-primal": ["condition_1", "condition_2"],
+    "closedness-dual": ["condition_1", "condition_2"],
 }
 
 

@@ -288,10 +288,11 @@ def test_report_iteration_counts_are_pinned(monkeypatch):
     planted = gallery.planted_strong_duality(
         [(cones.PSD, 2), (cones.SOC, 3)], [(cones.ZERO, 1), (cones.NONNEG, 2)],
         seed=0)
-    for p, kw, total in ((gallery.example_adapted(3), {"max_iter": 1200}, 5875),
-                         (planted, {}, 3925)):
+    for p, kw, total in ((gallery.example_adapted(3), {"max_iter": 1200}, 4975),
+                         (planted, {}, 2950)):
         for _ in range(2):
             solves = _report_solves(monkeypatch, p, **kw)
+            assert len(solves) == 10
             distinct = dict(solves)
             assert len(distinct) == len(solves)
             assert sum(distinct.values()) == total
