@@ -244,7 +244,8 @@ def _dispatch(args) -> int:
                 f"field basis: expected {p.A.domain.dim} rows, got {basis.shape}")
         sub = Subspace.from_spanning(p.A.domain, basis)
         if sub.dim != basis.shape[1]:
-            sys.stderr.write("warning: basis was not orthonormal; adjusted\n")
+            sys.stderr.write("warning: basis columns are linearly dependent; "
+                             f"projecting onto their span, of dimension {sub.dim}\n")
         try:
             h = projection.project(p, sub)
         except projection.PreconditionFailed as exc:

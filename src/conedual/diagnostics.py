@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, is_dataclass, replace
 import numpy as np
 
 from . import cones, program, solver
-from .spaces import LinearMap, image_of_subspace, inner, kernel, real, space
+from .spaces import LinearMap, image_of_subspace, inner, kernel
 
 
 # ---------------------------------------------------------------------------
@@ -228,43 +228,40 @@ def gordan_alternative(p: program.ConicProgram) -> solver.Verdict:
 def closedness_conditions(p: program.ConicProgram, side: str = "primal",
                           max_iter: int = solver.MAX_ITER) -> list[solver.Verdict]:
     """Verdicts on two sufficient conditions, in order, for the lifted
-    adjoint image L with lifted cone M to be closed:
+    adjoint image to be closed.
 
-    1. range(L) meets the relative interior of M;
-    2. kernel(L*) meets the relative interior of M*.
+    The image is the range of the side's perspective system: its feasible
+    system {z : G z + g in M} with the offset g turned into a free variable,
+    P(z, t) = G z + t g.  Side "primal" has M = K x C and P(x, t) =
+    (t b - A x, x), whose closedness makes the dual solvable; side "dual" has
+    M = C* x K* and P(y, t) = (A* y - t c, y).
+
+    1. range(P) meets the relative interior of M;
+    2. kernel(P*) meets the relative interior of M*.
 
     By the conic Gordan-Stiemke alternative, range(G) meets ri Q exactly when
     kernel(G*) meets Q* only in (span Q)-perp, so each No carries the other
-    side's certificate.  Condition 1 is strict feasibility of {u : L u in M};
-    its No separator is a point of M* in kernel(L*) outside (span M)-perp.
-    Condition 2 is the other side's strict recession system, which is
-    kernel(L*) meet M*, restricted to <b, y> = 0 (side "primal") or
+    side's certificate.  Condition 1 is strict feasibility of the perspective
+    system; its No separator is a point of M* in kernel(P*) outside
+    (span M)-perp.  Condition 2 is the other side's strict recession system,
+    which is kernel(P*) meet M*, restricted to <b, y> = 0 (side "primal") or
     <c, x> = 0 (side "dual"); its No separator (lam_1, lam_2, t) gives
-    z = (lam_2, lam_1) = Lp(-lam_1, -t) or Ld(lam_1, -t), a point of M in
-    range(L) outside the lineality of M.
-
-    Side "primal" examines the image whose closedness makes the dual
-    solvable (Lp carries b, M = K x C), side "dual" the symmetric one
-    (Ld carries c, M = C* x K*).
+    z = (lam_2, lam_1) = P(lam_1, -t) on side "primal" (the primal
+    perspective map) and P(lam_1, t) on side "dual", a point of M in range(P)
+    outside the lineality of M.
     """
     ps = program.as_sup(p)
-    pm = program.paired_maps(ps)
-    if side == "primal":
-        lift, big, other, hyperplane = pm.Lp, cones.cone_product(ps.K, ps.C), "dual", ps.b
-    elif side == "dual":
-        lift, big, other, hyperplane = (
-            pm.Ld, cones.cone_product(cones.dual(ps.C), cones.dual(ps.K)), "primal", ps.c)
-    else:
-        raise ValueError("side must be 'primal' or 'dual'")
-    out = [solver.strict_feasibility(program.System(lift, np.zeros(lift.codomain.dim), big),
+    fs = program.feasible_system(_side_program(ps, side))
+    other, hyperplane = ("dual", ps.b) if side == "primal" else ("primal", ps.c)
+    out = [solver.strict_feasibility(fs.homogeneous().extend(fs.g[:, None]),
                                      max_iter=max_iter),
            recession_strict(ps, other, restrict_orthogonal_to=hyperplane, max_iter=max_iter)]
     if side == "primal":
-        # perspective cross-check: restricted to a positive last coordinate,
-        # condition 1 is exactly primal strict feasibility
+        # perspective cross-check: restricted to t = 1, condition 1 is
+        # exactly primal strict feasibility
         sl = slater(ps, "primal", max_iter=max_iter)
         if sl.verdict == "Yes" and out[0].verdict != "Yes":
-            out[0] = replace(sl, witness=np.concatenate([-sl.witness, [1.0]]),
+            out[0] = replace(sl, witness=np.append(sl.witness, 1.0),
                              detail="via the perspective route (strict feasibility)")
     return out
 
@@ -277,7 +274,7 @@ def gap_bound_separation(p: program.ConicProgram, epsilon: float,
                          dobj: float | None = None) -> dict:
     """Search a separator certifying that the duality gap is at most epsilon.
 
-    Looks for (alpha, alpha0) with the lifted image in -(K x C) and
+    Looks for (alpha, alpha0) with (-A alpha - alpha0 b, alpha) in K x C and
     <c, alpha> + alpha0 (dobj - eps) > 0; a success with alpha0 < 0 recovers
     the eps-suboptimal feasible point x = -alpha / alpha0.
     """
@@ -288,18 +285,14 @@ def gap_bound_separation(p: program.ConicProgram, epsilon: float,
             return {"separated": "Unknown",
                     "detail": f"dual not solved to optimality ({dres.status})"}
         dobj = dres.pobj
-    pm = program.paired_maps(ps)
     n = ps.A.domain.dim
     level = dobj - epsilon
     # variables (alpha, alpha0, s): maximize s with
-    #   -Lp(alpha, alpha0) in K x C
+    #   (-A alpha - alpha0 b, alpha) in K x C
     #   <c, alpha> + alpha0 * level - s >= 0,   1 - s >= 0
     nv = n + 2
-    mc = pm.Lp.codomain.dim
-    lifted = program.System(
-        LinearMap(space(real(nv)), pm.Lp.codomain,
-                  np.hstack([-pm.Lp.matrix, np.zeros((mc, 1))])),
-        np.zeros(mc), cones.cone_product(ps.K, ps.C))
+    fs = program.feasible_system(ps)
+    lifted = fs.homogeneous().extend(np.column_stack([-fs.g, np.zeros_like(fs.g)]))
     lin = np.concatenate([ps.c, [level, -1.0]])
     cap = np.concatenate([np.zeros(nv - 1), [-1.0]])
     sep = lifted.stack(lin[None, :], [0.0], cones.NONNEG).stack(
@@ -348,9 +341,7 @@ def almost_feasibility(p: program.ConicProgram, side: str = "dual",
     shift = np.zeros((s0.gmap.codomain.dim, m + 1))
     sgn = 1.0 if q.sense == "sup" else -1.0
     shift[:m, :m] = sgn * np.eye(m)  # delta enters where b does
-    lifted = program.System(
-        LinearMap(space(real(n + m + 1)), s0.gmap.codomain,
-                  np.hstack([s0.gmap.matrix, shift])), s0.g, s0.cone)
+    lifted = s0.extend(shift)
     ball = lifted.stack(np.hstack([np.zeros((m + 1, n)), np.eye(m + 1)]),
                         np.zeros(m + 1), cones.SOC)
     obj = np.zeros(n + m + 1)

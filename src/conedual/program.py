@@ -77,8 +77,8 @@ class System:
 
     Every sufficient condition the diagnostics decide asks for a relative
     interior point of such a system or for a support value over it.  Further
-    constraints are appended with `stack`, never by rebuilding the matrix,
-    offset and cone by hand.
+    constraints are appended with `stack` and further variables with
+    `extend`, never by rebuilding the matrix, offset and cone by hand.
     """
 
     gmap: LinearMap
@@ -104,6 +104,15 @@ class System:
                          np.vstack([self.gmap.matrix, rows]))
         return System(gmap, np.concatenate([self.g, offsets]),
                       cones.cone_product(self.cone, cone))
+
+    def extend(self, cols: np.ndarray) -> System:
+        """{(x, z) : G x + cols z + g in cone} with z free."""
+        cols = np.asarray(cols, dtype=float)
+        if cols.ndim != 2 or cols.shape[0] != self.gmap.codomain.dim:
+            raise ValueError("cols needs one row per row of G")
+        dom = product_space(self.gmap.domain, space(real(cols.shape[1])))
+        return replace(self, gmap=LinearMap(dom, self.gmap.codomain,
+                                            np.hstack([self.gmap.matrix, cols])))
 
     def homogeneous(self) -> System:
         """The same system with g = 0; its solutions form the recession cone."""
@@ -149,40 +158,6 @@ def recession_system(p: ConicProgram) -> System:
 
 def is_feasible_point(p: ConicProgram, x: np.ndarray, tol: float | None = None) -> bool:
     return feasible_system(p).member(x, tol)
-
-
-@dataclass(frozen=True)
-class PairedMaps:
-    """The lifted maps used by the closedness machinery.
-
-    Lp: (alpha, alpha0) -> (A alpha + alpha0 b, -alpha)
-    Ld: (beta, beta0)   -> (A* beta + beta0 c, beta)
-    with adjoints
-    Lp*: (y, w) -> (A* y - w, <b, y>)
-    Ld*: (x, s) -> (A x + s, <c, x>)
-    """
-
-    Lp: LinearMap
-    Ld: LinearMap
-
-
-def paired_maps(p: ConicProgram) -> PairedMaps:
-    if p.sense != "sup":
-        raise ValueError("paired maps are defined on the sup orientation")
-    n, m = p.A.domain.dim, p.A.codomain.dim
-    dom_p = product_space(p.A.domain, space(real(1)))
-    cod = product_space(p.A.codomain, p.A.domain)
-    lp = np.zeros((m + n, n + 1))
-    lp[:m, :n] = p.A.matrix
-    lp[:m, n] = p.b
-    lp[m:, :n] = -np.eye(n)
-    dom_d = product_space(p.A.codomain, space(real(1)))
-    cod_d = product_space(p.A.domain, p.A.codomain)
-    ld = np.zeros((n + m, m + 1))
-    ld[:n, :m] = p.A.matrix.T
-    ld[:n, m] = p.c
-    ld[n:, :m] = np.eye(m)
-    return PairedMaps(LinearMap(dom_p, cod, lp), LinearMap(dom_d, cod_d, ld))
 
 
 def dual_via_basis(p: ConicProgram, basis: np.ndarray) -> ConicProgram:

@@ -261,12 +261,24 @@ def _canonical_rows(rows: list[tuple[list[Fraction], Fraction]]) -> list[tuple]:
     return sorted(out)
 
 
+def _float_rows(rows: list[tuple], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(normals, offsets) in floats of exact integer rows, each divided by the
+    largest absolute entry of its normal (of its offset for the infeasible
+    marker), so that integers beyond the float range convert.  Integer true
+    division rounds the exact quotient once."""
+    scaled = []
+    for row in rows:
+        top = max(map(abs, row[:-1])) or abs(row[-1])
+        scaled.append([x / top for x in row])
+    mat = np.array(scaled, dtype=float).reshape(len(rows), dim + 1)
+    return mat[:, :-1], mat[:, -1]
+
+
 def _remove_redundant(rows: list[tuple]) -> list[tuple]:
     """Drop inequalities implied by the rest, by LP in floats."""
     if not rows:
         return []
-    mat = np.array(rows, dtype=float)
-    normals, offsets = mat[:, :-1], mat[:, -1]
+    normals, offsets = _float_rows(rows, len(rows[0]) - 1)
     bounds = [(None, None)] * normals.shape[1]
     keep = np.ones(len(rows), dtype=bool)
     for i in range(len(rows)):
@@ -315,12 +327,7 @@ def _project_polyhedral(ps, sub) -> HRepresentation:
         rows.append(_ray_to_row([-x for x in gen], amat, bvec))
     canon = _canonical_rows(rows)
     canon = _remove_redundant(canon)
-    if canon:
-        normals = np.array([r[:-1] for r in canon], dtype=float)
-        offsets = np.array([float(r[-1]) for r in canon])
-    else:
-        normals = np.zeros((0, n))
-        offsets = np.zeros(0)
+    normals, offsets = _float_rows(canon, n)
     return HRepresentation(normals, offsets, sub.basis, exact=True,
                            frac_rows=list(canon))
 
@@ -404,12 +411,7 @@ def fourier_motzkin(normals, offsets, eliminate: list[int]) -> HRepresentation:
     canon = _canonical_rows(rows)
     canon = _remove_redundant(canon)
     dim = normals.shape[1]
-    if canon:
-        out_n = np.array([r[:-1] for r in canon], dtype=float)
-        out_b = np.array([float(r[-1]) for r in canon])
-    else:
-        out_n = np.zeros((0, dim))
-        out_b = np.zeros(0)
+    out_n, out_b = _float_rows(canon, dim)
     keep = [j for j in range(dim) if j not in eliminate]
     basis = np.eye(dim)[:, keep]
     return HRepresentation(out_n, out_b, basis, exact=True,

@@ -37,7 +37,7 @@ from scipy.linalg import get_lapack_funcs, lu_factor
 from scipy.linalg import lu_solve  # noqa: F401
 
 from . import cones, program
-from .spaces import LinearMap, inner, real, space
+from .spaces import LinearMap, inner
 
 TOL_FEAS = 1e-8
 TOL_GAP = 1e-8
@@ -218,20 +218,19 @@ def _margin_program(s: program.System) -> program.ConicProgram:
     """sup t  s.t.  G x + g - t e in cone, t <= 1, over free (x, t).
 
     e is the canonical interior point on the curved/nonneg factors and zero on
-    the Zero/Free factors, so t measures the achievable interior margin.
+    the Zero/Free factors, so t measures the achievable interior margin.  The
+    solve never ends Unbounded: an improving ray has t = 1, and the solver's
+    slack on the row t <= 1 is a Moreau residual, hence nonnegative, so the
+    ray's residual on that row is at least 1.
     """
     n = s.gmap.domain.dim
     e = cones.canonical_relint_point(s.cone)
-    dom = space(real(n + 1))
-    lifted = program.System(
-        LinearMap(dom, s.gmap.codomain, np.hstack([s.gmap.matrix, -e[:, None]])),
-        s.g, s.cone)
     # -0.0, so that the program matrix -G carries +0.0 in the t <= 1 row
     t_row = np.full((1, n + 1), -0.0)
     t_row[0, n] = -1.0
     c = np.zeros(n + 1)
     c[n] = 1.0
-    return lifted.stack(t_row, [1.0], cones.NONNEG).as_program(c)
+    return s.extend(-e[:, None]).stack(t_row, [1.0], cones.NONNEG).as_program(c)
 
 
 # strict_feasibility results of the innermost memoised call, keyed on the
@@ -310,14 +309,6 @@ def _strict_feasibility(s, margin_threshold, tol_feas, max_iter):
             return Verdict("No", separator=lam, value=-np.inf,
                            detail="the system is empty")
         return Verdict("Unknown", detail="unvalidated emptiness certificate")
-    if res.status == "Unbounded":
-        # t can grow without bound, so deep interior points exist
-        ray = res.certificate["ray"]
-        x = ray[:n] * (2.0 / max(ray[n], 1e-12))
-        if s.relint_member(x):
-            return Verdict("Yes", witness=x, value=np.inf,
-                           detail="interior witness from an improving ray")
-        return Verdict("Unknown", detail="unvalidated interior ray")
     return Verdict("Unknown", detail="solver did not converge")
 
 

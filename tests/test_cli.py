@@ -155,6 +155,23 @@ def test_cli_project(tmp_path):
     assert len(out["normals"]) >= 3
 
 
+@pytest.mark.parametrize("basis, warning", [
+    ([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]], ""),  # spanning, not orthonormal
+    ([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]],
+     "warning: basis columns are linearly dependent; "
+     "projecting onto their span, of dimension 1\n"),
+])
+def test_cli_project_warns_only_on_dependent_basis(tmp_path, capsys, basis, warning):
+    ipath = tmp_path / "inst.json"
+    ipath.write_text(json.dumps(cli.dump(gallery.packing_instance(2, 3, seed=1))))
+    spath = tmp_path / "sub.json"
+    spath.write_text(json.dumps({"basis": basis}))
+    assert cli.main(["--json", "project", "--subspace", str(spath), str(ipath)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["exact"] is True
+    assert err == warning
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # usage error: unknown command
     proc = _run(["frobnicate"])

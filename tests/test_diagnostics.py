@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conedual import cones, diagnostics, gallery, program, solver
-from conedual.spaces import LinearMap, inner, kernel, real, space
+from conedual.spaces import LinearMap, inner, kernel, product_space, real, space
 from oracles import PROPERTY
 from test_acceptance import MIXES
 
@@ -178,10 +178,22 @@ def test_gordan_both_branches():
 
 
 def _lifted(p):
-    """(side, L, M) for both sides: the lifted adjoint map and its cone."""
-    pm = program.paired_maps(p)
-    return (("primal", pm.Lp, cones.cone_product(p.K, p.C)),
-            ("dual", pm.Ld, cones.cone_product(cones.dual(p.C), cones.dual(p.K))))
+    """(side, L, M) for both sides: the lifted adjoint map and its cone,
+    written out from A, b and c as a reference independent of the package.
+
+    Lp: (alpha, alpha0) -> (A alpha + alpha0 b, -alpha)
+    Ld: (beta, beta0)   -> (A* beta + beta0 c, beta)
+    """
+    amat = p.A.matrix
+    (m, n), one = amat.shape, space(real(1))
+    lp = np.block([[amat, p.b[:, None]], [-np.eye(n), np.zeros((n, 1))]])
+    ld = np.block([[amat.T, p.c[:, None]], [np.eye(m), np.zeros((m, 1))]])
+    return (("primal", LinearMap(product_space(p.A.domain, one),
+                                 product_space(p.A.codomain, p.A.domain), lp),
+             cones.cone_product(p.K, p.C)),
+            ("dual", LinearMap(product_space(p.A.codomain, one),
+                               product_space(p.A.domain, p.A.codomain), ld),
+             cones.cone_product(cones.dual(p.C), cones.dual(p.K))))
 
 
 def test_closedness_conditions_on_slater_instance():

@@ -1,10 +1,13 @@
-"""Dead-name guard: every name the package defines is used somewhere.
+"""Dead-name guards: every name the package defines or imports is used.
 
 A top-level def, class or assignment in src/conedual, or a public method of
 one of its classes, must be loaded (as a name or an attribute) or named as a
 string somewhere in src/, tests/ or perfbench/ outside its own definition.
 Strings count because perfbench and monkeypatching reach functions by name.
 Dunder names (__all__, __version__, ...) are read by tools and are exempt.
+
+A name a src/conedual module imports must be loaded in that module, listed
+in its __all__, or marked `# noqa: F401` on its import line.
 """
 
 import ast
@@ -67,3 +70,35 @@ def test_every_package_name_is_used():
             if not any(id(node) not in where for where in uses.get(name, [])):
                 dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert dead == []
+
+
+def _exported(tree):
+    """The string entries of the module's __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and \
+                any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {e.value for e in node.value.elts}
+    return set()
+
+
+def test_every_package_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        source = path.read_text()
+        tree = ast.parse(source, str(path))
+        lines = source.splitlines()
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        kept = loaded | _exported(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa: F401" in line
+                   for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in kept:
+                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert unused == []

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conedual import cones, gallery, program, solver
-from conedual.spaces import LinearMap, inner, real, space
+from conedual.spaces import LinearMap, product_space, real, space
 
 
 def _lp(seed=0, n=3, m=3):
@@ -131,25 +131,30 @@ def test_complementary_slackness_at_optimum():
     assert abs(r1) <= 1e-5 and abs(r2) <= 1e-5
 
 
-def test_paired_maps_adjoints():
-    p = _lp(seed=5)
-    pm = program.paired_maps(p)
+def test_system_extend():
+    fs = program.feasible_system(_lp(seed=5))
     rng = np.random.default_rng([5, 24])
-    u = rng.standard_normal(pm.Lp.domain.dim)
-    v = rng.standard_normal(pm.Lp.codomain.dim)
-    assert np.isclose(inner(pm.Lp(u), v), inner(pm.Lp.adjoint()(v), u))
-    # Lp*(y, w) = (A* y - w, <b, y>)
-    m, n = p.A.codomain.dim, p.A.domain.dim
-    y, w = v[:m], v[m:]
-    out = pm.Lp.adjoint()(v)
-    assert np.allclose(out[:n], p.A.matrix.T @ y - w)
-    assert np.isclose(out[n], inner(p.b, y))
-    # Ld*(x, s) = (A x + s, <c, x>)
-    z = rng.standard_normal(pm.Ld.codomain.dim)
-    x, s = z[:n], z[n:]
-    out = pm.Ld.adjoint()(z)
-    assert np.allclose(out[:m], p.A.matrix @ x + s)
-    assert np.isclose(out[m], inner(p.c, x))
+    x0, z0 = rng.standard_normal(fs.gmap.domain.dim), np.array([2.0, -1.0])
+    cols = rng.standard_normal((fs.gmap.codomain.dim, 2))
+    # the first column puts (x0, z0) at the interior point e of the cone
+    e = cones.canonical_relint_point(fs.cone)
+    cols[:, 0] = (e - fs.gmap(x0) - fs.g - z0[1] * cols[:, 1]) / z0[0]
+    ext = fs.extend(cols)
+    assert ext.gmap.domain == product_space(fs.gmap.domain, space(real(2)))
+    assert ext.gmap.codomain == fs.gmap.codomain
+    assert ext.cone == fs.cone and np.array_equal(ext.g, fs.g)
+    assert ext.member(np.concatenate([x0, z0]))
+    # (x, z) is a member exactly when G x + cols z + g is in the cone
+    seen = set()
+    for _ in range(50):
+        x = x0 + rng.standard_normal(fs.gmap.domain.dim)
+        z = z0 + rng.standard_normal(2)
+        inside = cones.member(fs.cone, fs.gmap(x) + cols @ z + fs.g)
+        assert ext.member(np.concatenate([x, z])) == inside
+        seen.add(inside)
+    assert seen == {True, False}
+    with pytest.raises(ValueError):
+        fs.extend(cols[1:])
 
 
 def test_dual_via_basis_same_optimum():

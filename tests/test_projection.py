@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from conedual import cones, program, projection
+from conedual import cones, gallery, program, projection
 from conedual.spaces import LinearMap, Subspace, real, space
-from oracles import PROPERTY
+from oracles import PROPERTY, polyhedral_rows
 
 
 def _fr(rows):
@@ -267,6 +268,20 @@ def test_project_matches_fm_random_integer_instances():
         fm = projection.fourier_motzkin(normals, offsets, list(range(k, n)))
         assert h.canonical_set() == fm.canonical_set(), (amat, p.b, k)
         done += 1
+
+
+def test_project_float_data_rows_are_valid_and_tight():
+    # float data scale to integers far beyond the float range; every row
+    # must still convert, and be a valid and tight bound on the feasible set
+    p = gallery.planted_strong_duality([(cones.NONNEG, 7)], [(cones.NONNEG, 7)], seed=0)
+    h = projection.project(p, Subspace(p.A.domain, np.eye(7)[:, :2]))
+    assert h.exact and len(h.normals) > 0
+    aub, bub, _, _ = polyhedral_rows(p)
+    for normal, off in zip(h.normals, h.offsets):
+        res = linprog(-normal, A_ub=aub, b_ub=bub, bounds=[(None, None)] * 7,
+                      method="highs")
+        assert res.status == 0, res.message
+        assert abs(-res.fun - off) <= 1e-6 * (1 + abs(off)), (normal, off, -res.fun)
 
 
 def test_project_sampled_outer_approximation():
