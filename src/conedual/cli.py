@@ -253,7 +253,7 @@ def _dispatch(args) -> int:
                   [f"precondition failed: {exc}"])
             return 0
         payload = h.to_json()
-        lines = [f"{list(nrm)} . x <= {off:.9g}"
+        lines = [f"{nrm.tolist()} . x <= {off:.9g}"
                  for nrm, off in zip(h.normals, h.offsets)]
         lines.append(f"exact: {h.exact}")
         _emit(args, payload, lines)

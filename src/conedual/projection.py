@@ -11,8 +11,20 @@ are kept as coprime integer vectors, and the tight constraints of each ray
 as a bitmask.  Two rays are adjacent when no third ray is tight wherever
 both are; on the minimal ray set the method maintains, this combinatorial
 test is equivalent to the rank test (Fukuda and Prodon, "Double description
-method revisited", 1996).  A Fourier-Motzkin eliminator is provided as an
-independent oracle for tests.
+method revisited", 1996).
+
+The candidate rows, one per ray, are mostly redundant.  Redundancy is
+decided by the same method, without LP: one double description of the
+homogenised cone {(x, t) : beta t - <a, x> >= 0 per row, t >= 0} shows
+whether the set is empty (no ray with t > 0; the result is then the single
+infeasible marker 0 <= -1) and whether it is full-dimensional (its
+generators span R^(n+1)).  On a full-dimensional set a row is kept exactly
+when it defines a facet: the generators tight at it have rank n.  On a
+lower-dimensional set the rows are taken in order, and a row is dropped
+when the cone of the rows still kept without it satisfies it, which takes
+one further double description per row.  A Fourier-Motzkin eliminator,
+which removes redundant rows the same way, is provided as an oracle for
+tests.
 """
 
 from __future__ import annotations
@@ -23,7 +35,8 @@ from math import gcd, lcm
 from operator import mul
 
 import numpy as np
-from scipy.optimize import linprog
+# not called here; perfbench/layers.py probes this name in traced runs
+from scipy.optimize import linprog  # noqa: F401
 
 from . import cones, program, solver
 from .spaces import LinearMap, Subspace, inner, product_space, real, space
@@ -274,22 +287,74 @@ def _float_rows(rows: list[tuple], dim: int) -> tuple[np.ndarray, np.ndarray]:
     return mat[:, :-1], mat[:, -1]
 
 
+def _rank(vecs: list[list[int]]) -> int:
+    """Rank of integer vectors, by fraction-free (Bareiss) elimination: after
+    each step every entry is a minor of the input, so the divisions are exact."""
+    mat = [list(v) for v in vecs]
+    rank, prev = 0, 1
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        top = mat[rank]
+        p = top[col]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][col]
+            mat[i] = [(p * x - f * y) // prev for x, y in zip(mat[i], top)]
+        prev = p
+        rank += 1
+    return rank
+
+
+def _homogenised(rows: list[tuple], n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Integer (lineality basis, extreme rays) of the homogenised cone
+    {(x, t) : beta t - <a, x> >= 0 for every row (a, beta), t >= 0}."""
+    ineqs = [[0] * n + [1]] + [[-x for x in row[:-1]] + [row[-1]] for row in rows]
+    lin, rays = double_description(ineqs, n + 1)
+    return [list(map(int, g)) for g in lin], [list(map(int, g)) for g in rays]
+
+
+def _slack(row: tuple, gen: list[int]) -> int:
+    """beta t - <a, x> of the row (a, beta) at the generator (x, t)."""
+    return row[-1] * gen[-1] - _dot(row[:-1], gen[:-1])
+
+
 def _remove_redundant(rows: list[tuple]) -> list[tuple]:
-    """Drop inequalities implied by the rest, by LP in floats."""
+    """Drop the rows implied by the rest, exactly and without LP.
+
+    The rows are coprime integer tuples (a, beta) of a x <= beta.  One double
+    description of the homogenised cone (`_homogenised`) decides everything:
+
+    - no ray has t > 0: the set is empty, and the result is the single
+      infeasible marker (0, ..., 0, -1);
+    - the generators span all n + 1 dimensions (a full-dimensional set):
+      a row is kept exactly when it defines a facet, that is, when the
+      lineality basis and the rays tight at it have rank n;
+    - otherwise (a lower-dimensional set, where a facet has no unique
+      defining row): the rows are taken in order, and a row is dropped when
+      it holds on the cone of the rows still kept without it, i.e. has slack
+      0 at each of that cone's lineality vectors and slack >= 0 at each of
+      its rays.  This is the sequential rule of a redundancy LP per row,
+      decided by one further double description per row.
+    """
     if not rows:
         return []
-    normals, offsets = _float_rows(rows, len(rows[0]) - 1)
-    bounds = [(None, None)] * normals.shape[1]
-    keep = np.ones(len(rows), dtype=bool)
+    n = len(rows[0]) - 1
+    lin, rays = _homogenised(rows, n)
+    if not any(r[-1] > 0 for r in rays):
+        return [(0,) * n + (-1,)]
+    if _rank(lin + rays) == n + 1:
+        return [row for row in rows
+                if _rank(lin + [r for r in rays if _slack(row, r) == 0]) == n]
+    keep = list(range(len(rows)))
     for i in range(len(rows)):
-        keep[i] = False
-        if not keep.any():
-            keep[i] = True
-            continue
-        res = linprog(-normals[i], A_ub=normals[keep], b_ub=offsets[keep],
-                      bounds=bounds, method="highs")
-        keep[i] = not (res.status == 0 and -res.fun <= offsets[i] + 1e-9)
-    return [r for r, k in zip(rows, keep) if k]
+        rest = [j for j in keep if j != i]
+        lin_i, rays_i = _homogenised([rows[j] for j in rest], n)
+        if all(_slack(rows[i], g) == 0 for g in lin_i) and \
+                all(_slack(rows[i], r) >= 0 for r in rays_i):
+            keep = rest
+    return [rows[j] for j in keep]
 
 
 def precondition(p: program.ConicProgram, sub: Subspace, **kw) -> solver.Verdict:

@@ -3,6 +3,8 @@
 The LP oracle enumerates basic solutions (vertex enumeration), which shares no
 code with the operator-splitting solver under test.  scipy.optimize.linprog is
 used only to classify unbounded/infeasible cases and as a second opinion.
+The redundancy oracle is the float LP loop that exact projection replaced:
+one HiGHS LP per row.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 from hypothesis import settings
 from scipy.optimize import linprog
 
-from conedual import cones
+from conedual import cones, projection
 
 # one profile for every property test
 PROPERTY = settings(max_examples=300, deadline=None, database=None)
@@ -115,3 +117,21 @@ def soc_row_value(c, n):
     c = np.asarray(c, dtype=float)
     assert c.shape == (n,)
     return float(c[-1] + np.linalg.norm(c[:-1]))
+
+
+def lp_remove_redundant(rows: list[tuple]) -> list[tuple]:
+    """Drop inequalities implied by the rest, by LP in floats."""
+    if not rows:
+        return []
+    normals, offsets = projection._float_rows(rows, len(rows[0]) - 1)
+    bounds = [(None, None)] * normals.shape[1]
+    keep = np.ones(len(rows), dtype=bool)
+    for i in range(len(rows)):
+        keep[i] = False
+        if not keep.any():
+            keep[i] = True
+            continue
+        res = linprog(-normals[i], A_ub=normals[keep], b_ub=offsets[keep],
+                      bounds=bounds, method="highs")
+        keep[i] = not (res.status == 0 and -res.fun <= offsets[i] + 1e-9)
+    return [r for r, k in zip(rows, keep) if k]

@@ -142,7 +142,7 @@ def test_cli_gallery_emits_loadable_instance():
         cli.load(doc)  # must validate
 
 
-def test_cli_project(tmp_path):
+def test_cli_project(tmp_path, capsys):
     inst = cli.dump(gallery.packing_instance(2, 3, seed=1))
     ipath = tmp_path / "inst.json"
     ipath.write_text(json.dumps(inst))
@@ -153,6 +153,10 @@ def test_cli_project(tmp_path):
     out = json.loads(proc.stdout)
     assert out["exact"] is True
     assert len(out["normals"]) >= 3
+    # text mode prints each normal as plain numbers, not numpy scalar reprs
+    assert cli.main(["project", "--subspace", str(spath), str(ipath)]) == 0
+    text = capsys.readouterr().out
+    assert " . x <= " in text and "np.float64" not in text
 
 
 @pytest.mark.parametrize("basis, warning", [

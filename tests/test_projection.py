@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conedual import cones, gallery, program, projection
 from conedual.spaces import LinearMap, Subspace, real, space
-from oracles import PROPERTY, polyhedral_rows
+from oracles import PROPERTY, lp_remove_redundant, polyhedral_rows
 
 
 def _fr(rows):
@@ -199,6 +199,39 @@ def test_project_matches_fm_on_rational_packings(data):
     assert h.canonical_set() == fm.canonical_set()
 
 
+@st.composite
+def _row_system(draw):
+    """Canonical rows (a, beta) of a x <= beta in 1-4 variables, with zero
+    entries, opposite pairs (implicit equalities) and offsets that often
+    make the system empty."""
+    n = draw(st.integers(1, 4))
+    entry = st.sampled_from([-3, -2, -1, 0, 0, 0, 1, 2, 3])
+    rows = draw(st.lists(st.lists(entry, min_size=n + 1, max_size=n + 1),
+                         min_size=1, max_size=7))
+    pairs = [[-x for x in row] for row in rows if draw(st.booleans())]
+    rows = projection._canonical_rows([(row[:-1], row[-1]) for row in rows + pairs])
+    assume(rows)
+    return rows
+
+
+@PROPERTY
+@given(_row_system())
+@example([(-1, 0, 0), (0, -1, 0), (1, 1, 2), (1, 2, 4)])  # full-dimensional
+@example([(-1, 0, -1), (0, -1, 0), (0, 1, 2), (1, 0, 1), (1, 1, 4)])  # x1 = 1
+@example([(-1, 1), (1, -2)])  # x >= -1 and x <= -2: empty
+def test_remove_redundant_matches_lp_loop(rows):
+    n = len(rows[0]) - 1
+    got = projection._remove_redundant(rows)
+    normals, offsets = projection._float_rows(rows, n)
+    feas = linprog(np.zeros(n), A_ub=normals, b_ub=offsets,
+                   bounds=[(None, None)] * n, method="highs")
+    assert feas.status in (0, 2), feas.message
+    if feas.status == 2:
+        assert got == [(0,) * n + (-1,)]
+    else:
+        assert got == lp_remove_redundant(rows)
+
+
 def test_projection_cone_and_extreme_rays():
     p = _packing([[1, 1, 2], [2, 1, 1]])
     sub = Subspace(p.A.domain, np.eye(3)[:, :2])
@@ -282,6 +315,37 @@ def test_project_float_data_rows_are_valid_and_tight():
                       method="highs")
         assert res.status == 0, res.message
         assert abs(-res.fun - off) <= 1e-6 * (1 + abs(off)), (normal, off, -res.fun)
+
+
+@pytest.mark.parametrize("profile, seed", [
+    ("lp-small", 0), ("lp-eq", 0), ("lp-eq", 1), ("lp-eq", 5)])
+def test_project_empty_set_gives_the_infeasible_marker(profile, seed):
+    # each of these feasible sets is empty (HiGHS: infeasible); its
+    # projection is the single row 0 <= -1, not every candidate row
+    p = gallery.random_program(profile, seed=seed)
+    n = p.A.domain.dim
+    h = projection.project(p, Subspace(p.A.domain, np.eye(n)[:, :1]))
+    assert h.canonical_set() == {(0,) * n + (-1,)}
+    assert not h.contains(np.zeros(n))
+
+
+def test_exact_projection_makes_no_lp_call(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog called by exact projection")
+
+    monkeypatch.setattr(projection, "linprog", no_lp)
+    rng = np.random.default_rng([13, 3])
+    for _ in range(3):
+        # bounded like the benchmark's polytopes: x >= 0, A x <= b, sum(x) <= 8
+        amat = np.vstack([rng.integers(-3, 4, size=(6, 8)), np.ones(8)])
+        b = np.append(rng.integers(1, 6, size=6), 8.0)
+        p = _packing(amat, b)
+        h = projection.project(p, Subspace(p.A.domain, np.eye(8)[:, :3]))
+        assert h.exact and h.frac_rows
+    fm = projection.fourier_motzkin(np.vstack([amat, -np.eye(8)]),
+                                    np.concatenate([b, np.zeros(8)]),
+                                    list(range(3, 8)))
+    assert fm.canonical_set() == h.canonical_set()
 
 
 def test_project_sampled_outer_approximation():
