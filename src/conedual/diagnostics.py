@@ -14,7 +14,8 @@ the same pair with the roles fixed accordingly.
 Every condition is a question about a `program.System`.  The tests a
 `strong_duality_report` runs share their Slater, feasibility and recession
 systems, so the report is `solver.memoised`: within one call each
-strict-feasibility system is solved once, and nothing is kept between calls.
+strict-feasibility and feasibility system is solved once, and nothing is
+kept between calls.
 The two closedness conditions are the sides of a conic Gordan-Stiemke
 alternative; the second is a hyperplane-restricted strict recession system,
 so inside a report it reuses the solve of the matching recession row.
@@ -497,20 +498,19 @@ def strong_duality_report(p: program.ConicProgram,
                           "citation": citation, "margins": margins}
                          for name, citation, verdict, witness, margins in rows])
 
+    def value(res):
+        return np.nan if res.status == "Unknown" else res.pobj
+
     pres = solver.solve(ps, max_iter=max_iter)
-    dres = solver.solve(program.dualize(ps), max_iter=max_iter)
-
-    def _value(res, sense):
-        if res.status == "Optimal":
-            return res.pobj
-        if res.status == "Unbounded":
-            return np.inf if sense == "sup" else -np.inf
-        if res.status == "PrimalInfeasible":
-            return -np.inf if sense == "sup" else np.inf
-        return np.nan
-
-    rep.pobj = _value(pres, "sup")
-    rep.dobj = _value(dres, "inf")
+    rep.pobj = value(pres)
+    # the primal solve decides the dual value too, unless it ran out or its
+    # Farkas ray meets a dual not known to be feasible: an Optimal pair
+    # carries it, an unbounded ray empties the dual (+inf), and a Farkas ray
+    # makes a feasible dual unbounded below (-inf)
+    if pres.status == "Unknown" or (pres.status == "PrimalInfeasible" and not feas_d):
+        rep.dobj = value(solver.solve(program.dualize(ps), max_iter=max_iter))
+    else:
+        rep.dobj = pres.dobj
     if np.isfinite(rep.pobj) and np.isfinite(rep.dobj):
         rep.gap = abs(rep.pobj - rep.dobj) / (1 + abs(rep.pobj) + abs(rep.dobj))
     else:

@@ -17,12 +17,24 @@ finiteness and info checks), and the projection onto dual(K x C) is the plan
 arithmetic, so the iterates are bitwise those of the per-call lu_solve and
 per-factor projection they replace.
 
+Strict feasibility of a system {x : G x + g in K} is decided by one solve
+of its theorem-of-the-alternative system {(z, sigma) : G z + sigma g - e in
+K, sigma >= 0}, with e the canonical interior point.  A point gives the
+interior witness z / sigma; when the system meets no relative interior
+point, the alternative is strongly infeasible and the solver's Farkas ray is
+the facial-reduction certificate.  Both outcomes are attained, unlike the
+margin sup{t : G x + g - t e in K}, whose value 0 at a boundary-only system
+is often not, so that its solve ran out the budget.  Plain feasibility,
+where strict feasibility does not settle it, is one solve of
+sup{0 : G x + g in K}.
+
 Inside a call decorated with `memoised` (`diagnostics.strong_duality_report`
-is), `strict_feasibility` decides a system whose exact bytes, cone,
-threshold, tolerance and budget it has already decided in that call from a
-memo, without solving again.  The memo lives for the call only, and its
-results are shared between callers; `Verdict` is frozen, so a caller derives
-a new one with `dataclasses.replace` rather than editing a shared one.
+is), `strict_feasibility` and `feasibility` decide a system whose exact
+bytes, cone, threshold, tolerance and budget they have already decided in
+that call from a memo, without solving again.  The memo lives for the call
+only, and its results are shared between callers; `Verdict` is frozen, so a
+caller derives a new one with `dataclasses.replace` rather than editing a
+shared one.
 """
 
 from __future__ import annotations
@@ -214,34 +226,34 @@ def _unbounded_certificate(p, xray):
 STRICT_MARGIN = 1e-6
 
 
-def _margin_program(s: program.System) -> program.ConicProgram:
-    """sup t  s.t.  G x + g - t e in cone, t <= 1, over free (x, t).
+def _alternative_program(s: program.System) -> program.ConicProgram:
+    """Find (z, sigma) with G z + sigma g - e in cone and sigma >= 0.
 
     e is the canonical interior point on the curved/nonneg factors and zero on
-    the Zero/Free factors, so t measures the achievable interior margin.  The
-    solve never ends Unbounded: an improving ray has t = 1, and the solver's
-    slack on the row t <= 1 is a Moreau residual, hence nonnegative, so the
-    ray's residual on that row is at least 1.
+    the Zero/Free factors.  The set is nonempty exactly when s meets the
+    relative interior: a point with sigma > 0 gives the witness z / sigma at
+    margin 1 / sigma, and one with sigma = 0 a direction of recession into
+    the relative interior.  Otherwise it is strongly infeasible, and the
+    cone part of its Farkas ray is a facial-reduction certificate lam in
+    cone*, G* lam = 0, <g, lam> <= 0, <e, lam> > 0.  So both outcomes have a
+    certificate the solver can converge to, which the margin sup{t : G x + g
+    - t e in cone} lacks when its value 0 is not attained.  The objective is
+    0, so the solve never ends Unbounded.
     """
     n = s.gmap.domain.dim
     e = cones.canonical_relint_point(s.cone)
-    # -0.0, so that the program matrix -G carries +0.0 in the t <= 1 row
-    t_row = np.full((1, n + 1), -0.0)
-    t_row[0, n] = -1.0
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    return s.extend(-e[:, None]).stack(t_row, [1.0], cones.NONNEG).as_program(c)
+    alt = replace(s.extend(s.g[:, None]), g=-e).stack(np.eye(n + 1)[n:], [0.0], cones.NONNEG)
+    return alt.as_program(np.zeros(n + 1))
 
 
-# strict_feasibility results of the innermost memoised call, keyed on the
+# results of the innermost memoised call, keyed on the question and the
 # exact system; None outside such a call
 _memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "strict_feasibility_memo", default=None)
 
 
 def memoised(fn):
-    """Decorate fn so that each strict-feasibility system it poses is solved
-    once per call."""
+    """Decorate fn so that each system it poses is decided once per call."""
     @functools.wraps(fn)
     def call(*args, **kw):
         token = _memo.set({})
@@ -252,64 +264,84 @@ def memoised(fn):
     return call
 
 
+def _decide_once(decide, s: program.System, *args) -> Verdict:
+    """decide(s, *args), from the memo when one is active."""
+    cache = _memo.get()
+    if cache is None:
+        return decide(s, *args)
+    key = (decide, s.gmap.domain, s.gmap.codomain, s.gmap.matrix.tobytes(),
+           s.g.tobytes(), s.cone, *args)
+    if key not in cache:
+        cache[key] = decide(s, *args)
+    return cache[key]
+
+
 def strict_feasibility(s: program.System,
                        margin_threshold: float = STRICT_MARGIN,
                        tol_feas: float = TOL_FEAS,
                        max_iter: int = MAX_ITER) -> Verdict:
-    """Decide whether {x : G x + g in cone} meets the relative interior.
+    """Decide whether {x : G x + g in cone} meets the relative interior, by
+    one solve of the alternative system (see `_alternative_program`).
 
-    Yes comes with a validated witness, No with a separating functional
-    lam in cone* with G* lam = 0, <g, lam> <= 0, lam nonzero on the
-    curved/nonneg part (or a certificate that the system is empty outright).
+    Yes comes with a validated witness and its margin min(1, 1/sigma), which
+    must exceed `margin_threshold` (nan when the solve did not converge); No
+    with a separating functional lam in cone* with G* lam = 0,
+    <g, lam> <= 0, lam nonzero on the curved/nonneg part, or with a
+    certificate that the system is empty outright (<g, lam> < 0).
     """
-    cache = _memo.get()
-    if cache is None:
-        return _strict_feasibility(s, margin_threshold, tol_feas, max_iter)
-    key = (s.gmap.domain, s.gmap.codomain, s.gmap.matrix.tobytes(), s.g.tobytes(),
-           s.cone, margin_threshold, tol_feas, max_iter)
-    if key not in cache:
-        cache[key] = _strict_feasibility(s, margin_threshold, tol_feas, max_iter)
-    return cache[key]
+    return _decide_once(_strict_feasibility, s, margin_threshold, tol_feas, max_iter)
 
 
 def _strict_feasibility(s, margin_threshold, tol_feas, max_iter):
-    res = solve(_margin_program(s), tol_feas=tol_feas, max_iter=max_iter)
+    res = solve(_alternative_program(s), tol_feas=tol_feas, max_iter=max_iter)
     n = s.gmap.domain.dim
 
     # a Yes needs only a validated point: an unconverged solve's best iterate
-    # serves too, though its t is no margin
-    if res.x is not None and res.x[n] > margin_threshold:
-        w = _interior_witness(s, res.x[:n])
-        if w is not None and res.status == "Optimal":
-            return Verdict("Yes", witness=w, value=float(res.x[n]), detail="interior witness")
-        if w is not None:
-            return Verdict("Yes", witness=w, detail="interior witness from an unconverged solve")
-    if res.status == "Optimal":
-        tstar = res.x[n]
-        x = res.x[:n]
-        lam = res.y[:s.gmap.codomain.dim] if res.y is not None else None
-        if tstar <= margin_threshold and lam is not None:
-            # a strictly negative <g, lam> upgrades the separator to a Farkas
-            # certificate that the system is empty outright
-            lam_n = _validated_separator(s, lam, tol_feas, allow_zero_e=True)
-            if lam_n is not None and inner(s.g, lam_n) < -max(tol_feas, 1e-7) \
-                    * (1 + np.linalg.norm(s.g)):
-                return Verdict("No", witness=x, separator=lam_n,
-                               value=float(tstar), detail="the system is empty")
-            lam_n = _validated_separator(s, lam, tol_feas)
-            if lam_n is not None:
-                return Verdict("No", witness=x, separator=lam_n, value=float(tstar),
-                               detail="separating functional from the margin dual")
-        return Verdict("Unknown", witness=x, value=float(tstar),
-                       detail="margin value inconclusive")
+    # serves too, though it proves no margin
+    if res.x is not None:
+        z, sigma = res.x[:n], res.x[n]
+        x = None
+        if not s.g.any():  # a cone, so z is a point of margin 1
+            x, value = z, 1.0
+        elif sigma > tol_feas:
+            x, value = z / sigma, min(1.0, 1.0 / float(sigma))
+        elif res.status == "Optimal":
+            # sigma is 0 to the solver's tolerance, so z is a direction of
+            # recession into the relative interior: s meets the relative
+            # interior exactly when it is nonempty, at x + z for any x in s
+            base = _decide_once(_plain_feasibility, s, tol_feas, max_iter)
+            if base.verdict == "No":
+                return base
+            if base.verdict == "Yes":
+                x, value = base.witness + z, 1.0
+        w = None if x is None else _interior_witness(s, x)
+        if w is not None and value > margin_threshold:
+            if res.status == "Optimal":
+                return Verdict("Yes", witness=w, value=value, detail="interior witness")
+            return Verdict("Yes", witness=w,
+                           detail="interior witness from an unconverged solve")
     if res.status == "PrimalInfeasible":
         lam = res.certificate["y"][:s.gmap.codomain.dim]
-        lam = _validated_separator(s, lam, tol_feas, allow_zero_e=True)
-        if lam is not None:
-            return Verdict("No", separator=lam, value=-np.inf,
-                           detail="the system is empty")
-        return Verdict("Unknown", detail="unvalidated emptiness certificate")
+        empty = _emptiness(s, lam, tol_feas)
+        if empty is not None:
+            return empty
+        lam_n = _validated_separator(s, lam, tol_feas)
+        if lam_n is not None:
+            return Verdict("No", separator=lam_n,
+                           detail="separating functional from the alternative")
+        return Verdict("Unknown", detail="unvalidated separator")
+    if res.status == "Optimal":
+        return Verdict("Unknown", detail="point of the alternative gives no interior witness")
     return Verdict("Unknown", detail="solver did not converge")
+
+
+def _emptiness(s: program.System, lam: np.ndarray, tol: float) -> Verdict | None:
+    """No with lam if it validates as a separator whose strictly negative
+    <g, lam> makes it a Farkas certificate that s is empty outright."""
+    lam = _validated_separator(s, lam, tol, allow_zero_e=True)
+    if lam is not None and inner(s.g, lam) < -max(tol, 1e-7) * (1 + np.linalg.norm(s.g)):
+        return Verdict("No", separator=lam, value=-np.inf, detail="the system is empty")
+    return None
 
 
 def _interior_witness(s: program.System, x: np.ndarray) -> np.ndarray | None:
@@ -365,12 +397,32 @@ def conic_lp_value(s: program.System, c: np.ndarray, tol_feas: float = TOL_FEAS,
 
 def feasibility(s: program.System, tol_feas: float = TOL_FEAS,
                 max_iter: int = MAX_ITER) -> Verdict:
-    """Decide whether {x : G x + g in cone} is nonempty (not necessarily strictly)."""
+    """Decide whether {x : G x + g in cone} is nonempty (not necessarily strictly).
+
+    A strict-feasibility Yes or emptiness certificate decides it; otherwise
+    one plain solve of sup{0 : G x + g in cone} does, and its point must
+    revalidate by membership, its Farkas ray as an emptiness certificate.
+    Inside a memoised call both solves come from the memo.
+    """
+    return _decide_once(_feasibility, s, tol_feas, max_iter)
+
+
+def _feasibility(s, tol_feas, max_iter):
     res = strict_feasibility(s, tol_feas=tol_feas, max_iter=max_iter)
-    if res.verdict == "Yes":
+    if res.verdict == "Yes" or res.detail == "the system is empty":
         return res
-    if res.detail == "the system is empty":
-        return replace(res, witness=None)
-    if res.witness is not None and s.member(res.witness, 10 * tol_feas):
-        return replace(res, verdict="Yes", separator=None, detail="boundary witness")
+    return _decide_once(_plain_feasibility, s, tol_feas, max_iter)
+
+
+def _plain_feasibility(s, tol_feas, max_iter):
+    """One solve of sup{0 : G x + g in cone}: Yes with a point that
+    revalidates by membership, No with a validated emptiness certificate."""
+    res = solve(s.as_program(np.zeros(s.gmap.domain.dim)), tol_feas=tol_feas,
+                max_iter=max_iter)
+    if res.x is not None and s.member(res.x, 10 * tol_feas):
+        return Verdict("Yes", witness=res.x, detail="boundary witness")
+    if res.status == "PrimalInfeasible":
+        empty = _emptiness(s, res.certificate["y"], tol_feas)
+        if empty is not None:
+            return empty
     return Verdict("Unknown", detail="no witness or emptiness certificate found")

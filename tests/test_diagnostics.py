@@ -90,6 +90,20 @@ def test_slater_yes_at_interior_rhs(mix, gallery_seed, seed):
     assert program.feasible_system(shifted).relint_member(res.witness)
 
 
+def test_slater_primal_no_on_pathology_with_separator():
+    # the alternative system of the weakly infeasible primal is strongly
+    # infeasible, and its Farkas ray is the facial-reduction certificate
+    for n in range(3, 9):
+        p = gallery.example_adapted(n)
+        res = diagnostics.slater(p, "primal", max_iter=1200)
+        assert res.verdict == "No", (n, res)
+        fs = program.feasible_system(p)
+        gmat, lam = fs.gmap.matrix, res.separator
+        assert cones.member(cones.dual(fs.cone), lam, 1e-6)
+        assert np.linalg.norm(gmat.T @ lam) <= 1e-6 * (1 + np.linalg.norm(gmat))
+        assert inner(fs.g, lam) <= 1e-6 * (1 + np.linalg.norm(fs.g))
+
+
 def test_recession_cone_membership():
     p = _box()
     rs = diagnostics.recession_cone(p, "primal")
@@ -350,8 +364,9 @@ def test_report_verdicts_are_pinned():
         [(cones.NONNEG, 2), (cones.SOC, 3)],
         [(cones.ZERO, 1), (cones.NONNEG, 3)], seed=5)
     cases = [
-        (gallery.example_adapted(3), 1200, [u, n, u, n, n, n, n, n, n, u, u], "Unbounded"),
-        (planted, solver.MAX_ITER, [n, n, y, y, u, n, n, n, u, y, y], "Unknown"),
+        (gallery.example_adapted(3), 1200, [u, n, n, n, n, n, n, n, n, u, u], "Unbounded"),
+        (planted, solver.MAX_ITER, [n, n, y, y, u, n, n, n, n, y, y], "Unbounded"),
+        (planted, 200, [n, n, y, y, u, u, n, n, u, y, y], "Unknown"),
         (_box(), solver.MAX_ITER, [n, n, y, y, n, y, n, n, y, y, y], "Bounded"),
         (_orthant_free_objective(), solver.MAX_ITER,
          [n, n, u, n, n, n, n, n, n, u, u], "Unbounded"),

@@ -4,6 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import oracles
 from conedual import cones, diagnostics, gallery, program, solver
@@ -203,6 +206,23 @@ def test_strict_feasibility_boundary_only():
     assert abs(feas.witness[0]) <= 1e-5
 
 
+def test_strict_feasibility_of_equality_systems():
+    # with only Zero rows e = 0, so the alternative system holds the origin
+    # and the solve ends at sigma = 0: z is then a direction of recession
+    # into the relative interior, and the plain feasibility solve decides
+    dom, cod = space(real(2)), space(real(1))
+    zero = cones.cone(cod, cones.ZERO)
+    s = program.System(LinearMap(dom, cod, np.array([[1.0, 1.0]])), np.array([-1.0]), zero)
+    res = solver.strict_feasibility(s)
+    assert (res.verdict, res.detail) == ("Yes", "interior witness")
+    assert s.relint_member(res.witness)
+    # 0 x - 1 = 0 has no solution
+    s = program.System(LinearMap(dom, cod, np.zeros((1, 2))), np.array([-1.0]), zero)
+    res = solver.strict_feasibility(s)
+    assert (res.verdict, res.detail) == ("No", "the system is empty")
+    assert inner(s.g, res.separator) < 0
+
+
 def test_conic_lp_value_statuses():
     dom = space(real(1))
     cod = space(real(1))
@@ -244,8 +264,8 @@ def test_solver_rejects_non_finite_iterates():
 
 
 def test_strict_feasibility_without_convergence_has_no_margin():
-    # 50 iterations are far from enough on the Slater margin program of the
-    # infinite-gap family; the solver's gap is not a margin
+    # the alternative system of the infinite-gap family reaches its Farkas
+    # ray only after 50 iterations; an unconverged solve proves nothing
     res = solver.strict_feasibility(program.feasible_system(gallery.example_adapted(3)),
                                     max_iter=50)
     assert res.verdict == "Unknown"
@@ -281,19 +301,101 @@ def _report_solves(monkeypatch, p, **kw):
 
 
 def test_report_iteration_counts_are_pinned(monkeypatch):
-    # Exact totals.  A change meant only for speed must leave every iterate,
-    # and so these counts, unchanged; a change to the arithmetic moves them.
-    # Each system is solved once per report, so the totals over all solves
-    # and over distinct solves agree; back-to-back reports share nothing.
+    # Exact solve counts and totals.  A change meant only for speed must
+    # leave every iterate, and so these counts, unchanged; a change to the
+    # arithmetic moves them.  Each system is solved once per report, so the
+    # totals over all solves and over distinct solves agree; back-to-back
+    # reports share nothing.  The pathology makes two plain feasibility
+    # solves (no side is strictly feasible), and the planted report takes
+    # its dual value from the primal solve.
     planted = gallery.planted_strong_duality(
         [(cones.PSD, 2), (cones.SOC, 3)], [(cones.ZERO, 1), (cones.NONNEG, 2)],
         seed=0)
-    for p, kw, total in ((gallery.example_adapted(3), {"max_iter": 1200}, 4975),
-                         (planted, {}, 2950)):
+    for p, kw, count, total in ((gallery.example_adapted(3), {"max_iter": 1200}, 12, 4025),
+                                (planted, {}, 9, 1575)):
         for _ in range(2):
             solves = _report_solves(monkeypatch, p, **kw)
-            assert len(solves) == 10
+            assert len(solves) == count
             distinct = dict(solves)
             assert len(distinct) == len(solves)
             assert sum(distinct.values()) == total
             assert sum(it for _, it in solves) == total
+
+
+@pytest.mark.parametrize("gallery_seed", [314, 949])
+def test_strict_feasibility_converges_on_planted_mix(gallery_seed):
+    # b' = A x0 + s0 with x0, s0 relint points: strictly feasible at x0.  On
+    # these two draws the margin program ran all 50,000 iterations; the
+    # alternative system converges well inside 2,000
+    mix = ([(cones.PSD, 2), (cones.NONNEG, 2)], [(cones.ZERO, 2), (cones.NONNEG, 2)])
+    p = program.as_sup(gallery.planted_strong_duality(*mix, seed=gallery_seed))
+    rng = np.random.default_rng(0)
+    b = p.A(cones.sample_relint(p.C, rng, 0.3)) + cones.sample_relint(p.K, rng, 0.3)
+    fs = program.feasible_system(dataclasses.replace(p, b=b))
+    res = solver.strict_feasibility(fs, max_iter=2000)
+    assert (res.verdict, res.detail) == ("Yes", "interior witness")
+    assert fs.relint_member(res.witness)
+    assert res.value > solver.STRICT_MARGIN
+
+
+@st.composite
+def _polyhedral_systems(draw):
+    """{x : G x + g in K} with 1-3 variables, K a product of 1-3 Nonneg and
+    Zero factors, and small integer data, so that boundary-only and empty
+    systems are common."""
+    n = draw(st.integers(1, 3))
+    factors = draw(st.lists(st.tuples(st.sampled_from([cones.NONNEG, cones.ZERO]),
+                                      st.integers(1, 3)), min_size=1, max_size=3))
+    m = sum(k for _, k in factors)
+    entries = st.integers(-2, 2)
+    gmat = np.array(draw(st.lists(entries, min_size=m * n, max_size=m * n)),
+                    dtype=float).reshape(m, n)
+    g = np.array(draw(st.lists(entries, min_size=m, max_size=m)), dtype=float)
+    cod = space(*(real(k) for _, k in factors))
+    return program.System(LinearMap(space(real(n)), cod, gmat), g,
+                          cones.cone(cod, *(tag for tag, _ in factors)))
+
+
+def _highs_rows(s, margin):
+    """linprog arguments over (x, t) for G x + g - t e in K, t <= 1, with
+    objective -t when `margin`, else 0."""
+    gmat, n = s.gmap.matrix, s.gmap.domain.dim
+    ub, bub, eq, beq = [], [], [], []
+    for tag, sl in zip(s.cone.tags, s.cone.space.slices()):
+        rows = gmat[sl]
+        if tag == cones.NONNEG:
+            ub.append(np.hstack([-rows, np.ones((len(rows), 1))]))
+            bub.append(s.g[sl])
+        else:
+            eq.append(np.hstack([rows, np.zeros((len(rows), 1))]))
+            beq.append(-s.g[sl])
+    return dict(c=np.append(np.zeros(n), -1.0 if margin else 0.0),
+                A_ub=np.vstack(ub) if ub else None, b_ub=np.concatenate(bub) if ub else None,
+                A_eq=np.vstack(eq) if eq else None, b_eq=np.concatenate(beq) if eq else None,
+                bounds=[(None, None)] * n + [(None, 1.0) if margin else (0.0, 0.0)],
+                method="highs")
+
+
+@oracles.PROPERTY
+@given(_polyhedral_systems())
+def test_strict_feasibility_agrees_with_highs_margin(s):
+    # HiGHS's max margin t* over G x + g - t e in K, t <= 1, is positive
+    # exactly when the system meets the relative interior
+    res = solver.strict_feasibility(s, max_iter=5000)
+    lp = linprog(**_highs_rows(s, margin=True))
+    assert lp.status in (0, 2), lp.message
+    t = -lp.fun if lp.status == 0 else -np.inf
+    assert not (t > 1e-5 and res.verdict == "No"), (res, t)
+    assert not (t <= 1e-9 and res.verdict == "Yes"), (res, t)
+    gmat, lam = s.gmap.matrix, res.separator
+    if res.verdict == "Yes":
+        assert s.relint_member(res.witness)
+    elif res.verdict == "No":
+        assert cones.member(cones.dual(s.cone), lam, 1e-6)
+        assert np.linalg.norm(gmat.T @ lam) <= 1e-6 * (1 + np.linalg.norm(gmat))
+        assert inner(s.g, lam) <= 1e-6 * (1 + np.linalg.norm(s.g))
+        if res.detail == "the system is empty":
+            assert inner(s.g, lam) < 0
+            assert linprog(**_highs_rows(s, margin=False)).status == 2
+        else:
+            assert inner(cones.canonical_relint_point(s.cone), lam) > 1e-6
