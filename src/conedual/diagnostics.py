@@ -485,9 +485,10 @@ def strong_duality_report(p: program.ConicProgram,
         rows.append((name, CITATIONS["recession"], _fires(rs.verdict, side_ok and both),
                      rs.witness, {"margin": rs.value, "side_condition": bool(side_ok)}))
     bd = boundedness(ps, "primal", max_iter=max_iter)
+    # Bounded fires only with a feasible point; without one it refutes nothing
+    bounded = {"Bounded": "Yes", "Unbounded": "No", "Empty": "No"}.get(bd.verdict, "Unknown")
     rows.append(("boundedness-cq", CITATIONS["boundedness"],
-                 "Yes" if bd.verdict == "Bounded" and feas_p and c_in_lin_perp else
-                 ("Unknown" if bd.verdict == "Unknown" else "No"),
+                 _fires(bounded if c_in_lin_perp else "No", feas_p),
                  bd.witness, {"boundedness": bd.verdict}))
     for side in ("primal", "dual"):
         cc = closedness_conditions(ps, side, max_iter=max_iter)

@@ -10,6 +10,18 @@ the self-dual embedding (splitting with over-relaxation 1.5, dense cached
 factorization of I + Q).  Exits with a primal-dual pair, an infeasibility
 certificate, an unboundedness ray, or Unknown.
 
+An Unknown exit is one of two kinds, told apart by `certificate["kind"]`.  At
+the budget the certificate is empty.  At a fixed point it is "fixed_point":
+when a residual check finds tau, kappa and the last step each at most
+FIXED_POINT_TOL (|u| + |v|), the embedding has no strictly complementary
+solution (the Slater CQ fails on a side, as on the infinite-gap family) and
+the iterate no longer moves, so the solve stops with its best iterate and
+the fixed point (x, y, s).  Its y, over all of K x C, is a facial-reduction
+certificate of the feasible system of the sup program solved (for an inf
+program, of the sign-flipped one `solve` builds), as in Permenter, Friberg
+and Andersen 2017.  Every Unknown verdict built from such a solve gives the
+reason FIXED_POINT.
+
 The iteration is compiled once per solve: I + Q is LU-factored once and each
 iteration calls LAPACK's getrs on the factors directly (keeping lu_solve's
 finiteness and info checks), and the projection onto dual(K x C) is the plan
@@ -56,6 +68,11 @@ TOL_GAP = 1e-8
 MAX_ITER = 50000
 CHECK_EVERY = 25
 ALPHA = 1.5  # over-relaxation
+# tau, kappa and the last step, relative to |u| + |v|, below which a solve
+# stops at the embedding's fixed point
+FIXED_POINT_TOL = 1e-12
+# the Unknown reason of every verdict built from a solve that stopped there
+FIXED_POINT = "embedding at its tau = kappa = 0 fixed point: no strictly complementary solution"
 
 
 @dataclass
@@ -135,6 +152,7 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
 
     best = SolveResult(status="Unknown")
     for k in range(1, max_iter + 1):
+        u_old, v_old = u, v  # the update below makes new arrays
         rhs = u + v
         # the two checks lu_solve makes around getrs
         if not np.isfinite(rhs).all():
@@ -192,6 +210,14 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
                     status="Unbounded", iterations=k,
                     pobj=np.inf, dobj=np.inf,
                     certificate=_unbounded_certificate(p, xray))
+        # tau = kappa = 0 and no step: the embedding has no strictly
+        # complementary solution, and the iterate stays put from here on
+        scale = FIXED_POINT_TOL * (np.linalg.norm(u) + np.linalg.norm(v))
+        if (u[-1] <= scale and v[-1] <= scale and
+                np.linalg.norm(u - u_old) + np.linalg.norm(v - v_old) <= scale):
+            best.iterations = k
+            best.certificate = {"kind": "fixed_point", "x": u[:n], "y": u[n:-1], "s": v[n:-1]}
+            return best
     best.iterations = max_iter
     return best
 
@@ -332,7 +358,15 @@ def _strict_feasibility(s, margin_threshold, tol_feas, max_iter):
         return Verdict("Unknown", detail="unvalidated separator")
     if res.status == "Optimal":
         return Verdict("Unknown", detail="point of the alternative gives no interior witness")
-    return Verdict("Unknown", detail="solver did not converge")
+    return _unknown(res, "solver did not converge")
+
+
+def _unknown(res: SolveResult, detail: str) -> Verdict:
+    """Unknown because of res: detail, or the fixed-point reason when res
+    stopped at the embedding's fixed point."""
+    if res.certificate.get("kind") == "fixed_point":
+        detail = FIXED_POINT
+    return Verdict("Unknown", detail=detail)
 
 
 def _emptiness(s: program.System, lam: np.ndarray, tol: float) -> Verdict | None:
@@ -392,7 +426,7 @@ def conic_lp_value(s: program.System, c: np.ndarray, tol_feas: float = TOL_FEAS,
         return Verdict("Unbounded", witness=res.certificate["ray"], value=np.inf)
     if res.status == "PrimalInfeasible":
         return Verdict("Empty", value=-np.inf)
-    return Verdict("Unknown", detail="solver did not converge")
+    return _unknown(res, "solver did not converge")
 
 
 def feasibility(s: program.System, tol_feas: float = TOL_FEAS,
@@ -415,14 +449,14 @@ def _feasibility(s, tol_feas, max_iter):
 
 
 def _plain_feasibility(s, tol_feas, max_iter):
-    """One solve of sup{0 : G x + g in cone}: Yes with a point that
+    """One solve of sup{0 : G x + g in cone}: Yes with a converged point that
     revalidates by membership, No with a validated emptiness certificate."""
     res = solve(s.as_program(np.zeros(s.gmap.domain.dim)), tol_feas=tol_feas,
                 max_iter=max_iter)
-    if res.x is not None and s.member(res.x, 10 * tol_feas):
+    if res.status == "Optimal" and s.member(res.x, 10 * tol_feas):
         return Verdict("Yes", witness=res.x, detail="boundary witness")
     if res.status == "PrimalInfeasible":
         empty = _emptiness(s, res.certificate["y"], tol_feas)
         if empty is not None:
             return empty
-    return Verdict("Unknown", detail="no witness or emptiness certificate found")
+    return _unknown(res, "no witness or emptiness certificate found")

@@ -74,9 +74,8 @@ def test_criterion_01_infinite_gap_family():
 def test_criterion_01_infeasibility_certificate_unreachable():
     res = solver.solve(gallery.example_adapted(4), max_iter=1500)
     assert res.status == "PrimalInfeasible"
-    ycert = res.certificate.get("farkas")
-    assert ycert is not None
-    assert inner(gallery.example_adapted(4).b, ycert) > 0
+    # the solver's Farkas ray y has <b, y> < 0
+    assert inner(gallery.example_adapted(4).b, res.certificate["y"]) < 0
 
 
 # ---------------------------------------------------------------------------

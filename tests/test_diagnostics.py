@@ -4,6 +4,7 @@ import dataclasses
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -386,6 +387,72 @@ def test_report_verdicts_are_pinned():
 def test_strong_duality_report_pathology_fires_nothing():
     rep = diagnostics.strong_duality_report(gallery.example_adapted(3))
     assert rep.fired() == []
+
+
+def _scaled(p, k):
+    """p with A and b multiplied by k > 0: the same feasible sets and problem."""
+    return dataclasses.replace(p, A=LinearMap(p.A.domain, p.A.codomain, k * p.A.matrix),
+                               b=k * p.b)
+
+
+def test_pathology_fires_nothing_whatever_the_units():
+    # the primal is infeasible at every scale of (A, b); a plain feasibility
+    # solve that ran out its budget once left a far-out iterate that the
+    # point-relative membership tolerance accepted as a boundary witness, so
+    # n = 3 read feasible and fired objective-in-adjoint-image
+    for n in range(3, 9):
+        for k in range(1, 5):
+            q = _scaled(gallery.example_adapted(n), 10.0 ** k)
+            assert diagnostics.strong_duality_report(q, max_iter=1200).fired() == [], (n, k)
+            feas = solver.feasibility(program.feasible_system(program.as_sup(q)), max_iter=1200)
+            assert feas.verdict != "Yes", (n, k, feas.detail)
+
+
+def test_boundedness_cq_is_unknown_without_feasibility():
+    # MIX 4 with (A, b) scaled by 1e-3 is Bounded, but its feasibility stays
+    # Unknown at this budget: without a feasible point the condition is not
+    # refuted, so the row reads Unknown, not No
+    p = _scaled(gallery.planted_strong_duality(*MIXES[4], seed=1), 1e-3)
+    row = diagnostics.strong_duality_report(p, max_iter=5000).entries[8]
+    assert (row["condition"], row["verdict"], row["margins"]) == \
+        ("boundedness-cq", "Unknown", {"boundedness": "Bounded"})
+
+
+# each report row and the row that answers the same question on the mirror
+MIRROR_ROWS = {
+    "objective-in-adjoint-image": "rhs-in-image-of-lineality",
+    "slater-primal": "slater-dual",
+    "strict-recession-primal": "strict-recession-dual",
+    "strict-recession-dual-b-perp": "strict-recession-primal-c-perp",
+    "closedness-primal": "closedness-dual",
+}
+MIRROR_ROWS.update({v: k for k, v in MIRROR_ROWS.items()})
+
+
+def _mirror(ps):
+    """sup <-b, y> s.t. -c + A* y in C*, y in K*: the dual of the sup program
+    ps written as a sup program, so that its primal is ps's dual."""
+    return program.ConicProgram(
+        A=LinearMap(ps.A.codomain, ps.A.domain, -ps.A.adjoint().matrix), b=-ps.c,
+        c=-ps.b, K=cones.dual(ps.C), C=cones.dual(ps.K), sense="sup")
+
+
+@pytest.mark.parametrize("p", [
+    *(pytest.param(gallery.planted_strong_duality(*mix, seed=0), id=f"mix-{i}")
+      for i, mix in enumerate(MIXES)),
+    *(pytest.param(gallery.random_program(name, seed=0), id=name)
+      for name in sorted(gallery.PROFILES)),
+    pytest.param(gallery.example_adapted(3), id="example-adapted-3")])
+def test_report_is_mirror_symmetric(p):
+    # the mirror swaps the roles of the two sides, so each row of its report
+    # reads as the original's row for the other side
+    ps = program.as_sup(p)
+    rep = {e["condition"]: e["verdict"]
+           for e in diagnostics.strong_duality_report(ps, max_iter=1200).entries}
+    mirrored = {MIRROR_ROWS[e["condition"]]: e["verdict"]
+                for e in diagnostics.strong_duality_report(_mirror(ps), max_iter=1200).entries
+                if e["condition"] in MIRROR_ROWS}
+    assert mirrored == {k: v for k, v in rep.items() if k in MIRROR_ROWS}
 
 
 def test_report_json_is_strict():

@@ -303,7 +303,7 @@ def _report_solves(monkeypatch, p, **kw):
 def test_report_iteration_counts_are_pinned(monkeypatch):
     # Exact solve counts and totals.  A change meant only for speed must
     # leave every iterate, and so these counts, unchanged; a change to the
-    # arithmetic moves them.  Each system is solved once per report, so the
+    # arithmetic, or to where a solve stops, moves them.  Each system is solved once per report, so the
     # totals over all solves and over distinct solves agree; back-to-back
     # reports share nothing.  The pathology makes two plain feasibility
     # solves (no side is strictly feasible), and the planted report takes
@@ -311,15 +311,47 @@ def test_report_iteration_counts_are_pinned(monkeypatch):
     planted = gallery.planted_strong_duality(
         [(cones.PSD, 2), (cones.SOC, 3)], [(cones.ZERO, 1), (cones.NONNEG, 2)],
         seed=0)
-    for p, kw, count, total in ((gallery.example_adapted(3), {"max_iter": 1200}, 12, 4025),
-                                (planted, {}, 9, 1575)):
+    # The pathology's three solves that have no strictly complementary
+    # solution stop at the embedding's fixed point, none at the budget.
+    for p, budget, count, total in ((gallery.example_adapted(3), 1200, 12, 650),
+                                    (planted, solver.MAX_ITER, 9, 1575)):
         for _ in range(2):
-            solves = _report_solves(monkeypatch, p, **kw)
+            solves = _report_solves(monkeypatch, p, max_iter=budget)
             assert len(solves) == count
             distinct = dict(solves)
             assert len(distinct) == len(solves)
             assert sum(distinct.values()) == total
             assert sum(it for _, it in solves) == total
+            assert max(it for _, it in solves) < budget
+
+
+def _sup_solved(p):
+    """The sup program `solver.solve` runs for p."""
+    if p.sense == "sup":
+        return p
+    return dataclasses.replace(p, A=LinearMap(p.A.domain, p.A.codomain, -p.A.matrix),
+                               b=-p.b, c=-p.c, sense="sup")
+
+
+def test_pathology_solves_stop_at_the_fixed_point_with_its_certificate():
+    # neither side of the infinite-gap family has a strictly complementary
+    # solution, so each solve reaches tau = kappa = 0 and stays there; the y
+    # part of that fixed point is a facial-reduction certificate of the
+    # feasible system of the program solved
+    for n in range(3, 9):
+        for p in (gallery.example_adapted(n), program.dualize(gallery.example_adapted(n))):
+            res = solver.solve(p, max_iter=1500)
+            assert (res.status, res.certificate["kind"]) == ("Unknown", "fixed_point")
+            assert res.iterations <= 300, (n, p.sense, res.iterations)
+            fs = program.feasible_system(_sup_solved(p))
+            lam = solver._validated_separator(fs, res.certificate["y"], solver.TOL_FEAS)
+            assert lam is not None, (n, p.sense)
+            assert inner(cones.canonical_relint_point(fs.cone), lam) > 1e-6
+        # the weakly infeasible primal: its plain feasibility solve stops there
+        # too, and the Unknown says why
+        feas = solver.feasibility(program.feasible_system(gallery.example_adapted(n)),
+                                  max_iter=1500)
+        assert (feas.verdict, feas.detail) == ("Unknown", solver.FIXED_POINT)
 
 
 @pytest.mark.parametrize("gallery_seed", [314, 949])
