@@ -2,16 +2,21 @@
 
 Exit codes: 0 command completed (verdicts live inside the report), 1 usage
 error, 2 invalid instance file.
+
+The schema validator and the argument parser are built once per process, on
+first use, and reused by every later `load` and `main` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
-from jsonschema import ValidationError, validate
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from . import cones, diagnostics, gallery, program, projection, solver
 from .spaces import LinearMap, Subspace, space, real, sym
@@ -66,10 +71,17 @@ def _finite_array(name: str, value) -> np.ndarray:
     return arr
 
 
+@functools.cache
+def _validator() -> Draft202012Validator:
+    """INSTANCE_SCHEMA's validator; the schema itself is checked on first use."""
+    Draft202012Validator.check_schema(INSTANCE_SCHEMA)
+    return Draft202012Validator(INSTANCE_SCHEMA)
+
+
 def load(doc: dict) -> program.ConicProgram:
-    try:
-        validate(doc, INSTANCE_SCHEMA)
-    except ValidationError as exc:
+    # best_match picks the error jsonschema.validate would raise
+    exc = best_match(_validator().iter_errors(doc))
+    if exc is not None:
         path = ".".join(str(p) for p in exc.absolute_path) or "(root)"
         raise InstanceError(f"field {path}: {exc.message}") from exc
     sx = _build_space(doc["space_x"])
@@ -157,7 +169,8 @@ def _emit(args, payload, text_lines: list[str]):
             print(line)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> _Parser:
     ap = _Parser(prog="conedual",
                  description="conic duality diagnostics toolkit")
     ap.add_argument("--json", action="store_true", help="emit JSON reports")
@@ -186,9 +199,12 @@ def main(argv: list[str] | None = None) -> int:
     sp.add_argument("--n", type=_positive(int), default=3)
     sp.add_argument("--m", type=_positive(int), default=3)
     sp.add_argument("--seed", type=int, default=0)
+    return ap
 
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -144,10 +144,6 @@ def span(c: Cone) -> Subspace:
     return Subspace(c.space, np.hstack(cols))
 
 
-def is_pointed(c: Cone) -> bool:
-    return lineality(c).dim == 0
-
-
 def is_subspace(c: Cone) -> bool:
     return all(t in (ZERO, FREE) for t in c.tags)
 

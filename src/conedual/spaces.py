@@ -219,16 +219,6 @@ class Subspace:
         return bool(np.linalg.norm(diff) <= tol * (1.0 + self.dim))
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient != b.ambient:
-        raise ValueError("subspaces live in different spaces")
-    return Subspace.from_spanning(a.ambient, np.hstack([a.basis, b.basis]))
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    return subspace_sum(a.complement(), b.complement()).complement()
-
-
 def kernel(m: LinearMap) -> Subspace:
     mat = m.matrix
     if mat.shape[0] == 0:
@@ -237,10 +227,6 @@ def kernel(m: LinearMap) -> Subspace:
     cutoff = RANK_TOL * max(s[0] if len(s) else 0.0, 1.0)
     r = int(np.sum(s > cutoff))
     return Subspace(m.domain, vt[r:].T)
-
-
-def range_space(m: LinearMap) -> Subspace:
-    return Subspace.from_spanning(m.codomain, m.matrix)
 
 
 def image_of_subspace(m: LinearMap, sub: Subspace) -> Subspace:

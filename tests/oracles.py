@@ -4,7 +4,8 @@ The LP oracle enumerates basic solutions (vertex enumeration), which shares no
 code with the operator-splitting solver under test.  scipy.optimize.linprog is
 used only to classify unbounded/infeasible cases and as a second opinion.
 The redundancy oracle is the float LP loop that exact projection replaced:
-one HiGHS LP per row.
+one HiGHS LP per row.  The subspace and pointedness helpers at the end are
+the textbook identities the cone and subspace tests check the package by.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from hypothesis import settings
 from scipy.optimize import linprog
 
 from conedual import cones, projection
+from conedual.spaces import Subspace
 
 # one profile for every property test
 PROPERTY = settings(max_examples=300, deadline=None, database=None)
@@ -135,3 +137,24 @@ def lp_remove_redundant(rows: list[tuple]) -> list[tuple]:
                       bounds=bounds, method="highs")
         keep[i] = not (res.status == 0 and -res.fun <= offsets[i] + 1e-9)
     return [r for r, k in zip(rows, keep) if k]
+
+
+def is_pointed(c) -> bool:
+    """A cone is pointed when its lineality space is {0}."""
+    return cones.lineality(c).dim == 0
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    if a.ambient != b.ambient:
+        raise ValueError("subspaces live in different spaces")
+    return Subspace.from_spanning(a.ambient, np.hstack([a.basis, b.basis]))
+
+
+def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
+    """The intersection of a and b, as (a-perp + b-perp)-perp."""
+    return subspace_sum(a.complement(), b.complement()).complement()
+
+
+def range_space(m) -> Subspace:
+    """The span of the columns of the map's matrix."""
+    return Subspace.from_spanning(m.codomain, m.matrix)

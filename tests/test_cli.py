@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -57,6 +58,79 @@ def test_load_rejects_bad_documents():
     bad["cone_C"] = ["psd"]
     with pytest.raises(cli.InstanceError):
         cli.load(bad)
+
+
+def _drop_c(doc):
+    del doc["c"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [1, 2], "field (root): [1, 2] is not of type 'object'"),
+    (lambda doc: doc.update(b=[True] * 5),
+     "field b.4: True is not of type 'number'"),
+    (lambda doc: doc.update(A="x", b=5), "field b: 5 is not of type 'array'"),
+    (_drop_c, "field (root): 'c' is a required property"),
+    (lambda doc: doc.update(extra=1),
+     "field (root): Additional properties are not allowed ('extra' was unexpected)"),
+], ids=["root-list", "b-bools", "A-and-b", "missing-key", "extra-key"])
+def test_invalid_instance_messages_are_pinned(tmp_path, capsys, edit, message):
+    # recorded from jsonschema.validate; the cached validator must pick the
+    # same error out of several
+    doc = _instance_doc()
+    doc = edit(doc) or doc
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["solve", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"invalid instance: {message}\n")
+
+
+def test_schema_is_checked_once_on_first_use(monkeypatch):
+    check = cli.Draft202012Validator.check_schema
+    checked = []
+
+    def counting_check(schema):
+        checked.append(schema)
+        check(schema)
+
+    monkeypatch.setattr(cli.Draft202012Validator, "check_schema", counting_check)
+    try:
+        cli._validator.cache_clear()
+        for _ in range(3):
+            cli.load(_instance_doc())
+        assert checked == [cli.INSTANCE_SCHEMA]
+        monkeypatch.setattr(cli, "INSTANCE_SCHEMA", {"type": "tensor"})
+        cli._validator.cache_clear()
+        with pytest.raises(jsonschema.SchemaError):
+            cli.load(_instance_doc())
+    finally:
+        monkeypatch.undo()
+        cli._validator.cache_clear()
+    cli.load(_instance_doc())
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_instance_doc()))
+    f = str(path)
+
+    def run(argv, fresh):
+        if fresh:
+            cli._parser.cache_clear()
+        code = cli.main(argv)
+        return (code, *capsys.readouterr())
+
+    for first, second, fresh_twin in (
+            (["--json", "almost", "--eps", "0.1", f], ["--json", "almost", f],
+             ["--json", "almost", "--eps", "1e-2", "--eps", "1e-4", f]),
+            (["--json", "bounded", "--side", "dual", f], ["--json", "bounded", f],
+             ["--json", "bounded", "--side", "primal", f]),
+            (["solve", "--side", "dual", f], ["--json", "solve", f],
+             ["--json", "solve", f])):
+        expected = [run(first, fresh=True), run(fresh_twin, fresh=True)]
+        cli._parser.cache_clear()
+        assert [run(first, fresh=False), run(second, fresh=False)] == expected
+    # the first call of the last pair was a usage error
+    assert expected[0][0] == 1 and expected[1][0] == 0
 
 
 def _run(args, stdin_doc=None, tmp_path=None):
