@@ -169,6 +169,16 @@ def _emit(args, payload, text_lines: list[str]):
             print(line)
 
 
+# the subcommands that print one solver.Verdict of a diagnostic
+VERDICTS = {
+    "bounded": lambda p, args: diagnostics.boundedness(p, args.side),
+    "gordan": lambda p, args: diagnostics.gordan_alternative(p),
+    "almost": lambda p, args: diagnostics.almost_feasibility(p, args.side),
+    "finite": lambda p, args: diagnostics.finiteness_check(p),
+    "gap": lambda p, args: diagnostics.gap_bound_separation(p, args.eps),
+}
+
+
 @functools.cache
 def _parser() -> _Parser:
     ap = _Parser(prog="conedual",
@@ -178,17 +188,15 @@ def _parser() -> _Parser:
     ap.add_argument("--tol-gap", type=_positive(float), default=solver.TOL_GAP)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name in ("dualize", "solve", "diagnose", "bounded", "gordan"):
+    for name in ("dualize", "solve", "diagnose", *VERDICTS):
         sp = sub.add_parser(name)
         sp.add_argument("instance", nargs="?", default="-",
                         help="instance file or '-' for stdin")
-        if name == "bounded":
+        if name in ("bounded", "almost"):
             sp.add_argument("--side", choices=["primal", "dual"],
-                            default="primal")
-    sp = sub.add_parser("almost")
-    sp.add_argument("instance", nargs="?", default="-")
-    sp.add_argument("--side", choices=["primal", "dual"], default="dual")
-    sp.add_argument("--eps", type=_positive(float), action="append", default=None)
+                            default="primal" if name == "bounded" else "dual")
+        if name == "gap":
+            sp.add_argument("--eps", type=_positive(float), default=1e-3)
     sp = sub.add_parser("project")
     sp.add_argument("instance", nargs="?", default="-")
     sp.add_argument("--subspace", required=True,
@@ -237,17 +245,10 @@ def _dispatch(args) -> int:
         lines.append(f"pobj: {rep.pobj}  dobj: {rep.dobj}  gap: {rep.gap}")
         _emit(args, payload, lines)
         return 0
-    if args.command in ("bounded", "gordan"):
-        out = (diagnostics.boundedness(p, args.side) if args.command == "bounded"
-               else diagnostics.gordan_alternative(p))
-        _emit(args, out, [f"verdict: {out.verdict}", f"detail: {out.detail}"])
-        return 0
-    if args.command == "almost":
-        eps = tuple(args.eps) if args.eps else (1e-2, 1e-4)
-        out = diagnostics.almost_feasibility(p, args.side, eps)
-        _emit(args, out, [f"min perturbation norm: "
-                          f"{out.get('min_perturbation_norm')}",
-                          f"polar membership: {out.get('polar_membership')}"])
+    if args.command in VERDICTS:
+        out = VERDICTS[args.command](p, args)
+        _emit(args, out, [f"verdict: {out.verdict}", f"value: {out.value}",
+                          f"detail: {out.detail}"])
         return 0
     if args.command == "project":
         with open(args.subspace) as fh:

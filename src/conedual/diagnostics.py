@@ -3,9 +3,9 @@
 Every test returns a `solver.Verdict` (Yes / No / Unknown, or the question's
 own outcomes) with a numeric witness or certificate that is revalidated by
 cone membership alone; a "No" without a certificate is reported as Unknown.
-The composite checks (gap bound, finiteness, almost feasibility, packing)
-return dicts of several numbers; packing is detected only from the exact
-generators of a polyhedral variable cone.
+The two exceptions: `strong_duality_report` returns a `DualityReport`, one
+row per sufficient condition, and `recession_cone` the `program.System` the
+recession questions are posed on.
 
 Sides are named relative to the sup member of the pair: side "primal" is the
 sup program, side "dual" its inf conic dual.  Passing an inf program selects
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, is_dataclass, replace
 import numpy as np
 
 from . import cones, program, solver
-from .spaces import LinearMap, image_of_subspace, inner, kernel
+from .spaces import LinearMap, image_of_subspace, inner
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,8 @@ def polar_recession_membership(p: program.ConicProgram, side: str, v: np.ndarray
     positive functional on its pointed part; a value near zero certifies
     membership, a validated ray with positive inner product (the witness of
     No) refutes it.  With a strictly interior recession point the polar is
-    exactly the set of offsets that make the other side feasible, so a Yes
+    exactly A* K* - C* (side primal) or -(A C + K) (side dual): the v at which
+    the inf dual, or the -v at which the sup primal, is feasible.  So a Yes
     is cross-checked on that system and becomes Unknown if it is empty.
     """
     v = np.asarray(v, dtype=float)
@@ -146,10 +147,11 @@ def polar_recession_membership(p: program.ConicProgram, side: str, v: np.ndarray
     if recession_strict(p, side).verdict == "Yes":
         other = "dual" if side == "primal" else "primal"
         q = _side_program(p, other)
-        if solver.feasibility(program.feasible_system(replace(q, b=v))).verdict == "No":
+        w = v if q.sense == "inf" else -v
+        if solver.feasibility(program.feasible_system(replace(q, b=w))).verdict == "No":
             return solver.Verdict("Unknown", value=vr.value,
                                   detail="support value is zero, but the other side "
-                                         "is empty at offset v")
+                                         "is empty at the matching offset")
     return solver.Verdict("Yes", value=vr.value, detail="support value is zero")
 
 
@@ -272,19 +274,21 @@ def closedness_conditions(p: program.ConicProgram, side: str = "primal",
 
 
 def gap_bound_separation(p: program.ConicProgram, epsilon: float,
-                         dobj: float | None = None) -> dict:
-    """Search a separator certifying that the duality gap is at most epsilon.
+                         dobj: float | None = None) -> solver.Verdict:
+    """Whether a separator certifies that the duality gap is at most epsilon.
 
     Looks for (alpha, alpha0) with (-A alpha - alpha0 b, alpha) in K x C and
-    <c, alpha> + alpha0 (dobj - eps) > 0; a success with alpha0 < 0 recovers
-    the eps-suboptimal feasible point x = -alpha / alpha0.
+    <c, alpha> + alpha0 (dobj - eps) > 0.  Yes carries the eps-suboptimal
+    feasible point x = -alpha / alpha0 it recovers, No means the maximal
+    separation margin is zero, and `value` is the level dobj - eps that
+    <c, x> exceeds.  The dual is solved for dobj unless it is given.
     """
     ps = program.as_sup(p)
     if dobj is None:
         dres = solver.solve(program.dualize(ps))
         if dres.status != "Optimal":
-            return {"separated": "Unknown",
-                    "detail": f"dual not solved to optimality ({dres.status})"}
+            return solver.Verdict("Unknown",
+                                  detail=f"dual not solved to optimality ({dres.status})")
         dobj = dres.pobj
     n = ps.A.domain.dim
     level = dobj - epsilon
@@ -301,41 +305,41 @@ def gap_bound_separation(p: program.ConicProgram, epsilon: float,
     obj = np.zeros(nv)
     obj[-1] = 1.0
     vr = solver.conic_lp_value(sep, obj)
-    out = {"dobj": dobj, "epsilon": epsilon, "value": vr.value,
-           "detail": vr.verdict}
+    margin = f"separation margin {vr.value:.3g} ({vr.verdict})" + (
+        f": {vr.detail}" if vr.detail else "")
     if vr.verdict == "Optimal" and vr.value > solver.STRICT_MARGIN:
         alpha, alpha0 = vr.witness[:n], vr.witness[n]
         if alpha0 < -1e-9:
             x = -alpha / alpha0
-            feas = program.is_feasible_point(ps, x, 1e-6)
-            val_ok = inner(ps.c, x) > level - 1e-6
-            if feas and val_ok:
-                out.update(separated="Yes", recovered_x=x,
-                           recovered_value=inner(ps.c, x))
-                return out
-        out.update(separated="Unknown",
-                   detail="separator found but recovery failed")
-        return out
-    if vr.verdict == "Optimal" and vr.value <= solver.STRICT_MARGIN:
-        out["separated"] = "No"
-        out["detail"] = "maximal separation margin is zero"
-        return out
-    out["separated"] = "Unknown"
-    return out
+            if program.is_feasible_point(ps, x, 1e-6) and inner(ps.c, x) > level - 1e-6:
+                return solver.Verdict("Yes", witness=x, value=level, detail=margin)
+        return solver.Verdict("Unknown", value=level,
+                              detail="separator found but recovery failed; " + margin)
+    if vr.verdict == "Optimal":
+        return solver.Verdict("No", value=level, detail="maximal separation margin is zero")
+    return solver.Verdict("Unknown", value=level, detail=margin)
 
 
 # ---------------------------------------------------------------------------
 # almost feasibility
 
 
-def almost_feasibility(p: program.ConicProgram, side: str = "dual",
-                       epsilons: tuple[float, ...] = (1e-2, 1e-4)) -> dict:
-    """Minimum-norm offset perturbation restoring feasibility, with the polar
-    membership cross-check."""
+def almost_feasibility(p: program.ConicProgram, side: str = "dual") -> solver.Verdict:
+    """Whether arbitrarily small perturbations of the side's offset make it
+    feasible.
+
+    By the alternative, the sup side's offset b is almost feasible iff -b is
+    in the polar of the other side's recession cone, and the inf side's
+    offset c iff c is.  That polar test decides Yes / No / Unknown.  A No
+    carries its recession ray r as the separator: every restoring
+    perturbation has norm at least <v, r> / |r| (v = -b or c).  `value` is
+    the minimum perturbation norm, from one solve whose maximiser
+    (x, delta, tau) is the Yes witness.  The detail ends with the regime
+    check under which the polar characterisation is exact.
+    """
     q = _side_program(p, side)
     n = q.A.domain.dim
     m = q.A.codomain.dim
-    offset = q.b
     # variables (x, delta, tau): the side's system with offset b + delta,
     # (delta, tau) in a second-order cone, maximize -tau
     s0 = program.feasible_system(q)
@@ -348,23 +352,20 @@ def almost_feasibility(p: program.ConicProgram, side: str = "dual",
     obj = np.zeros(n + m + 1)
     obj[-1] = -1.0
     vr = solver.conic_lp_value(ball, obj)
-    out = {"side": side, "status": vr.verdict}
-    if vr.verdict == "Optimal":
-        out["min_perturbation_norm"] = float(-vr.value)
-        out["almost_feasible_at"] = {float(e): bool(-vr.value <= e) for e in epsilons}
-    else:
-        out["min_perturbation_norm"] = np.nan
-        out["almost_feasible_at"] = {}
+    norm = float(-vr.value) if vr.verdict == "Optimal" else np.nan
     other = "dual" if side == "primal" else "primal"
-    polar = polar_recession_membership(p, other, offset)
-    out["polar_membership"] = polar.verdict
-    if polar.verdict == "No" and vr.verdict == "Optimal":
-        r = polar.witness
-        delta = inner(offset, r)
-        out["lower_bound"] = float(delta / (2 * np.linalg.norm(r)))
-        out["lower_bound_respected"] = bool(-vr.value >= out["lower_bound"] - 1e-6)
-    out["side_condition"] = _polar_almost_side_condition(p, side)
-    return out
+    v = -sgn * q.b
+    polar = polar_recession_membership(p, other, v)
+    detail = f"{polar.detail}; minimum perturbation {vr.verdict}"
+    witness = ray = None
+    if polar.verdict == "Yes":
+        witness = vr.witness
+    elif polar.verdict == "No":
+        ray = polar.witness
+        bound = inner(v, ray) / np.linalg.norm(ray)
+        detail += f"; restoring perturbations have norm >= {bound:.6g}"
+    detail += f"; side condition {_polar_almost_side_condition(p, side)}"
+    return solver.Verdict(polar.verdict, witness=witness, separator=ray, value=norm, detail=detail)
 
 
 def _polar_almost_side_condition(p: program.ConicProgram, side: str) -> str:
@@ -387,9 +388,16 @@ def _polar_almost_side_condition(p: program.ConicProgram, side: str) -> str:
 # finiteness
 
 
-def finiteness_check(p: program.ConicProgram, side: str = "primal") -> dict:
-    """Finite optimum on one side if and only if the other side is feasible,
-    valid under strict feasibility of the side or of its recession cone."""
+def finiteness_check(p: program.ConicProgram, side: str = "primal") -> solver.Verdict:
+    """Finite / Unbounded / Unknown for the side's optimal value.
+
+    Under strict feasibility of the side, or of its recession cone with the
+    side feasible, the value is finite iff the other side is feasible.  So
+    the other side's feasible point decides Finite (the witness), and its
+    emptiness certificate Unbounded (the separator, with the side's
+    improving ray as the witness).  Either stands only when the side's own
+    solve agrees; `value` is that solve's objective.
+    """
     sl = slater(p, side)
     applicable = sl.verdict == "Yes"
     if not applicable:
@@ -397,26 +405,17 @@ def finiteness_check(p: program.ConicProgram, side: str = "primal") -> dict:
         applicable = sr.verdict == "Yes" and solver.feasibility(
             program.feasible_system(_side_program(p, side))).verdict == "Yes"
     if not applicable:
-        return {"applicable": False, "detail": "no strict feasibility established"}
-    q = _side_program(p, side)
-    res = solver.solve(q)
+        return solver.Verdict("Unknown", detail="no strict feasibility established")
+    res = solver.solve(_side_program(p, side))
     other = "dual" if side == "primal" else "primal"
-    qo = _side_program(p, other)
-    feas = solver.feasibility(program.feasible_system(qo))
-    finite = res.status == "Optimal"
-    unbounded = res.status == "Unbounded"
-    out = {"applicable": True, "value_status": res.status,
-           "value": res.pobj, "other_side_feasible": feas.verdict,
-           "ray": res.certificate.get("ray")}
-    if finite and feas.verdict == "Yes":
-        out["consistent"] = True
-    elif unbounded and feas.verdict == "No":
-        out["consistent"] = True
-    elif (finite and feas.verdict == "No") or (unbounded and feas.verdict == "Yes"):
-        out["consistent"] = False
-    else:
-        out["consistent"] = None
-    return out
+    feas = solver.feasibility(program.feasible_system(_side_program(p, other)))
+    detail = f"other side feasibility {feas.verdict}, side solve {res.status}"
+    if feas.verdict == "Yes" and res.status == "Optimal":
+        return solver.Verdict("Finite", witness=feas.witness, value=res.pobj, detail=detail)
+    if feas.verdict == "No" and res.status == "Unbounded":
+        return solver.Verdict("Unbounded", witness=res.certificate["ray"],
+                              separator=feas.separator, value=res.pobj, detail=detail)
+    return solver.Verdict("Unknown", value=res.pobj, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -517,50 +516,3 @@ def strong_duality_report(p: program.ConicProgram,
     else:
         rep.gap = np.inf
     return rep
-
-
-# ---------------------------------------------------------------------------
-# packing structure
-
-
-def packing_suite(p: program.ConicProgram) -> dict:
-    """Feasibility and boundedness for programs with A(C) inside K.
-
-    Detection checks the exact generators of a polyhedral C; any other C is
-    reported as not detected (mode "not-polyhedral").  The feasibility
-    verdict is simply b in K.
-    """
-    ps = program.as_sup(p)
-    detected, mode = _detect_packing(ps)
-    out = {"packing_detected": detected, "detection_mode": mode}
-    if not detected:
-        return out
-    out["feasible"] = "Yes" if cones.member(ps.K, ps.b) else "No"
-    ga = gordan_alternative(ps)
-    if ga.verdict == "Interior":
-        out["bounded"] = "Yes"
-        out["bounded_witness"] = ga.witness
-    elif ga.verdict == "Ray":
-        out["bounded"] = "No"
-        out["unbounded_ray"] = ga.witness
-    else:
-        out["bounded"] = "Unknown"
-    ker = kernel(ps.A)
-    out["injective"] = ker.dim == 0
-    return out
-
-
-def _detect_packing(ps) -> tuple[bool, str]:
-    if not cones.is_polyhedral(ps.C):
-        return False, "not-polyhedral"
-    gens = []
-    eye = np.eye(ps.C.space.dim)
-    for tag, s in zip(ps.C.tags, ps.C.space.slices()):
-        idx = range(s.start, s.stop)
-        if tag == cones.NONNEG:
-            gens.extend(eye[:, j] for j in idx)
-        elif tag == cones.FREE:
-            for j in idx:
-                gens.extend([eye[:, j], -eye[:, j]])
-    ok = all(cones.member(ps.K, ps.A(g)) for g in gens)
-    return ok, "exact-generators"

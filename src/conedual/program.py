@@ -1,4 +1,4 @@
-"""Conic program data model, mechanical dualization, and feasibility screens.
+"""Conic program data model, mechanical dualization, and conic systems.
 
 A program in `sup` orientation is
 
@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import cones
-from .spaces import (LinearMap, Subspace, inner, preimage_of_subspace, product_space,
+from .spaces import (LinearMap, Subspace, preimage_of_subspace, product_space,
                      real, space)
 
 
@@ -158,95 +158,3 @@ def recession_system(p: ConicProgram) -> System:
 
 def is_feasible_point(p: ConicProgram, x: np.ndarray, tol: float | None = None) -> bool:
     return feasible_system(p).member(x, tol)
-
-
-def dual_via_basis(p: ConicProgram, basis: np.ndarray) -> ConicProgram:
-    """Dual written with the basis map y -> sum_j <A v_j, y> v_j instead of A*.
-
-    `basis` holds orthonormal columns spanning span(C).
-    """
-    if p.sense != "sup":
-        raise ValueError("dual_via_basis applies to the sup orientation")
-    basis = np.asarray(basis, dtype=float)
-    gram = basis.T @ basis
-    if not np.allclose(gram, np.eye(basis.shape[1]), atol=1e-9):
-        raise ValueError("basis is not orthonormal")
-    if not cones.span(p.C).equals(Subspace(p.A.domain, basis)):
-        raise ValueError("basis does not span span(C)")
-    av = p.A.matrix @ basis  # columns A v_j
-    ab = basis @ av.T  # y -> sum_j <A v_j, y> v_j
-    return ConicProgram(
-        A=LinearMap(p.A.codomain, p.A.domain, ab),
-        b=p.c,
-        c=p.b,
-        K=cones.dual(p.C),
-        C=cones.dual(p.K),
-        sense="inf",
-    )
-
-
-def weak_duality_check(p: ConicProgram, x: np.ndarray, y: np.ndarray,
-                       tol: float = 1e-6) -> float:
-    """Gap <b,y> - <c,x> for a feasible pair of the sup program and its dual."""
-    if p.sense != "sup":
-        raise ValueError("weak duality is stated on the sup orientation")
-    d = dualize(p)
-    if not is_feasible_point(p, x, tol):
-        raise ValueError("x is not primal feasible at the given tolerance")
-    if not is_feasible_point(d, y, tol):
-        raise ValueError("y is not dual feasible at the given tolerance")
-    gap = inner(p.b, y) - inner(p.c, x)
-    if gap < -tol * (1.0 + abs(inner(p.c, x))):
-        raise AssertionError(f"weak duality violated: gap = {gap}")
-    return float(gap)
-
-
-def complementary_slackness(p: ConicProgram, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Residuals (<y, b - A x>, <x, A* y - c>); both vanish iff the gap does."""
-    if p.sense != "sup":
-        raise ValueError("stated on the sup orientation")
-    r1 = inner(y, p.b - p.A(x))
-    r2 = inner(x, p.A.adjoint()(y) - p.c)
-    return float(r1), float(r2)
-
-
-def necessary_feasibility_screens(p: ConicProgram, tol: float = 1e-8) -> list[dict]:
-    """Fast subspace screens; each returned entry is a proof of infeasibility.
-
-    1. A(span C) inside span K       => b must lie in span K
-    2. span K inside A(span C)       => b must lie in A(span C)
-    3. A*(span K*) inside (lin C)-perp => c must lie in (lin C)-perp
-    4. span C* inside A*((lin K)-perp) => c must lie in A*((lin K)-perp)
-    """
-    from .spaces import image_of_subspace
-
-    p = as_sup(p)
-    out = []
-    span_c = cones.span(p.C)
-    span_k = cones.span(p.K)
-    a_span_c = image_of_subspace(p.A, span_c)
-    if _sub_contains(span_k, a_span_c) and not span_k.contains(p.b, tol):
-        out.append({"screen": 1, "side": "primal",
-                    "reason": "b outside span K while A(C) is inside it"})
-    if _sub_contains(a_span_c, span_k) and not a_span_c.contains(p.b, tol):
-        out.append({"screen": 2, "side": "primal",
-                    "reason": "b outside A(span C) while K is inside it"})
-    adj = p.A.adjoint()
-    lin_c_perp = cones.lineality(p.C).complement()
-    lin_k_perp = cones.lineality(p.K).complement()
-    adj_span_kstar = image_of_subspace(adj, lin_k_perp)  # span K* = (lin K)-perp
-    span_cstar = cones.lineality(p.C).complement()  # span C* = (lin C)-perp
-    if _sub_contains(lin_c_perp, adj_span_kstar) and not lin_c_perp.contains(p.c, tol):
-        out.append({"screen": 3, "side": "dual",
-                    "reason": "c outside (lin C)-perp while A*(K*) is inside it"})
-    if _sub_contains(adj_span_kstar, span_cstar) and not adj_span_kstar.contains(p.c, tol):
-        out.append({"screen": 4, "side": "dual",
-                    "reason": "c outside A*((lin K)-perp) while C* is inside it"})
-    return out
-
-
-def _sub_contains(big: Subspace, small: Subspace, tol: float = 1e-8) -> bool:
-    if small.dim == 0:
-        return True
-    proj = small.basis - big.basis @ (big.basis.T @ small.basis)
-    return bool(np.linalg.norm(proj) <= tol * (1.0 + small.dim))

@@ -196,17 +196,6 @@ def projection_cone(p: program.ConicProgram, sub: Subspace) -> program.System:
     return _cone_system(ps, sub)
 
 
-def extreme_rays(pc: program.System) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(lineality basis, extreme rays) of the projection cone, as floats."""
-    lin_z, rays_z = _exact_lift(pc)
-    lin = [np.array([float(x) for x in g]) for g in lin_z]
-    rays = [np.array([float(x) for x in g]) for g in rays_z]
-    for r in rays:
-        if not pc.member(r):
-            raise ValueError("enumerated ray violates the cone system")
-    return lin, rays
-
-
 def _exact_rows(pc: program.System, tag: str) -> list[list[Fraction]]:
     """Rational rows of the factors of one kind: Zero rows vanish on the cone,
     Nonneg rows are nonnegative on it."""

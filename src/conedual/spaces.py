@@ -211,13 +211,6 @@ class Subspace:
         u, _, _ = np.linalg.svd(self.basis, full_matrices=True)
         return Subspace(self.ambient, u[:, k:])
 
-    def equals(self, other: "Subspace", tol: float = 1e-8) -> bool:
-        if self.dim != other.dim:
-            return False
-        # equal spans iff projection of one basis onto the other loses nothing
-        diff = other.basis - self.basis @ (self.basis.T @ other.basis)
-        return bool(np.linalg.norm(diff) <= tol * (1.0 + self.dim))
-
 
 def kernel(m: LinearMap) -> Subspace:
     mat = m.matrix

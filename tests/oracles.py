@@ -4,8 +4,11 @@ The LP oracle enumerates basic solutions (vertex enumeration), which shares no
 code with the operator-splitting solver under test.  scipy.optimize.linprog is
 used only to classify unbounded/infeasible cases and as a second opinion.
 The redundancy oracle is the float LP loop that exact projection replaced:
-one HiGHS LP per row.  The subspace and pointedness helpers at the end are
-the textbook identities the cone and subspace tests check the package by.
+one HiGHS LP per row.  The subspace and pointedness helpers are the textbook
+identities the cone and subspace tests check the package by.  The duality
+helpers at the end state weak duality, complementary slackness and the dual
+written with a basis of span C, and `extreme_rays` reads the projection
+cone's exact generators as floats.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import numpy as np
 from hypothesis import settings
 from scipy.optimize import linprog
 
-from conedual import cones, projection
-from conedual.spaces import Subspace
+from conedual import cones, program, projection
+from conedual.spaces import LinearMap, Subspace, inner
 
 # one profile for every property test
 PROPERTY = settings(max_examples=300, deadline=None, database=None)
@@ -144,6 +147,14 @@ def is_pointed(c) -> bool:
     return cones.lineality(c).dim == 0
 
 
+def subspace_equals(a: Subspace, b: Subspace, tol: float = 1e-8) -> bool:
+    if a.dim != b.dim:
+        return False
+    # equal spans iff projection of one basis onto the other loses nothing
+    diff = b.basis - a.basis @ (a.basis.T @ b.basis)
+    return bool(np.linalg.norm(diff) <= tol * (1.0 + a.dim))
+
+
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
         raise ValueError("subspaces live in different spaces")
@@ -158,3 +169,54 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
 def range_space(m) -> Subspace:
     """The span of the columns of the map's matrix."""
     return Subspace.from_spanning(m.codomain, m.matrix)
+
+
+def dual_via_basis(p, basis):
+    """Dual written with the basis map y -> sum_j <A v_j, y> v_j instead of A*.
+
+    `basis` holds orthonormal columns spanning span(C).
+    """
+    if p.sense != "sup":
+        raise ValueError("dual_via_basis applies to the sup orientation")
+    basis = np.asarray(basis, dtype=float)
+    gram = basis.T @ basis
+    if not np.allclose(gram, np.eye(basis.shape[1]), atol=1e-9):
+        raise ValueError("basis is not orthonormal")
+    if not subspace_equals(cones.span(p.C), Subspace(p.A.domain, basis)):
+        raise ValueError("basis does not span span(C)")
+    av = p.A.matrix @ basis  # columns A v_j
+    ab = basis @ av.T  # y -> sum_j <A v_j, y> v_j
+    return program.ConicProgram(A=LinearMap(p.A.codomain, p.A.domain, ab), b=p.c, c=p.b,
+                                K=cones.dual(p.C), C=cones.dual(p.K), sense="inf")
+
+
+def weak_duality_check(p, x, y, tol=1e-6) -> float:
+    """Gap <b,y> - <c,x> for a feasible pair of the sup program and its dual."""
+    if p.sense != "sup":
+        raise ValueError("weak duality is stated on the sup orientation")
+    if not program.is_feasible_point(p, x, tol):
+        raise ValueError("x is not primal feasible at the given tolerance")
+    if not program.is_feasible_point(program.dualize(p), y, tol):
+        raise ValueError("y is not dual feasible at the given tolerance")
+    gap = inner(p.b, y) - inner(p.c, x)
+    if gap < -tol * (1.0 + abs(inner(p.c, x))):
+        raise AssertionError(f"weak duality violated: gap = {gap}")
+    return float(gap)
+
+
+def complementary_slackness(p, x, y) -> tuple[float, float]:
+    """Residuals (<y, b - A x>, <x, A* y - c>); both vanish iff the gap does."""
+    if p.sense != "sup":
+        raise ValueError("stated on the sup orientation")
+    return float(inner(y, p.b - p.A(x))), float(inner(x, p.A.adjoint()(y) - p.c))
+
+
+def extreme_rays(pc):
+    """(lineality basis, extreme rays) of the projection cone, as floats."""
+    lin_z, rays_z = projection._exact_lift(pc)
+    lin = [np.array([float(x) for x in g]) for g in lin_z]
+    rays = [np.array([float(x) for x in g]) for g in rays_z]
+    for r in rays:
+        if not pc.member(r):
+            raise ValueError("enumerated ray violates the cone system")
+    return lin, rays

@@ -120,8 +120,8 @@ def test_parser_reuse_leaks_no_state(tmp_path, capsys):
         return (code, *capsys.readouterr())
 
     for first, second, fresh_twin in (
-            (["--json", "almost", "--eps", "0.1", f], ["--json", "almost", f],
-             ["--json", "almost", "--eps", "1e-2", "--eps", "1e-4", f]),
+            (["--json", "gap", "--eps", "0.1", f], ["--json", "gap", f],
+             ["--json", "gap", "--eps", "1e-3", f]),
             (["--json", "bounded", "--side", "dual", f], ["--json", "bounded", f],
              ["--json", "bounded", "--side", "primal", f]),
             (["solve", "--side", "dual", f], ["--json", "solve", f],
@@ -182,27 +182,33 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def _cli_verdict(*argv):
+    """Run a diagnostic subcommand on the planted instance; its JSON must be
+    exactly the fields of one Verdict."""
+    proc = _run(["--json", *argv, "-"], stdin_doc=_instance_doc())
+    assert proc.returncode == 0, proc.stderr
+    out = _strict_json(proc.stdout)
+    assert list(out) == [f.name for f in dataclasses.fields(solver.Verdict)]
+    return out
+
+
 def test_cli_bounded_and_gordan():
-    fields = [f.name for f in dataclasses.fields(solver.Verdict)]
-    proc = _run(["--json", "bounded", "--side", "primal", "-"],
-                stdin_doc=_instance_doc())
-    assert proc.returncode == 0, proc.stderr
-    out = _strict_json(proc.stdout)
-    assert list(out) == fields
-    assert out["verdict"] in ("Bounded", "Unbounded")
-    proc = _run(["--json", "gordan", "-"], stdin_doc=_instance_doc())
-    assert proc.returncode == 0, proc.stderr
-    out = _strict_json(proc.stdout)
-    assert list(out) == fields
-    assert out["verdict"] in ("Ray", "Interior", "Unknown")
+    assert _cli_verdict("bounded", "--side", "primal")["verdict"] in ("Bounded", "Unbounded")
+    assert _cli_verdict("gordan")["verdict"] in ("Ray", "Interior", "Unknown")
 
 
 def test_cli_almost():
-    proc = _run(["--json", "almost", "--side", "primal", "-"],
-                stdin_doc=_instance_doc())
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert "min_perturbation_norm" in out
+    out = _cli_verdict("almost", "--side", "primal")
+    assert out["verdict"] == "Yes" and out["value"] <= 1e-6
+
+
+def test_cli_finite_and_gap():
+    out = _cli_verdict("finite")
+    assert out["verdict"] == "Finite"
+    x = np.array(_cli_verdict("gap")["witness"])
+    p = cli.load(_instance_doc())
+    assert program.is_feasible_point(p, x, 1e-6)
+    assert out["value"] - 1e-3 - 1e-6 <= p.c @ x <= out["value"] + 1e-6
 
 
 def test_cli_gallery_emits_loadable_instance():
@@ -293,7 +299,8 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["gallery", "lp-small", "--seed", "-1"],
                  ["--tol-feas", "-1", "solve", str(good)],
                  ["--tol-gap", "nan", "solve", str(good)],
-                 ["almost", "--eps", "nan", "--eps", "-1", str(good)]):
+                 ["gap", "--eps", "nan", str(good)],
+                 ["gap", "--eps", "-1", str(good)]):
         assert cli.main(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and "error:" in err, argv

@@ -156,6 +156,21 @@ def test_polar_recession_membership_yes_needs_exact_cross_check(monkeypatch):
     assert "empty" in out.detail
 
 
+def test_polar_recession_membership_cross_checks_the_dual_side():
+    # x >= 0, 1 - x_1 - x_2 >= 0: the dual recession cone {r >= 0 : (r, r) >= 0}
+    # is the half-line, whose polar -(A C + K) is v <= 0; the Yes at v = -1 is
+    # confirmed by the primal at offset -v = 1, which is feasible
+    dom, cod = space(real(2)), space(real(1))
+    q = program.ConicProgram(
+        A=LinearMap(dom, cod, np.ones((1, 2))), b=np.ones(1), c=np.zeros(2),
+        K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.NONNEG),
+        sense="sup")
+    assert diagnostics.recession_strict(q, "dual").verdict == "Yes"
+    assert diagnostics.polar_recession_membership(q, "dual", -np.ones(1)).verdict == "Yes"
+    no = diagnostics.polar_recession_membership(q, "dual", np.ones(1))
+    assert no.verdict == "No" and no.witness[0] > 0
+
+
 def test_boundedness_trichotomy():
     out = diagnostics.boundedness(_box(), "primal")
     assert out.verdict == "Bounded"
@@ -174,11 +189,13 @@ def test_gordan_both_branches():
         A=LinearMap(dom, cod, np.eye(2)), b=np.zeros(2), c=np.zeros(2),
         K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.NONNEG),
         sense="sup")
-    out = diagnostics.gordan_alternative(p)
-    assert out.verdict == "Interior"
-    y = out.witness
-    assert cones.relint_member(cones.dual(p.K), y)
-    assert cones.relint_member(cones.dual(p.C), p.A.adjoint()(y))
+    # and a packing program, A(C) inside K
+    for r in (p, gallery.packing_instance(3, 4, seed=0)):
+        out = diagnostics.gordan_alternative(r)
+        assert out.verdict == "Interior"
+        y = out.witness
+        assert cones.relint_member(cones.dual(r.K), y)
+        assert cones.relint_member(cones.dual(r.C), r.A.adjoint()(y))
     # Ray: A = -I gives x = e with Ax in -K
     q = program.ConicProgram(
         A=LinearMap(dom, cod, -np.eye(2)), b=np.zeros(2), c=np.zeros(2),
@@ -287,43 +304,67 @@ def test_gap_bound_separation_on_planted():
     p = gallery.planted_strong_duality(
         [(cones.NONNEG, 3)], [(cones.NONNEG, 3)], seed=6)
     out = diagnostics.gap_bound_separation(p, 1e-3)
-    assert out["separated"] == "Yes"
-    x = out["recovered_x"]
+    assert out.verdict == "Yes"
+    # value is the level dobj - eps that the recovered point exceeds
+    assert np.isclose(out.value, solver.solve(program.dualize(p)).pobj - 1e-3)
+    x = out.witness
     assert program.is_feasible_point(p, x, 1e-6)
-    assert inner(p.c, x) > out["dobj"] - 1e-3 - 1e-6
+    assert inner(p.c, x) > out.value - 1e-6
 
 
 def test_almost_feasibility_feasible_side():
     p = gallery.planted_strong_duality(
         [(cones.NONNEG, 2)], [(cones.NONNEG, 2)], seed=7)
     out = diagnostics.almost_feasibility(p, "primal")
-    assert out["status"] == "Optimal"
-    assert out["min_perturbation_norm"] <= 1e-6
+    assert out.verdict == "Yes"
+    assert out.value <= 1e-6
+    # the witness (x, delta, tau) is feasible at the offset b + delta
+    x, delta = out.witness[:2], out.witness[2:4]
+    assert program.is_feasible_point(dataclasses.replace(p, b=p.b + delta), x, 1e-6)
 
 
 def test_almost_feasibility_infeasible_side():
-    out = diagnostics.almost_feasibility(_empty(), "primal", epsilons=(0.5, 2.0))
-    assert out["status"] == "Optimal"
+    out = diagnostics.almost_feasibility(_empty(), "primal")
     # restoring feasibility of x >= 0, -1 - x >= 0 needs a unit shift per row
-    assert out["min_perturbation_norm"] > 0.5
-    assert not out["almost_feasible_at"][0.5]
-    assert out["almost_feasible_at"][2.0]
+    assert 0.5 < out.value <= 2.0
+
+
+def test_almost_feasibility_no_bounds_every_restoring_perturbation():
+    # the sup side's offset b is almost feasible iff <b, r> >= 0 for every r
+    # in the dual recession cone, the inf side's offset c iff <c, r> <= 0 for
+    # every r in the primal one; so a No's ray r bounds every restoring
+    # perturbation below by <v, r> / |r|, with v = -b or c
+    cases = [(gallery.planted_strong_duality(*MIXES[seed % len(MIXES)], seed=seed), side)
+             for seed in range(12) for side in ("primal", "dual")]
+    cases += [(_empty(), "primal"), (_empty(1), "primal")]
+    verdicts = []
+    for p, side in cases:
+        out = diagnostics.almost_feasibility(p, side)
+        verdicts.append(out.verdict)
+        if out.verdict != "No":
+            continue
+        assert out.value > 1e-6, (side, out)
+        r = out.separator
+        assert diagnostics.recession_cone(p, "dual" if side == "primal" else "primal").member(r)
+        bound = inner(-p.b if side == "primal" else p.c, r) / np.linalg.norm(r)
+        assert 0 < bound <= out.value + 1e-6, (side, bound, out)
+    # x >= 0, -1 - x >= 0 is refuted, in two dimensions and in one
+    assert verdicts[-2:] == ["No", "No"]
 
 
 def test_finiteness_check_both_directions():
     p = gallery.planted_strong_duality(
         [(cones.NONNEG, 3)], [(cones.NONNEG, 3)], seed=8)
     out = diagnostics.finiteness_check(p, "primal")
-    assert out["applicable"]
-    assert out["value_status"] == "Optimal"
-    assert out["other_side_feasible"] == "Yes"
-    assert out["consistent"] is True
+    assert out.verdict == "Finite"
+    assert out.detail == "other side feasibility Yes, side solve Optimal"
+    assert program.feasible_system(program.dualize(p)).member(out.witness)
     q = _orthant_free_objective()
     out = diagnostics.finiteness_check(q, "primal")
-    assert out["applicable"]
-    assert out["value_status"] == "Unbounded"
-    assert out["other_side_feasible"] == "No"
-    assert out["consistent"] is True
+    assert out.verdict == "Unbounded"
+    assert out.detail == "other side feasibility No, side solve Unbounded"
+    assert diagnostics.recession_cone(q, "primal").member(out.witness)
+    assert inner(q.c, out.witness) > 0 and out.separator is not None
 
 
 def test_strong_duality_report_planted():
@@ -460,20 +501,3 @@ def test_report_json_is_strict():
     doc = diagnostics.strong_duality_report(gallery.example_adapted(3)).to_json()
     doc = json.loads(json.dumps(doc, allow_nan=False))
     assert doc["gap"] == "inf" and doc["pobj"] == "nan"
-
-
-def test_packing_suite():
-    p = gallery.packing_instance(3, 4, seed=0)
-    out = diagnostics.packing_suite(p)
-    assert out["packing_detected"]
-    q = gallery.planted_strong_duality(
-        [(cones.NONNEG, 3)], [(cones.NONNEG, 3)], seed=0)
-    out2 = diagnostics.packing_suite(q)
-    assert not out2["packing_detected"]
-
-
-def test_packing_suite_needs_polyhedral_variable_cone():
-    p = gallery.planted_strong_duality(
-        [(cones.SOC, 3)], [(cones.ZERO, 1), (cones.NONNEG, 2)], seed=0)
-    out = diagnostics.packing_suite(p)
-    assert out == {"packing_detected": False, "detection_mode": "not-polyhedral"}

@@ -5,6 +5,8 @@ one of its classes, must be loaded (as a name or an attribute) or named as a
 string somewhere in src/, tests/ or perfbench/ outside its own definition.
 Strings count because perfbench and monkeypatching reach functions by name.
 Dunder names (__all__, __version__, ...) are read by tools and are exempt.
+The stricter guard counts uses from src/ and perfbench/ only, so that no
+package name lives on as a test helper or oracle: those go in tests/.
 
 A name a src/conedual module imports must be loaded in that module, listed
 in its __all__, or marked `# noqa: F401` on its import line.
@@ -55,8 +57,9 @@ def _trees(*dirs):
             for d in dirs for path in sorted((ROOT / d).rglob("*.py"))}
 
 
-def test_every_package_name_is_used():
-    trees = _trees("src", "tests", "perfbench")
+def _unused(*dirs):
+    """The package names that nothing under `dirs` uses."""
+    trees = _trees(*dirs)
     uses: dict[str, list[frozenset]] = {}
     for tree in trees.values():
         _uses(tree, frozenset(), uses)
@@ -69,7 +72,15 @@ def test_every_package_name_is_used():
                 continue
             if not any(id(node) not in where for where in uses.get(name, [])):
                 dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
-    assert dead == []
+    return dead
+
+
+def test_every_package_name_is_used():
+    assert _unused("src", "tests", "perfbench") == []
+
+
+def test_no_package_name_is_reached_only_from_tests():
+    assert _unused("src", "perfbench") == []
 
 
 def _exported(tree):

@@ -112,14 +112,14 @@ def test_weak_duality_on_planted_pairs():
                                  gallery.RELINT_SCALE)
         ys = cones.sample_relint(cones.dual(p.K), gallery._rng(seed, gallery._STREAM_Y0),
                                  gallery.RELINT_SCALE)
-        gap = program.weak_duality_check(p, xs, ys)
+        gap = oracles.weak_duality_check(p, xs, ys)
         assert gap >= -1e-6
 
 
 def test_weak_duality_rejects_infeasible_points():
     p = _lp(seed=1)
     with pytest.raises(ValueError):
-        program.weak_duality_check(p, 1e6 * np.ones(3), np.zeros(3))
+        oracles.weak_duality_check(p, 1e6 * np.ones(3), np.zeros(3))
 
 
 def test_complementary_slackness_at_optimum():
@@ -127,7 +127,7 @@ def test_complementary_slackness_at_optimum():
         [(cones.NONNEG, 3)], [(cones.NONNEG, 3)], seed=9)
     res = solver.solve(p)
     assert res.status == "Optimal"
-    r1, r2 = program.complementary_slackness(p, res.x, res.y)
+    r1, r2 = oracles.complementary_slackness(p, res.x, res.y)
     assert abs(r1) <= 1e-5 and abs(r2) <= 1e-5
 
 
@@ -161,31 +161,11 @@ def test_dual_via_basis_same_optimum():
     p = gallery.planted_strong_duality(
         [(cones.NONNEG, 3)], [(cones.NONNEG, 3)], seed=2)
     d1 = program.dualize(p)
-    d2 = program.dual_via_basis(p, np.eye(3))
+    d2 = oracles.dual_via_basis(p, np.eye(3))
     r1 = solver.solve(d1)
     r2 = solver.solve(d2)
     assert r1.status == "Optimal" and r2.status == "Optimal"
     assert np.isclose(r1.pobj, r2.pobj, atol=1e-6)
-
-
-def test_necessary_feasibility_screens_fire_on_bad_rhs():
-    # A maps into the first coordinate only, K is the zero cone, and b has a
-    # component outside A(span C): screens must report the contradiction
-    dom, cod = space(real(2)), space(real(2))
-    amat = np.array([[1.0, 1.0], [0.0, 0.0]])
-    p = program.ConicProgram(
-        A=LinearMap(dom, cod, amat), b=np.array([0.0, 1.0]), c=np.zeros(2),
-        K=cones.cone(cod, cones.ZERO), C=cones.cone(dom, cones.FREE),
-        sense="sup")
-    hits = program.necessary_feasibility_screens(p)
-    assert any(h["screen"] == 2 for h in hits)
-
-
-def test_necessary_feasibility_screens_quiet_on_planted():
-    for seed in range(5):
-        p = gallery.planted_strong_duality(
-            [(cones.NONNEG, 3)], [(cones.ZERO, 2)], seed=seed)
-        assert program.necessary_feasibility_screens(p) == []
 
 
 def test_program_validation():

@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 from conedual import cones, gallery, program, projection
 from conedual.spaces import LinearMap, Subspace, real, space
-from oracles import PROPERTY, lp_remove_redundant, polyhedral_rows
+from oracles import PROPERTY, extreme_rays, lp_remove_redundant, polyhedral_rows
 
 
 def _fr(rows):
@@ -236,7 +236,7 @@ def test_projection_cone_and_extreme_rays():
     p = _packing([[1, 1, 2], [2, 1, 1]])
     sub = Subspace(p.A.domain, np.eye(3)[:, :2])
     pc = projection.projection_cone(p, sub)
-    lin, rays = projection.extreme_rays(pc)
+    lin, rays = extreme_rays(pc)
     assert len(rays) > 0
     m = p.A.codomain.dim
     for r in list(rays) + list(lin):
@@ -254,7 +254,7 @@ def test_extreme_rays_rejects_a_ray_outside_the_cone(monkeypatch):
     outside = [-1] + [0] * (pc.gmap.domain.dim - 1)
     monkeypatch.setattr(projection, "_exact_lift", lambda pc: ([], [outside]))
     with pytest.raises(ValueError, match="violates the cone system"):
-        projection.extreme_rays(pc)
+        extreme_rays(pc)
 
 
 def test_precondition_failure_raises():
