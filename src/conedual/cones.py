@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
-from .spaces import EuclideanSpace, Subspace, product_space, sym_to_vec, vec_to_sym
+from .spaces import EuclideanSpace, Subspace, _svec_maps, product_space, sym_to_vec, vec_to_sym
 
 ZERO = "zero"
 FREE = "free"
@@ -189,9 +190,14 @@ def projector(c: Cone):
     each SecondOrder block is projected on (start, axis), each Psd block by
     clipping the eigenvalues of its matrix.  The negation flag is applied to
     the input and again to the output.
+
+    A Psd block is planned as its slice, its order and the svec (rows, cols,
+    weights), and its matrix goes to LAPACK's dsyevd on the lower triangle,
+    the routine and triangle `np.linalg.eigh` calls, so that the result is
+    bitwise that of `vec_to_sym`, `eigh` and `sym_to_vec`.
     """
     zero, nonneg, socs, psds = [], [], [], []
-    for tag, s in zip(c.tags, c.space.slices()):
+    for tag, s, f in zip(c.tags, c.space.slices(), c.space.factors):
         if tag == ZERO:
             zero.extend(range(s.start, s.stop))
         elif tag == NONNEG:
@@ -199,10 +205,12 @@ def projector(c: Cone):
         elif tag == SOC:
             socs.append((s.start, s.stop - 1))
         elif tag == PSD:
-            psds.append(s)
+            psds.append((s, f.size, *_svec_maps(f.size)))
     zero = np.array(zero, dtype=np.intp)
     nonneg = np.array(nonneg, dtype=np.intp)
     negated, dim = c.negated, c.space.dim
+    if psds:
+        syevd, = get_lapack_funcs(("syevd",), (np.eye(1),))
 
     def apply(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -224,10 +232,18 @@ def projector(c: Cone):
             coef = (nz + t) / 2.0
             out[start:axis] = coef * (z / nz)
             out[axis] = coef
-        for s in psds:
-            w, v = np.linalg.eigh(vec_to_sym(out[s]))
+        for s, m, rows, cols, weights in psds:
+            mat = np.empty((m, m))
+            vals = out[s] / weights
+            mat[rows, cols] = vals
+            mat[cols, rows] = vals
+            # mat is symmetric, so its transpose is the Fortran-ordered copy
+            # dsyevd may overwrite
+            w, v, info = syevd(mat.T, lower=1, overwrite_a=1)
+            if info:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
             w = np.maximum(w, 0.0)
-            out[s] = sym_to_vec((v * w) @ v.T)
+            out[s] = ((v * w) @ v.T)[rows, cols] * weights
         return -1.0 * out if negated else out
 
     return apply

@@ -333,9 +333,9 @@ def almost_feasibility(p: program.ConicProgram, side: str = "dual") -> solver.Ve
     offset c iff c is.  That polar test decides Yes / No / Unknown.  A No
     carries its recession ray r as the separator: every restoring
     perturbation has norm at least <v, r> / |r| (v = -b or c).  `value` is
-    the minimum perturbation norm, from one solve whose maximiser
-    (x, delta, tau) is the Yes witness.  The detail ends with the regime
-    check under which the polar characterisation is exact.
+    the minimum perturbation norm |delta|, read from the maximiser
+    (x, delta, tau) of one solve, which is the Yes witness.  The detail ends
+    with the regime check under which the polar characterisation is exact.
     """
     q = _side_program(p, side)
     n = q.A.domain.dim
@@ -352,7 +352,9 @@ def almost_feasibility(p: program.ConicProgram, side: str = "dual") -> solver.Ve
     obj = np.zeros(n + m + 1)
     obj[-1] = -1.0
     vr = solver.conic_lp_value(ball, obj)
-    norm = float(-vr.value) if vr.verdict == "Optimal" else np.nan
+    # |delta| of the maximiser, not -tau, which is the same to the solver's
+    # tolerance but can be negative
+    norm = float(np.linalg.norm(vr.witness[n:n + m])) if vr.verdict == "Optimal" else np.nan
     other = "dual" if side == "primal" else "primal"
     v = -sgn * q.b
     polar = polar_recession_membership(p, other, v)

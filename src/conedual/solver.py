@@ -5,10 +5,24 @@ The sup-oriented program
     sup { <c, x> : b - A x in K, x in C }
 
 is rewritten in equality form min{ ct'x : At x + s = bt, s in K x C } with
-At = [A; -I], bt = (b, 0), ct = -c, and solved by alternating projections on
-the self-dual embedding (splitting with over-relaxation 1.5, dense cached
-factorization of I + Q).  Exits with a primal-dual pair, an infeasibility
-certificate, an unboundedness ray, or Unknown.
+At = [A; -I], bt = (b, 0), ct = -c, and solved by operator splitting on the
+self-dual embedding.  The iterate is w = u - v, with u = Pi(w) its projection
+onto R^n x dual(K x C) x R_+ and v = u - w; one step is the relaxed
+Douglas-Rachford map g(w) = w + ALPHA (u~ - u), with u~ = (I + Q)^-1 (2u - w)
+from a dense cached factorization of I + Q.  Exits with a primal-dual pair,
+an infeasibility certificate, an unboundedness ray, or Unknown.
+
+The map is accelerated by safeguarded type-II Anderson extrapolation (Zhang,
+O'Donoghue and Boyd 2020).  Every AA_MEMORY map evaluations, the last
+AA_MEMORY + 1 pairs (g_i, f_i = g_i - w_i) give the candidate g_k - dG gamma,
+where dG and dF hold the differences of consecutive pairs and gamma solves
+(dF' dF + r I) gamma = dF' f_k, r = 1e-10 (1 + trace dF' dF).  The candidate
+is kept only if its own residual |g(c) - c| is at most |f_k|; otherwise, and
+when the solve fails or the candidate is not finite, the step is the plain
+g_k.  The window restarts after each extrapolation.  An iteration is one map
+evaluation, that is one linear solve and one projection, so the evaluation
+of a rejected candidate counts as one.  Residuals are checked, and u and v
+formed, every CHECK_EVERY iterations.
 
 An Unknown exit is one of two kinds, told apart by `certificate["kind"]`.  At
 the budget the certificate is empty.  At a fixed point it is "fixed_point":
@@ -22,12 +36,11 @@ program, of the sign-flipped one `solve` builds), as in Permenter, Friberg
 and Andersen 2017.  Every Unknown verdict built from such a solve gives the
 reason FIXED_POINT.
 
-The iteration is compiled once per solve: I + Q is LU-factored once and each
+The iteration is compiled once per solve: I + Q is LU-factored once, each
 iteration calls LAPACK's getrs on the factors directly (keeping lu_solve's
-finiteness and info checks), and the projection onto dual(K x C) is the plan
-`cones.projector` builds once from the cone's tags.  Neither changes the
-arithmetic, so the iterates are bitwise those of the per-call lu_solve and
-per-factor projection they replace.
+finiteness and info checks), each extrapolation calls gesv, and the
+projection onto dual(K x C) is the plan `cones.projector` builds once from
+the cone's tags.
 
 Strict feasibility of a system {x : G x + g in K} is decided by one solve
 of its theorem-of-the-alternative system {(z, sigma) : G z + sigma g - e in
@@ -68,6 +81,9 @@ TOL_GAP = 1e-8
 MAX_ITER = 50000
 CHECK_EVERY = 25
 ALPHA = 1.5  # over-relaxation
+# map evaluations between Anderson extrapolations, each from the last
+# AA_MEMORY + 1 of them
+AA_MEMORY = 10
 # tau, kappa and the last step, relative to |u| + |v|, below which a solve
 # stops at the embedding's fixed point
 FIXED_POINT_TOL = 1e-12
@@ -140,35 +156,61 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
     q[-1, :n] = -ct
     q[-1, n:-1] = -bt
     lu, piv = lu_factor(np.eye(nn) + q)
-    getrs, = get_lapack_funcs(("getrs",), (lu,))
+    getrs, gesv = get_lapack_funcs(("getrs", "gesv"), (lu,))
     project_kc = cones.projector(kc_dual)
 
-    u = np.zeros(nn)
-    u[-1] = 1.0
-    v = np.zeros(nn)
+    def project(w):
+        """Projection onto R^n x dual(K x C) x R_+."""
+        out = w.copy()
+        out[n:-1] = project_kc(w[n:-1])
+        if out[-1] < 0.0:  # max(out[-1], 0.0), without the builtin's cost
+            out[-1] = 0.0
+        return out
+
+    # the splitting iterates w = u - v, with u = project(w) and v = u - w
+    w = np.zeros(nn)
+    w[-1] = 1.0
+    pw = w.copy()  # project(w)
+    # the window of map values g_i and residuals g_i - w_i
+    g_hist = np.empty((AA_MEMORY + 1, nn))
+    f_hist = np.empty((AA_MEMORY + 1, nn))
+    filled = 0
+    guard = None  # (|f|, plain step) while w is an unverified extrapolation
 
     norm_b = np.linalg.norm(bt)
     norm_c = np.linalg.norm(ct)
 
     best = SolveResult(status="Unknown")
     for k in range(1, max_iter + 1):
-        u_old, v_old = u, v  # the update below makes new arrays
-        rhs = u + v
+        w_old, pw_old = w, pw  # the update below makes new arrays
+        rhs = 2.0 * pw - w
         # the two checks lu_solve makes around getrs
         if not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
         u_tilde, info = getrs(lu, piv, rhs, overwrite_b=True)
         if info:
             raise ValueError(f"illegal value in {-info}th argument of internal getrs")
-        t = ALPHA * u_tilde + (1.0 - ALPHA) * u
-        u_new = t - v
-        u_new[n:-1] = project_kc(u_new[n:-1])
-        u_new[-1] = max(u_new[-1], 0.0)
-        v = v - t + u_new
-        u = u_new
+        f = f_hist[filled]  # the residual g - w, with g the map's value at w
+        np.subtract(u_tilde, pw, out=f)
+        f *= ALPHA
+        g = w + f
+        if guard is not None and not np.linalg.norm(f) <= guard[0]:
+            # the extrapolation's residual exceeds the one it was built from
+            w, guard = guard[1], None
+        else:
+            g_hist[filled] = g
+            filled += 1
+            w, guard = g, None
+            if filled > AA_MEMORY:
+                filled = 0
+                cand = _extrapolate(gesv, g_hist, f_hist)
+                if cand is not None:
+                    w, guard = cand, (np.linalg.norm(f_hist[-1]), g)
+        pw = project(w)
 
         if k % CHECK_EVERY and k != max_iter:
             continue
+        u, v = pw, pw - w
         tau = u[-1]
         if tau > 1e-12:
             xs = u[:n] / tau
@@ -213,6 +255,7 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
         # tau = kappa = 0 and no step: the embedding has no strictly
         # complementary solution, and the iterate stays put from here on
         scale = FIXED_POINT_TOL * (np.linalg.norm(u) + np.linalg.norm(v))
+        u_old, v_old = pw_old, pw_old - w_old
         if (u[-1] <= scale and v[-1] <= scale and
                 np.linalg.norm(u - u_old) + np.linalg.norm(v - v_old) <= scale):
             best.iterations = k
@@ -220,6 +263,21 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
             return best
     best.iterations = max_iter
     return best
+
+
+def _extrapolate(gesv, gs, fs):
+    """Type-II Anderson extrapolation from the window's pairs (g_i, f_i):
+    g_k - dG gamma, where gamma fits f_k by the columns of dF in regularised
+    least squares (dG, dF the differences of consecutive pairs).  None when
+    the solve fails or the point is not finite."""
+    df = fs[1:] - fs[:-1]
+    gram = df @ df.T
+    gram.flat[::len(gram) + 1] += 1e-10 * (1.0 + gram.trace())
+    _, _, gamma, info = gesv(gram, df @ fs[-1], overwrite_a=True, overwrite_b=True)
+    if info:
+        return None
+    cand = gs[-1] - gamma @ (gs[1:] - gs[:-1])
+    return cand if np.isfinite(cand).all() else None
 
 
 def _infeas_certificate(p, ycert, m):

@@ -8,7 +8,8 @@ one HiGHS LP per row.  The subspace and pointedness helpers are the textbook
 identities the cone and subspace tests check the package by.  The duality
 helpers at the end state weak duality, complementary slackness and the dual
 written with a basis of span C, and `extreme_rays` reads the projection
-cone's exact generators as floats.
+cone's exact generators as floats.  `plain_solve` is the solver's splitting
+loop without Anderson extrapolation, which the accelerated loop replaced.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import itertools
 
 import numpy as np
 from hypothesis import settings
+from scipy.linalg import get_lapack_funcs, lu_factor
 from scipy.optimize import linprog
 
-from conedual import cones, program, projection
+from conedual import cones, program, projection, solver
 from conedual.spaces import LinearMap, Subspace, inner
 
 # one profile for every property test
@@ -220,3 +222,107 @@ def extreme_rays(pc):
         if not pc.member(r):
             raise ValueError("enumerated ray violates the cone system")
     return lin, rays
+
+
+def plain_solve(p, tol_feas=solver.TOL_FEAS, tol_gap=solver.TOL_GAP,
+                max_iter=solver.MAX_ITER):
+    """`solver.solve` of a sup program by the unaccelerated splitting loop:
+    relaxed alternating projections on the embedding's (u, v), every step
+    plain.  The reference the accelerated loop is checked against."""
+    assert p.sense == "sup"
+    n = p.A.domain.dim
+    m = p.A.codomain.dim
+    fs = program.feasible_system(p)  # bt - At x in K x C
+    at, bt, ct = -fs.gmap.matrix, fs.g, -p.c
+    kc_dual = cones.dual(fs.cone)
+    mm = m + n  # rows of the equality form
+    nn = n + mm + 1
+
+    q = np.zeros((nn, nn))
+    q[:n, n:-1] = at.T
+    q[:n, -1] = ct
+    q[n:-1, :n] = -at
+    q[n:-1, -1] = bt
+    q[-1, :n] = -ct
+    q[-1, n:-1] = -bt
+    lu, piv = lu_factor(np.eye(nn) + q)
+    getrs, = get_lapack_funcs(("getrs",), (lu,))
+    project_kc = cones.projector(kc_dual)
+
+    u = np.zeros(nn)
+    u[-1] = 1.0
+    v = np.zeros(nn)
+
+    norm_b = np.linalg.norm(bt)
+    norm_c = np.linalg.norm(ct)
+
+    best = solver.SolveResult(status="Unknown")
+    for k in range(1, max_iter + 1):
+        u_old, v_old = u, v  # the update below makes new arrays
+        rhs = u + v
+        # the two checks lu_solve makes around getrs
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        u_tilde, info = getrs(lu, piv, rhs, overwrite_b=True)
+        if info:
+            raise ValueError(f"illegal value in {-info}th argument of internal getrs")
+        t = solver.ALPHA * u_tilde + (1.0 - solver.ALPHA) * u
+        u_new = t - v
+        u_new[n:-1] = project_kc(u_new[n:-1])
+        u_new[-1] = max(u_new[-1], 0.0)
+        v = v - t + u_new
+        u = u_new
+
+        if k % solver.CHECK_EVERY and k != max_iter:
+            continue
+        tau = u[-1]
+        if tau > 1e-12:
+            xs = u[:n] / tau
+            ys = u[n:-1] / tau
+            ss = v[n:-1] / tau
+            pres = np.linalg.norm(at @ xs + ss - bt) / (1.0 + norm_b)
+            dres = np.linalg.norm(at.T @ ys + ct) / (1.0 + norm_c)
+            pval = ct @ xs
+            dval = -bt @ ys
+            gap = abs(pval - dval) / (1.0 + abs(pval) + abs(dval))
+            if pres <= tol_feas and dres <= tol_gap and gap <= tol_gap:
+                return solver.SolveResult(
+                    status="Optimal", x=xs, y=ys[:m],
+                    pobj=float(-pval), dobj=float(bt @ ys),
+                    gap=float(gap), pres=float(pres), dres=float(dres),
+                    iterations=k,
+                    certificate={"kind": "optimal", "w": ys[m:]})
+            if np.isnan(best.gap) or gap < best.gap:
+                best = solver.SolveResult(
+                    status="Unknown", x=xs, y=ys[:m],
+                    pobj=float(-pval), dobj=float(bt @ ys),
+                    gap=float(gap), pres=float(pres), dres=float(dres),
+                    iterations=k)
+        # infeasibility certificates live in the tau -> 0 regime
+        yb = bt @ u[n:-1]
+        if yb < -1e-12:
+            ycert = u[n:-1] / (-yb)
+            if np.linalg.norm(at.T @ ycert) <= tol_feas:
+                return solver.SolveResult(
+                    status="PrimalInfeasible", iterations=k,
+                    pobj=-np.inf, dobj=-np.inf,
+                    certificate=solver._infeas_certificate(p, ycert, m))
+        xc = ct @ u[:n]
+        if xc < -1e-12:
+            xray = u[:n] / (-xc)
+            sray = v[n:-1] / (-xc)
+            if np.linalg.norm(at @ xray + sray) <= tol_feas:
+                return solver.SolveResult(
+                    status="Unbounded", iterations=k,
+                    pobj=np.inf, dobj=np.inf,
+                    certificate=solver._unbounded_certificate(p, xray))
+        # tau = kappa = 0 and no step: the embedding has no strictly
+        # complementary solution, and the iterate stays put from here on
+        scale = solver.FIXED_POINT_TOL * (np.linalg.norm(u) + np.linalg.norm(v))
+        if (u[-1] <= scale and v[-1] <= scale and
+                np.linalg.norm(u - u_old) + np.linalg.norm(v - v_old) <= scale):
+            best.iterations = k
+            best.certificate = {"kind": "fixed_point", "x": u[:n], "y": u[n:-1], "s": v[n:-1]}
+            return best
+    best.iterations = max_iter
+    return best

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import get_lapack_funcs
 from scipy.optimize import linprog
 
 import oracles
 from conedual import cones, diagnostics, gallery, program, solver
 from conedual.spaces import LinearMap, inner, real, space, sym, sym_to_vec
+from test_acceptance import MIXES
 
 
 def _lp(seed, n=3, m=4):
@@ -265,12 +267,109 @@ def test_solver_rejects_non_finite_iterates():
 
 def test_strict_feasibility_without_convergence_has_no_margin():
     # the alternative system of the infinite-gap family reaches its Farkas
-    # ray only after 50 iterations; an unconverged solve proves nothing
+    # ray only with the first extrapolation, at iteration AA_MEMORY + 1; an
+    # unconverged solve proves nothing
     res = solver.strict_feasibility(program.feasible_system(gallery.example_adapted(3)),
-                                    max_iter=50)
+                                    max_iter=solver.AA_MEMORY)
     assert res.verdict == "Unknown"
     assert res.detail == "solver did not converge"
     assert np.isnan(res.value)
+
+
+def _assert_certificate_revalidates(p, res, tol=1e-6):
+    """res's point, ray or certificate checked by cone membership alone."""
+    cert = res.certificate
+    if res.status == "Optimal":
+        assert program.is_feasible_point(p, res.x, tol)
+        assert program.is_feasible_point(program.dualize(p), res.y, tol)
+    elif res.status == "PrimalInfeasible":
+        y = cert["y"]
+        assert cones.member(cones.dual(p.K), y, tol)
+        assert cones.member(cones.dual(p.C), p.A.matrix.T @ y, tol)
+        assert inner(p.b, y) < 0
+    elif res.status == "Unbounded":
+        ray = cert["ray"]
+        assert cones.member(p.C, ray, tol)
+        assert cones.member(p.K, -p.A(ray), tol)
+        assert inner(p.c, ray) > 0
+    elif cert.get("kind") == "fixed_point":
+        fs = program.feasible_system(p)
+        assert solver._validated_separator(fs, cert["y"], solver.TOL_FEAS) is not None
+
+
+_POPULATIONS = [("mix", i) for i in range(len(MIXES))] + \
+    [("profile", name) for name in sorted(gallery.PROFILES)]
+
+
+def _population_program(kind, which, seed):
+    if kind == "mix":
+        return gallery.planted_strong_duality(*MIXES[which], seed=seed)
+    return gallery.random_program(which, seed=seed)
+
+
+@oracles.PROPERTY
+@given(st.sampled_from(_POPULATIONS), st.integers(0, 2**16))
+def test_accelerated_solve_agrees_with_the_plain_loop(population, seed):
+    # the extrapolation changes the path and the iteration count, never the
+    # outcome: same status as the unaccelerated loop, the same values to the
+    # solver's tolerance, and certificates that revalidate
+    p = program.as_sup(_population_program(*population, seed))
+    res, ref = solver.solve(p), oracles.plain_solve(p)
+    assert res.status == ref.status, (res, ref)
+    if res.status == "Optimal":
+        for a, b in ((res.pobj, ref.pobj), (res.dobj, ref.dobj)):
+            assert abs(a - b) <= 1e-6 * (1 + abs(b)), (res, ref)
+    _assert_certificate_revalidates(p, res)
+    _assert_certificate_revalidates(p, ref)
+
+
+def _counted_solve(monkeypatch, p, extrapolate):
+    """solver.solve(p) with `extrapolate` for the extrapolation, and the
+    right-hand side of every linear solve it made."""
+    calls = []
+
+    def lapack(names, arrays):
+        getrs, gesv = get_lapack_funcs(names, arrays)
+
+        def counted(lu, piv, rhs, **kw):
+            calls.append(rhs.copy())
+            return getrs(lu, piv, rhs, **kw)
+        return counted, gesv
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "get_lapack_funcs", lapack)
+        mp.setattr(solver, "_extrapolate", extrapolate)
+        return solver.solve(p), calls
+
+
+def test_rejected_extrapolations_cost_one_iteration_each(monkeypatch):
+    # every extrapolation is pushed far out along tau, where the map's
+    # residual grows with the point, so the safeguard rejects each one: the
+    # solve must then follow the plain steps alone, reach the plain loop's
+    # status, and count each rejected evaluation as one iteration
+    p = gallery.planted_strong_duality(
+        [(cones.PSD, 2), (cones.SOC, 3)], [(cones.ZERO, 1), (cones.NONNEG, 2)], seed=0)
+    ref = oracles.plain_solve(p)
+    plain, plain_calls = _counted_solve(monkeypatch, p, lambda gesv, gs, fs: None)
+    far = []
+
+    def rejected(gesv, gs, fs):
+        cand = gs[-1].copy()
+        cand[-1] += 1e6 * (1.0 + np.linalg.norm(gs[-1]))
+        far.append(cand[-1])
+        return cand
+
+    res, calls = _counted_solve(monkeypatch, p, rejected)
+    assert res.status == plain.status == ref.status == "Optimal"
+    assert (res.iterations, plain.iterations) == (len(calls), len(plain_calls))
+    # a candidate c has c[-1] > 0, so its linear solve has rhs[-1] = c[-1]
+    at_far = [c for c in calls if c[-1] in far]
+    steps = [c for c in calls if c[-1] not in far]
+    assert len(far) > 10 and len(at_far) >= len(far) - 1
+    assert len(calls) == len(steps) + len(at_far)
+    # without the rejected points, the path is the plain one step for step
+    assert abs(len(steps) - len(plain_calls)) <= solver.CHECK_EVERY
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(steps, plain_calls))
 
 
 def _fingerprint(p, tol_feas=solver.TOL_FEAS, tol_gap=solver.TOL_GAP,
@@ -301,9 +400,10 @@ def _report_solves(monkeypatch, p, **kw):
 
 
 def test_report_iteration_counts_are_pinned(monkeypatch):
-    # Exact solve counts and totals.  A change meant only for speed must
-    # leave every iterate, and so these counts, unchanged; a change to the
-    # arithmetic, or to where a solve stops, moves them.  Each system is solved once per report, so the
+    # Exact solve counts and totals.  Iterations do not depend on the
+    # machine, so a change to the arithmetic, to the acceleration or to where
+    # a solve stops moves them, and must pin the new totals on purpose.  Each
+    # system is solved once per report, so the
     # totals over all solves and over distinct solves agree; back-to-back
     # reports share nothing.  The pathology makes two plain feasibility
     # solves (no side is strictly feasible), and the planted report takes
@@ -313,8 +413,8 @@ def test_report_iteration_counts_are_pinned(monkeypatch):
         seed=0)
     # The pathology's three solves that have no strictly complementary
     # solution stop at the embedding's fixed point, none at the budget.
-    for p, budget, count, total in ((gallery.example_adapted(3), 1200, 12, 650),
-                                    (planted, solver.MAX_ITER, 9, 1575)):
+    for p, budget, count, total in ((gallery.example_adapted(3), 1200, 12, 400),
+                                    (planted, solver.MAX_ITER, 9, 1000)):
         for _ in range(2):
             solves = _report_solves(monkeypatch, p, max_iter=budget)
             assert len(solves) == count
