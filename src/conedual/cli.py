@@ -282,7 +282,7 @@ def _cmd_gallery(args) -> int:
     try:
         if args.family == "example-adapted":
             p = gallery.example_adapted(args.n)
-            ann = gallery.example_adapted_spec(args.n).expected
+            ann = gallery.EXAMPLE_ADAPTED_EXPECTED
         elif args.family == "planted":
             p = gallery.planted_strong_duality(
                 [(cones.NONNEG, args.n)], [(cones.NONNEG, args.m)], seed=args.seed)

@@ -95,7 +95,7 @@ def slater(p: program.ConicProgram, side: str = "primal",
 
 def recession_cone(p: program.ConicProgram, side: str = "primal") -> program.System:
     """The homogeneous system whose solutions form the side's recession cone."""
-    return program.recession_system(_side_program(p, side))
+    return program.feasible_system(_side_program(p, side)).homogeneous()
 
 
 def recession_strict(p: program.ConicProgram, side: str = "primal",
@@ -114,8 +114,8 @@ def recession_strict(p: program.ConicProgram, side: str = "primal",
     return solver.strict_feasibility(rs, **kw)
 
 
-def polar_recession_membership(p: program.ConicProgram, side: str, v: np.ndarray,
-                               tol: float = 1e-6) -> solver.Verdict:
+def polar_recession_membership(p: program.ConicProgram, side: str,
+                               v: np.ndarray) -> solver.Verdict:
     """Test v in (rec of the side's feasible set)-polar.
 
     Maximizes <v, r> over the recession cone normalized against a strictly
@@ -132,15 +132,15 @@ def polar_recession_membership(p: program.ConicProgram, side: str, v: np.ndarray
     if lin.dim > 0:
         comp = lin.basis.T @ v
         j = int(np.argmax(np.abs(comp)))
-        if abs(comp[j]) > tol * (1 + np.linalg.norm(v)):
+        if abs(comp[j]) > 1e-6 * (1 + np.linalg.norm(v)):
             return solver.Verdict(
                 "No", witness=np.sign(comp[j]) * lin.basis[:, j], value=float(abs(comp[j])),
                 detail="lineality direction with positive inner product")
     e = rs.gmap.matrix.T @ cones.canonical_relint_point(cones.dual(rs.cone))
     pointed = rs.stack(lin.basis.T, np.zeros(lin.dim), cones.ZERO) if lin.dim > 0 else rs
     vr = solver.conic_lp_value(pointed.stack(-e[None, :], [1.0], cones.NONNEG), v)
-    if not (vr.verdict == "Optimal" and vr.value <= tol * (1 + np.linalg.norm(v))):
-        if vr.witness is not None and rs.member(vr.witness) and inner(v, vr.witness) > tol:
+    if not (vr.verdict == "Optimal" and vr.value <= 1e-6 * (1 + np.linalg.norm(v))):
+        if vr.witness is not None and rs.member(vr.witness) and inner(v, vr.witness) > 1e-6:
             return replace(vr, verdict="No", detail="recession ray with positive inner product")
         return solver.Verdict("Unknown", value=vr.value,
                               detail=f"support value inconclusive ({vr.verdict})")
@@ -178,49 +178,47 @@ def boundedness(p: program.ConicProgram, side: str = "primal",
     if rs.lineality.dim > 0:
         return solver.Verdict("Unbounded", witness=rs.lineality.basis[:, 0],
                               detail="nonzero lineality in the recession cone" + found)
-    other = "dual" if side == "primal" else "primal"
-    sr = recession_strict(p, other, max_iter=max_iter)
+    sr, ray = _opposite_recession(p, side, rs, max_iter)
     if sr.verdict == "Yes":
         return replace(sr, verdict="Bounded", detail="strict recession point of the "
                        "opposite homogeneous system" + found)
-    ray = _separator_ray(rs, sr)
     if ray is not None:
         return replace(sr, verdict="Unbounded", witness=ray,
                        detail="recession ray recovered from the separator" + found)
     return solver.Verdict("Unknown", detail=sr.detail + found)
 
 
-def _separator_ray(rs: program.System, sr: solver.Verdict) -> np.ndarray | None:
-    """Unit recession direction carried by a separator of the opposite
-    homogeneous system, if it revalidates as a member of `rs`."""
+def _opposite_recession(p: program.ConicProgram, side: str, rs: program.System,
+                        max_iter: int = solver.MAX_ITER) -> tuple:
+    """Strict feasibility of the opposite homogeneous system, and the unit
+    direction its separator carries if that is a solution of `rs`, else None."""
+    other = "dual" if side == "primal" else "primal"
+    sr = recession_strict(p, other, max_iter=max_iter)
     if sr.verdict != "No" or sr.separator is None:
-        return None
+        return sr, None
     ray = sr.separator[:rs.gmap.domain.dim]
     nr = np.linalg.norm(ray)
-    return ray / nr if nr > 1e-7 and rs.member(ray / nr) else None
+    return sr, (ray / nr if nr > 1e-7 and rs.member(ray / nr) else None)
 
 
 def gordan_alternative(p: program.ConicProgram) -> solver.Verdict:
     """Exactly one of: a nonzero x in C with Ax in -K (verdict Ray), or y in
     relint K* with A*y in relint C* (verdict Interior).  Requires a pointed
-    primal recession cone."""
-    ps = program.as_sup(p)
-    rs = recession_cone(ps, "primal")
+    primal recession cone.
+
+    It is `boundedness(p, "primal")` without the feasibility solve: the dual
+    homogeneous system is (A* y, y) in C* x K*, so its strict feasibility
+    witness is the Interior y, and the direction its separator carries the Ray.
+    """
+    rs = recession_cone(p, "primal")
     if rs.lineality.dim > 0:
         return solver.Verdict("Unknown", detail="primal recession cone is not pointed")
-    sr = recession_strict(ps, "dual")
+    sr, ray = _opposite_recession(p, "primal", rs)
     if sr.verdict == "Yes":
-        y = sr.witness
-        if cones.relint_member(cones.dual(ps.K), y) and \
-                cones.relint_member(cones.dual(ps.C), ps.A.adjoint()(y)):
-            return replace(sr, verdict="Interior", detail="interior dual homogeneous point")
-        return solver.Verdict("Unknown", detail="interior witness failed revalidation")
-    if sr.verdict == "No":
-        x = _separator_ray(rs, sr)
-        if x is not None:
-            return replace(sr, verdict="Ray", witness=x,
-                           detail="nonzero primal recession direction")
-        return solver.Verdict("Unknown", detail="ray witness failed revalidation")
+        return replace(sr, verdict="Interior", detail="interior dual homogeneous point")
+    if ray is not None:
+        return replace(sr, verdict="Ray", witness=ray,
+                       detail="nonzero primal recession direction")
     return solver.Verdict("Unknown", detail=sr.detail)
 
 
@@ -245,28 +243,21 @@ def closedness_conditions(p: program.ConicProgram, side: str = "primal",
     By the conic Gordan-Stiemke alternative, range(G) meets ri Q exactly when
     kernel(G*) meets Q* only in (span Q)-perp, so each No carries the other
     side's certificate.  Condition 1 is strict feasibility of the perspective
-    system; its No separator is a point of M* in kernel(P*) outside
-    (span M)-perp.  Condition 2 is the other side's strict recession system,
-    which is kernel(P*) meet M*, restricted to <b, y> = 0 (side "primal") or
-    <c, x> = 0 (side "dual"); its No separator (lam_1, lam_2, t) gives
-    z = (lam_2, lam_1) = P(lam_1, -t) on side "primal" (the primal
-    perspective map) and P(lam_1, t) on side "dual", a point of M in range(P)
-    outside the lineality of M.
+    system, so it holds wherever `slater` does: a Slater point z gives
+    P(z, 1) = G z + g in ri M.  Its No separator is a point of M* in
+    kernel(P*) outside (span M)-perp.  Condition 2 is the other side's strict
+    recession system, which is kernel(P*) meet M*, restricted to <b, y> = 0
+    (side "primal") or <c, x> = 0 (side "dual"); its No separator
+    (lam_1, lam_2, t) gives z = (lam_2, lam_1) = P(lam_1, -t) on side
+    "primal" (the primal perspective map) and P(lam_1, t) on side "dual", a
+    point of M in range(P) outside the lineality of M.
     """
     ps = program.as_sup(p)
     fs = program.feasible_system(_side_program(ps, side))
     other, hyperplane = ("dual", ps.b) if side == "primal" else ("primal", ps.c)
-    out = [solver.strict_feasibility(fs.homogeneous().extend(fs.g[:, None]),
-                                     max_iter=max_iter),
-           recession_strict(ps, other, restrict_orthogonal_to=hyperplane, max_iter=max_iter)]
-    if side == "primal":
-        # perspective cross-check: restricted to t = 1, condition 1 is
-        # exactly primal strict feasibility
-        sl = slater(ps, "primal", max_iter=max_iter)
-        if sl.verdict == "Yes" and out[0].verdict != "Yes":
-            out[0] = replace(sl, witness=np.append(sl.witness, 1.0),
-                             detail="via the perspective route (strict feasibility)")
-    return out
+    return [solver.strict_feasibility(fs.homogeneous().extend(fs.g[:, None]),
+                                      max_iter=max_iter),
+            recession_strict(ps, other, restrict_orthogonal_to=hyperplane, max_iter=max_iter)]
 
 
 # ---------------------------------------------------------------------------
@@ -393,20 +384,16 @@ def _polar_almost_side_condition(p: program.ConicProgram, side: str) -> str:
 def finiteness_check(p: program.ConicProgram, side: str = "primal") -> solver.Verdict:
     """Finite / Unbounded / Unknown for the side's optimal value.
 
-    Under strict feasibility of the side, or of its recession cone with the
-    side feasible, the value is finite iff the other side is feasible.  So
-    the other side's feasible point decides Finite (the witness), and its
-    emptiness certificate Unbounded (the separator, with the side's
-    improving ray as the witness).  Either stands only when the side's own
-    solve agrees; `value` is that solve's objective.
+    Under strict feasibility of the side, the value is finite iff the other
+    side is feasible.  So the other side's feasible point decides Finite
+    (the witness), and its emptiness certificate Unbounded (the separator,
+    with the side's improving ray as the witness).  Either stands only when
+    the side's own solve agrees; `value` is that solve's objective.
+
+    A strict recession direction d of a feasible side adds no case: with a
+    feasible x0, G(x0 + d) + g in K + ri K = ri K makes x0 + d a Slater point.
     """
-    sl = slater(p, side)
-    applicable = sl.verdict == "Yes"
-    if not applicable:
-        sr = recession_strict(p, side)
-        applicable = sr.verdict == "Yes" and solver.feasibility(
-            program.feasible_system(_side_program(p, side))).verdict == "Yes"
-    if not applicable:
+    if slater(p, side).verdict != "Yes":
         return solver.Verdict("Unknown", detail="no strict feasibility established")
     res = solver.solve(_side_program(p, side))
     other = "dual" if side == "primal" else "primal"
@@ -460,11 +447,8 @@ def strong_duality_report(p: program.ConicProgram,
     ps = program.as_sup(p)
     sl_p = slater(ps, "primal", max_iter=max_iter)
     sl_d = slater(ps, "dual", max_iter=max_iter)
-    feas_p = sl_p.verdict == "Yes" or solver.feasibility(
-        program.feasible_system(ps), max_iter=max_iter).verdict == "Yes"
-    feas_d = sl_d.verdict == "Yes" or solver.feasibility(
-        program.feasible_system(program.dualize(ps)),
-        max_iter=max_iter).verdict == "Yes"
+    feas_p, feas_d = (solver.feasibility(program.feasible_system(q), max_iter=max_iter)
+                      .verdict == "Yes" for q in (ps, program.dualize(ps)))
     both = feas_p and feas_d
     c_in = image_of_subspace(ps.A.adjoint(), cones.span(ps.K).complement()).contains(ps.c)
     b_in = image_of_subspace(ps.A, cones.lineality(ps.C)).contains(ps.b)

@@ -8,8 +8,6 @@ construction itself is the certificate, and are revalidated at build time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import cones
@@ -28,14 +26,6 @@ _STREAM_SHAPE = 8
 
 # step of the planted construction points away from the canonical interior point
 RELINT_SCALE = 0.4
-
-
-@dataclass
-class InstanceSpec:
-    family: str
-    parameters: dict
-    seed: int
-    expected: dict = field(default_factory=dict)
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -71,11 +61,8 @@ def example_adapted(n: int) -> ConicProgram:
         sense="sup")
 
 
-def example_adapted_spec(n: int) -> InstanceSpec:
-    return InstanceSpec(
-        family="example-adapted", parameters={"n": n}, seed=0,
-        expected={"primal_status": "PrimalInfeasible", "dobj": 0.0,
-                  "dual_solution": "origin"})
+EXAMPLE_ADAPTED_EXPECTED = {"primal_status": "PrimalInfeasible", "dobj": 0.0,
+                            "dual_solution": "origin"}
 
 
 def planted_strong_duality(c_descr, k_descr, seed: int = 0) -> ConicProgram:

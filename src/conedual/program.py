@@ -151,10 +151,5 @@ def feasible_system(p: ConicProgram) -> System:
     return slack.stack(np.eye(n), np.zeros(n), p.C)
 
 
-def recession_system(p: ConicProgram) -> System:
-    """Homogeneous variant of `feasible_system` (right-hand side zero)."""
-    return feasible_system(p).homogeneous()
-
-
 def is_feasible_point(p: ConicProgram, x: np.ndarray, tol: float | None = None) -> bool:
     return feasible_system(p).member(x, tol)

@@ -4,14 +4,17 @@ The projection cone for the set X = {x in C : b - A x in K} and a subspace L
 is {(y, w) in K* x C* : A* y - w in L}.  Each of its rays (y, w) yields a
 valid inequality <A* y - w, x> <= <b, y> on the projection of X onto L, and
 for polyhedral cones the extreme rays give the full H-representation.
+`projection_cone` builds that system for `precondition`, for the exact
+enumeration and for the sampled outer approximation alike.
 
 Ray enumeration uses the double description method in exact integer
-arithmetic: rational data are scaled to integers by positive factors, rays
-are kept as coprime integer vectors, and the tight constraints of each ray
-as a bitmask.  Two rays are adjacent when no third ray is tight wherever
-both are; on the minimal ray set the method maintains, this combinatorial
-test is equivalent to the rank test (Fukuda and Prodon, "Double description
-method revisited", 1996).
+arithmetic.  Floats enter it by one rule, `_to_frac_matrix` (the nearest
+fraction of denominator at most 10**12); rational data are scaled to
+integers by positive factors, rays are kept as coprime integer vectors, and
+the tight constraints of each ray as a bitmask.  Two rays are adjacent when
+no third ray is tight wherever both are; on the minimal ray set the method
+maintains, this combinatorial test is equivalent to the rank test (Fukuda
+and Prodon, "Double description method revisited", 1996).
 
 The candidate rows, one per ray, are mostly redundant.  Redundancy is
 decided by the same method, without LP: one double description of the
@@ -42,10 +45,6 @@ from . import cones, program, solver
 from .spaces import LinearMap, Subspace, inner, product_space, real, space
 
 SAMPLES = 64  # seeded objectives of the outer approximation for non-polyhedral cones
-
-
-class NotPolyhedral(Exception):
-    pass
 
 
 class PreconditionFailed(Exception):
@@ -174,8 +173,9 @@ def double_description(ineqs: list[list[Fraction]], dim: int
 # projection cone
 
 
-def _cone_system(ps: program.ConicProgram, sub: Subspace) -> program.System:
+def projection_cone(p: program.ConicProgram, sub: Subspace) -> program.System:
     """The projection cone {(y, w) in K* x C* : A* y - w in L} as a system."""
+    ps = program.as_sup(p)
     n = ps.A.domain.dim
     d = ps.A.codomain.dim + n
     pc = program.System(
@@ -186,14 +186,6 @@ def _cone_system(ps: program.ConicProgram, sub: Subspace) -> program.System:
         pc = pc.stack(comp.basis.T @ np.hstack([ps.A.matrix.T, -np.eye(n)]),
                       np.zeros(comp.dim), cones.ZERO)
     return pc
-
-
-def projection_cone(p: program.ConicProgram, sub: Subspace) -> program.System:
-    """{(y, w) in K* x C* : A* y - w in L}; polyhedral cones only."""
-    ps = program.as_sup(p)
-    if not ps.is_fully_polyhedral():
-        raise NotPolyhedral("extreme-ray enumeration needs Zero/Free/Nonneg factors")
-    return _cone_system(ps, sub)
 
 
 def _exact_rows(pc: program.System, tag: str) -> list[list[Fraction]]:
@@ -346,11 +338,10 @@ def _remove_redundant(rows: list[tuple]) -> list[tuple]:
     return [rows[j] for j in keep]
 
 
-def precondition(p: program.ConicProgram, sub: Subspace, **kw) -> solver.Verdict:
+def precondition(p: program.ConicProgram, sub: Subspace) -> solver.Verdict:
     """Strict feasibility of the projection cone system (hypothesis of the
     extreme-ray description)."""
-    ps = program.as_sup(p)
-    return solver.strict_feasibility(_cone_system(ps, sub), **kw)
+    return solver.strict_feasibility(projection_cone(p, sub))
 
 
 def project(p: program.ConicProgram, sub: Subspace) -> HRepresentation:
@@ -395,7 +386,7 @@ def _project_sampled(ps, sub) -> HRepresentation:
     d = m + n
     rng = np.random.default_rng([0, 104])
     # normalized by <1, u> <= 1, adequate after projection
-    normalized = _cone_system(ps, sub).stack(-np.ones((1, d)), [1.0], cones.NONNEG)
+    normalized = projection_cone(ps, sub).stack(-np.ones((1, d)), [1.0], cones.NONNEG)
     normals, offsets = [], []
     for _ in range(SAMPLES):
         obj = rng.standard_normal(d)
@@ -444,9 +435,8 @@ def fourier_motzkin(normals, offsets, eliminate: list[int]) -> HRepresentation:
     normals = np.asarray(normals, dtype=float)
     if normals.shape[1] > 8:
         raise ValueError("oracle capped at 8 variables")
-    rows = [(list(map(lambda x: Fraction(x).limit_denominator(10**12), a)),
-             Fraction(b).limit_denominator(10**12))
-            for a, b in zip(normals, np.asarray(offsets, dtype=float))]
+    rows = [(row[:-1], row[-1]) for row in _to_frac_matrix(
+        np.column_stack([normals, np.asarray(offsets, dtype=float)]))]
     for var in eliminate:
         pos = [(a, b) for a, b in rows if a[var] > 0]
         neg = [(a, b) for a, b in rows if a[var] < 0]

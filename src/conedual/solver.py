@@ -54,12 +54,12 @@ where strict feasibility does not settle it, is one solve of
 sup{0 : G x + g in K}.
 
 Inside a call decorated with `memoised` (`diagnostics.strong_duality_report`
-is), `strict_feasibility` and `feasibility` decide a system whose exact
-bytes, cone, threshold, tolerance and budget they have already decided in
-that call from a memo, without solving again.  The memo lives for the call
-only, and its results are shared between callers; `Verdict` is frozen, so a
-caller derives a new one with `dataclasses.replace` rather than editing a
-shared one.
+is), `strict_feasibility` and the plain solve of `feasibility` decide a
+system whose exact bytes, cone, tolerance and budget they have already
+decided in that call from a memo, without solving again.  The memo lives
+for the call only, and its results are shared between callers; `Verdict`
+is frozen, so a caller derives a new one with `dataclasses.replace` rather
+than editing a shared one.
 """
 
 from __future__ import annotations
@@ -360,23 +360,21 @@ def _decide_once(decide, s: program.System, *args) -> Verdict:
     return cache[key]
 
 
-def strict_feasibility(s: program.System,
-                       margin_threshold: float = STRICT_MARGIN,
-                       tol_feas: float = TOL_FEAS,
+def strict_feasibility(s: program.System, tol_feas: float = TOL_FEAS,
                        max_iter: int = MAX_ITER) -> Verdict:
     """Decide whether {x : G x + g in cone} meets the relative interior, by
     one solve of the alternative system (see `_alternative_program`).
 
     Yes comes with a validated witness and its margin min(1, 1/sigma), which
-    must exceed `margin_threshold` (nan when the solve did not converge); No
+    must exceed STRICT_MARGIN (nan when the solve did not converge); No
     with a separating functional lam in cone* with G* lam = 0,
     <g, lam> <= 0, lam nonzero on the curved/nonneg part, or with a
     certificate that the system is empty outright (<g, lam> < 0).
     """
-    return _decide_once(_strict_feasibility, s, margin_threshold, tol_feas, max_iter)
+    return _decide_once(_strict_feasibility, s, tol_feas, max_iter)
 
 
-def _strict_feasibility(s, margin_threshold, tol_feas, max_iter):
+def _strict_feasibility(s, tol_feas, max_iter):
     res = solve(_alternative_program(s), tol_feas=tol_feas, max_iter=max_iter)
     n = s.gmap.domain.dim
 
@@ -399,7 +397,7 @@ def _strict_feasibility(s, margin_threshold, tol_feas, max_iter):
             if base.verdict == "Yes":
                 x, value = base.witness + z, 1.0
         w = None if x is None else _interior_witness(s, x)
-        if w is not None and value > margin_threshold:
+        if w is not None and value > STRICT_MARGIN:
             if res.status == "Optimal":
                 return Verdict("Yes", witness=w, value=value, detail="interior witness")
             return Verdict("Yes", witness=w,
@@ -496,10 +494,6 @@ def feasibility(s: program.System, tol_feas: float = TOL_FEAS,
     revalidate by membership, its Farkas ray as an emptiness certificate.
     Inside a memoised call both solves come from the memo.
     """
-    return _decide_once(_feasibility, s, tol_feas, max_iter)
-
-
-def _feasibility(s, tol_feas, max_iter):
     res = strict_feasibility(s, tol_feas=tol_feas, max_iter=max_iter)
     if res.verdict == "Yes" or res.detail == "the system is empty":
         return res

@@ -222,6 +222,15 @@ def test_cli_gallery_emits_loadable_instance():
         cli.load(doc)  # must validate
 
 
+def test_cli_gallery_pins_example_adapted_annotations():
+    for n in ("3", "6"):
+        proc = _run(["gallery", "example-adapted", "--n", n])
+        assert proc.returncode == 0, proc.stderr
+        assert list(json.loads(proc.stdout)["annotations"].items()) == [
+            ("primal_status", "PrimalInfeasible"), ("dobj", 0.0),
+            ("dual_solution", "origin")]
+
+
 def test_cli_project(tmp_path, capsys):
     inst = cli.dump(gallery.packing_instance(2, 3, seed=1))
     ipath = tmp_path / "inst.json"

@@ -300,6 +300,66 @@ def test_closedness_conditions_agree_with_highs(p):
             assert not (t <= 1e-9 and v.verdict == "Yes"), (side, v, t)
 
 
+# The implications each condition is decided by one route on: the planted
+# MIXES and the random PROFILES at gallery seeds 0-2, 36 sup programs
+IMPLICATION_POPULATION = (
+    [gallery.planted_strong_duality(*mix, seed=s) for mix in MIXES for s in range(3)]
+    + [gallery.random_program(name, seed=s)
+       for name in sorted(gallery.PROFILES) for s in range(3)])
+
+
+def test_closedness_condition_1_holds_wherever_slater_does():
+    # a Slater point z gives P(z, 1) = G z + g in ri M, so condition 1 is Yes
+    # on that side too, with a witness the perspective map sends into ri M
+    hits = 0
+    for p in IMPLICATION_POPULATION:
+        for side, lift, big in _lifted(p):
+            if diagnostics.slater(p, side, max_iter=5000).verdict != "Yes":
+                continue
+            cond1 = diagnostics.closedness_conditions(p, side, max_iter=5000)[0]
+            assert cond1.verdict == "Yes", (side, cond1)
+            z, t = cond1.witness[:-1], cond1.witness[-1]
+            # P(z, t) is Lp(-z, t) on side primal and Ld(z, -t) on side dual
+            arg = np.append(-z, t) if side == "primal" else np.append(z, -t)
+            assert cones.relint_member(big, lift(arg)), (side, cond1)
+            hits += 1
+    assert hits >= 50
+
+
+def test_strict_recession_of_a_feasible_side_gives_slater():
+    # a feasible x0 and a strict recession direction d give G(x0 + d) + g in
+    # K + ri K = ri K, so x0 + d is a Slater point
+    hits = 0
+    for p in IMPLICATION_POPULATION:
+        for side, q in (("primal", p), ("dual", program.dualize(p))):
+            fs = program.feasible_system(q)
+            sr = diagnostics.recession_strict(p, side, max_iter=5000)
+            feas = solver.feasibility(fs, max_iter=5000)
+            if sr.verdict != "Yes" or feas.verdict != "Yes":
+                continue
+            assert fs.relint_member(feas.witness + sr.witness), (side, sr, feas)
+            assert diagnostics.slater(p, side, max_iter=5000).verdict == "Yes"
+            hits += 1
+    assert hits >= 30
+
+
+def test_gordan_alternative_is_boundedness_without_feasibility():
+    # on a nonempty side with a pointed recession cone, Interior is Bounded
+    # and Ray is Unbounded, with the same witness
+    seen = []
+    for p in IMPLICATION_POPULATION:
+        bd = diagnostics.boundedness(p, "primal")
+        if bd.verdict == "Empty" or diagnostics.recession_cone(p, "primal").lineality.dim:
+            continue
+        out = diagnostics.gordan_alternative(p)
+        assert (out.verdict == "Interior") == (bd.verdict == "Bounded"), (out, bd)
+        assert (out.verdict == "Ray") == (bd.verdict == "Unbounded"), (out, bd)
+        if out.verdict != "Unknown":
+            np.testing.assert_array_equal(out.witness, bd.witness)
+        seen.append(out.verdict)
+    assert seen.count("Interior") >= 10 and seen.count("Ray") >= 10, seen
+
+
 def test_gap_bound_separation_on_planted():
     p = gallery.planted_strong_duality(
         [(cones.NONNEG, 3)], [(cones.NONNEG, 3)], seed=6)
