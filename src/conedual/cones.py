@@ -123,26 +123,21 @@ def relint_member(c: Cone, x: np.ndarray, tol: float | None = None) -> bool:
     return True
 
 
-def lineality(c: Cone) -> Subspace:
-    cols = []
+def _coordinate_subspace(c: Cone, keep) -> Subspace:
+    """The span of the coordinates of the factors whose tag passes `keep`."""
     eye = np.eye(c.space.dim)
-    for tag, s in zip(c.tags, c.space.slices()):
-        if tag == FREE:
-            cols.append(eye[:, s])
+    cols = [eye[:, s] for tag, s in zip(c.tags, c.space.slices()) if keep(tag)]
     if not cols:
         return Subspace.zero(c.space)
     return Subspace(c.space, np.hstack(cols))
+
+
+def lineality(c: Cone) -> Subspace:
+    return _coordinate_subspace(c, lambda tag: tag == FREE)
 
 
 def span(c: Cone) -> Subspace:
-    cols = []
-    eye = np.eye(c.space.dim)
-    for tag, s in zip(c.tags, c.space.slices()):
-        if tag != ZERO:
-            cols.append(eye[:, s])
-    if not cols:
-        return Subspace.zero(c.space)
-    return Subspace(c.space, np.hstack(cols))
+    return _coordinate_subspace(c, lambda tag: tag != ZERO)
 
 
 def is_subspace(c: Cone) -> bool:

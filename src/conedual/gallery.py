@@ -126,13 +126,8 @@ def random_program(profile: str, seed: int = 0) -> ConicProgram:
     def draw(tags):
         descr = []
         for tag in tags:
-            if tag == cones.PSD:
-                descr.append((tag, int(shape_rng.integers(cfg["lo"], cfg["hi"] + 1))))
-            elif tag == cones.SOC:
-                descr.append((tag, int(shape_rng.integers(max(cfg["lo"], 2),
-                                                          cfg["hi"] + 1))))
-            else:
-                descr.append((tag, int(shape_rng.integers(cfg["lo"], cfg["hi"] + 1))))
+            lo = max(cfg["lo"], 2) if tag == cones.SOC else cfg["lo"]
+            descr.append((tag, int(shape_rng.integers(lo, cfg["hi"] + 1))))
         return descr
 
     big_c = _build_cone(draw(cfg["c_tags"]))

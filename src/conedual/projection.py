@@ -7,27 +7,32 @@ for polyhedral cones the extreme rays give the full H-representation.
 `projection_cone` builds that system for `precondition`, for the exact
 enumeration and for the sampled outer approximation alike.
 
-Ray enumeration uses the double description method in exact integer
-arithmetic.  Floats enter it by one rule, `_to_frac_matrix` (the nearest
-fraction of denominator at most 10**12); rational data are scaled to
-integers by positive factors, rays are kept as coprime integer vectors, and
-the tight constraints of each ray as a bitmask.  Two rays are adjacent when
-no third ray is tight wherever both are; on the minimal ray set the method
-maintains, this combinatorial test is equivalent to the rank test (Fukuda
-and Prodon, "Double description method revisited", 1996).
+The exact path runs in integers from the float boundary on.  Floats enter it
+by one rule, `_to_frac_matrix` (the nearest fraction of denominator at most
+10**12), and each matrix is then scaled to integers by one positive factor.
+One fraction-free Gauss-Jordan elimination, `_int_kernel`, serves every
+linear-algebra question: the null space of the projection cone's equality
+rows, and the dimension tests of the redundancy removal below.
+
+Ray enumeration uses the double description method: rays are kept as coprime
+integer vectors, and the tight constraints of each ray as a bitmask.  Two
+rays are adjacent when no third ray is tight wherever both are; on the
+minimal ray set the method maintains, this combinatorial test is equivalent
+to the rank test (Fukuda and Prodon, "Double description method revisited",
+1996).
 
 The candidate rows, one per ray, are mostly redundant.  Redundancy is
 decided by the same method, without LP: one double description of the
 homogenised cone {(x, t) : beta t - <a, x> >= 0 per row, t >= 0} shows
 whether the set is empty (no ray with t > 0; the result is then the single
-infeasible marker 0 <= -1) and whether it is full-dimensional (its
-generators span R^(n+1)).  On a full-dimensional set a row is kept exactly
-when it defines a facet: the generators tight at it have rank n.  On a
-lower-dimensional set the rows are taken in order, and a row is dropped
-when the cone of the rows still kept without it satisfies it, which takes
-one further double description per row.  A Fourier-Motzkin eliminator,
-which removes redundant rows the same way, is provided as an oracle for
-tests.
+infeasible marker 0 <= -1) and whether it is full-dimensional (no nonzero
+vector is orthogonal to all its generators).  On a full-dimensional set a
+row is kept exactly when it defines a facet: the generators tight at it
+leave a one-dimensional orthogonal complement.  On a lower-dimensional set
+the rows are taken in order, and a row is dropped when the cone of the rows
+still kept without it satisfies it, which takes one further double
+description per row.  A Fourier-Motzkin eliminator, which removes redundant
+rows the same way, is provided as an oracle for tests.
 """
 
 from __future__ import annotations
@@ -52,43 +57,12 @@ class PreconditionFailed(Exception):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over the rationals
+# exact linear algebra in integers
 
 
 def _to_frac_matrix(mat) -> list[list[Fraction]]:
     return [[Fraction(x).limit_denominator(10**12) if isinstance(x, float)
              else Fraction(x) for x in row] for row in mat]
-
-
-def _frac_kernel(rows: list[list[Fraction]], d: int) -> list[list[Fraction]]:
-    """Basis of the null space of the row system, exact Gaussian elimination."""
-    mat = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(d):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][col]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(d) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * d
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][fc]
-        basis.append(v)
-    return basis
 
 
 def _dot(a, b):
@@ -107,22 +81,52 @@ def _coprime(v: list[int]) -> list[int]:
     return [x // g for x in v] if g > 1 else v
 
 
-def _primitive(v) -> tuple:
-    """Scale a rational vector by a positive factor to coprime integers."""
-    return tuple(_coprime(_integers([v])[0]))
+def _int_kernel(rows: list[list[int]], d: int) -> list[list[int]]:
+    """Basis of the null space of integer rows, by fraction-free Gauss-Jordan
+    elimination.
+
+    Each row is updated by integer combinations and divided by its gcd, so
+    every row stays a nonzero multiple of its reduced-echelon row, whatever
+    the sign of its pivot p_i.  With L the lcm of the pivots, the basis
+    vector of a free column has L there and -row_i[col] L / p_i at the pivot
+    of row i: one common positive multiple of the rational basis.
+    """
+    mat = [list(row) for row in rows]
+    pivots: list[int] = []
+    for col in range(d):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        top = mat[r]
+        for i, row in enumerate(mat):
+            if i != r and row[col]:
+                mat[i] = _coprime([top[col] * x - row[col] * y for x, y in zip(row, top)])
+        pivots.append(col)
+        if len(pivots) == len(mat):
+            break
+    scale = lcm(*(mat[i][pc] for i, pc in enumerate(pivots)))
+    basis = []
+    for fc in (c for c in range(d) if c not in pivots):
+        v = [0] * d
+        v[fc] = scale
+        for i, pc in enumerate(pivots):
+            v[pc] = -mat[i][fc] * (scale // mat[i][pc])
+        basis.append(v)
+    return basis
 
 
 # ---------------------------------------------------------------------------
 # double description on {z : B z >= 0}
 
 
-def double_description(ineqs: list[list[Fraction]], dim: int
-                       ) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+def double_description(ineqs, dim: int) -> tuple[list[list[int]], list[list[int]]]:
     """Generators (lineality basis, extreme rays) of {z : B z >= 0}.
 
-    Rows and generators are rational at the boundary; inside, each row is
-    scaled to integers and every generator is a coprime integer vector, so
-    each update below is a positive multiple of the rational one.
+    The rows may be rational; each is scaled to integers, and every generator
+    is a coprime integer vector, so each update below is a positive multiple
+    of the rational one.
     """
     lin = [[int(i == j) for j in range(dim)] for i in range(dim)]
     rays: list[list[int]] = []
@@ -165,8 +169,7 @@ def double_description(ineqs: list[list[Fraction]], dim: int
                 keep_tight.append(common | bit)
         rays, tight = keep_rays, keep_tight
     # coprime rays are equal exactly when positive multiples of each other
-    return ([list(map(Fraction, l)) for l in lin],
-            [list(map(Fraction, k)) for k in dict.fromkeys(map(tuple, rays)) if any(k)])
+    return lin, [list(k) for k in dict.fromkeys(map(tuple, rays)) if any(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -188,28 +191,25 @@ def projection_cone(p: program.ConicProgram, sub: Subspace) -> program.System:
     return pc
 
 
-def _exact_rows(pc: program.System, tag: str) -> list[list[Fraction]]:
-    """Rational rows of the factors of one kind: Zero rows vanish on the cone,
-    Nonneg rows are nonnegative on it."""
-    return [row for t, s in zip(pc.cone.tags, pc.cone.space.slices()) if t == tag
-            for row in _to_frac_matrix(pc.gmap.matrix[s])]
+def _exact_rows(pc: program.System, tag: str) -> list[list[int]]:
+    """Integer rows of the factors of one kind, times one positive factor:
+    Zero rows vanish on the cone, Nonneg rows are nonnegative on it."""
+    return _integers([row for t, s in zip(pc.cone.tags, pc.cone.space.slices()) if t == tag
+                      for row in _to_frac_matrix(pc.gmap.matrix[s])])
 
 
 def _exact_lift(pc: program.System):
     """Integer generators of the homogeneous polyhedral system (lineality, rays)."""
-    null = _frac_kernel(_exact_rows(pc, cones.ZERO), pc.gmap.domain.dim)
+    null = _int_kernel(_exact_rows(pc, cones.ZERO), pc.gmap.domain.dim)
     if not null:
         return [], []
     # one common scale for the whole basis keeps the null-space coordinates
     # of every generator, up to a positive factor
-    null = _integers(null)
-    bn = [[_dot(row, nv) for nv in null]
-          for row in _integers(_exact_rows(pc, cones.NONNEG))]
+    bn = [[_dot(row, nv) for nv in null] for row in _exact_rows(pc, cones.NONNEG)]
     lin_z, rays_z = double_description(bn, len(null))
     cols = list(zip(*null))
 
     def lift(z):
-        z = [int(x) for x in z]
         return _coprime([_dot(z, col) for col in cols])
 
     return [lift(z) for z in lin_z], [lift(z) for z in rays_z]
@@ -244,10 +244,10 @@ class HRepresentation:
                 "exact": self.exact}
 
 
-def _canonical_rows(rows: list[tuple[list[Fraction], Fraction]]) -> list[tuple]:
+def _canonical_rows(rows: list[tuple[list[int], int]]) -> list[tuple]:
     out = set()
     for normal, off in rows:
-        prim = _primitive(list(normal) + [off])
+        prim = tuple(_coprime(list(normal) + [off]))
         if any(prim[:-1]):
             out.add(prim)
         elif prim[-1] < 0:
@@ -268,32 +268,11 @@ def _float_rows(rows: list[tuple], dim: int) -> tuple[np.ndarray, np.ndarray]:
     return mat[:, :-1], mat[:, -1]
 
 
-def _rank(vecs: list[list[int]]) -> int:
-    """Rank of integer vectors, by fraction-free (Bareiss) elimination: after
-    each step every entry is a minor of the input, so the divisions are exact."""
-    mat = [list(v) for v in vecs]
-    rank, prev = 0, 1
-    for col in range(len(mat[0]) if mat else 0):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        top = mat[rank]
-        p = top[col]
-        for i in range(rank + 1, len(mat)):
-            f = mat[i][col]
-            mat[i] = [(p * x - f * y) // prev for x, y in zip(mat[i], top)]
-        prev = p
-        rank += 1
-    return rank
-
-
 def _homogenised(rows: list[tuple], n: int) -> tuple[list[list[int]], list[list[int]]]:
     """Integer (lineality basis, extreme rays) of the homogenised cone
     {(x, t) : beta t - <a, x> >= 0 for every row (a, beta), t >= 0}."""
     ineqs = [[0] * n + [1]] + [[-x for x in row[:-1]] + [row[-1]] for row in rows]
-    lin, rays = double_description(ineqs, n + 1)
-    return [list(map(int, g)) for g in lin], [list(map(int, g)) for g in rays]
+    return double_description(ineqs, n + 1)
 
 
 def _slack(row: tuple, gen: list[int]) -> int:
@@ -309,9 +288,10 @@ def _remove_redundant(rows: list[tuple]) -> list[tuple]:
 
     - no ray has t > 0: the set is empty, and the result is the single
       infeasible marker (0, ..., 0, -1);
-    - the generators span all n + 1 dimensions (a full-dimensional set):
-      a row is kept exactly when it defines a facet, that is, when the
-      lineality basis and the rays tight at it have rank n;
+    - no nonzero vector is orthogonal to every generator (a full-dimensional
+      set): a row is kept exactly when it defines a facet, that is, when the
+      vectors orthogonal to the lineality basis and the rays tight at it form
+      a line;
     - otherwise (a lower-dimensional set, where a facet has no unique
       defining row): the rows are taken in order, and a row is dropped when
       it holds on the cone of the rows still kept without it, i.e. has slack
@@ -325,9 +305,9 @@ def _remove_redundant(rows: list[tuple]) -> list[tuple]:
     lin, rays = _homogenised(rows, n)
     if not any(r[-1] > 0 for r in rays):
         return [(0,) * n + (-1,)]
-    if _rank(lin + rays) == n + 1:
+    if not _int_kernel(lin + rays, n + 1):
         return [row for row in rows
-                if _rank(lin + [r for r in rays if _slack(row, r) == 0]) == n]
+                if len(_int_kernel(lin + [r for r in rays if _slack(row, r) == 0], n + 1)) == 1]
     keep = list(range(len(rows)))
     for i in range(len(rows)):
         rest = [j for j in keep if j != i]
@@ -366,19 +346,17 @@ def _project_polyhedral(ps, sub) -> HRepresentation:
     # generator (y, w) is s times (A* y - w, <b, y>)
     *amat, bvec = _integers(_to_frac_matrix(np.vstack([
         np.hstack([ps.A.matrix.T, -np.eye(n)]), np.append(ps.b, np.zeros(n))])))
-    rows = [_ray_to_row(gen, amat, bvec) for gen in rays]
-    for gen in lin:
-        rows.append(_ray_to_row(gen, amat, bvec))
-        rows.append(_ray_to_row([-x for x in gen], amat, bvec))
-    canon = _canonical_rows(rows)
-    canon = _remove_redundant(canon)
-    normals, offsets = _float_rows(canon, n)
-    return HRepresentation(normals, offsets, sub.basis, exact=True,
-                           frac_rows=list(canon))
+    gens = rays + lin + [[-x for x in g] for g in lin]
+    return _exact_hrep([([_dot(row, g) for row in amat], _dot(bvec, g)) for g in gens],
+                       sub.basis)
 
 
-def _ray_to_row(gen, amat, bvec):
-    return [_dot(row, gen) for row in amat], _dot(bvec, gen)
+def _exact_hrep(rows: list[tuple[list[int], int]], basis: np.ndarray) -> HRepresentation:
+    """The H-representation of the integer rows (a, beta) of a x <= beta:
+    canonical, without redundant rows, and in floats."""
+    canon = _remove_redundant(_canonical_rows(rows))
+    normals, offsets = _float_rows(canon, basis.shape[0])
+    return HRepresentation(normals, offsets, basis, exact=True, frac_rows=canon)
 
 
 def _project_sampled(ps, sub) -> HRepresentation:
@@ -435,28 +413,19 @@ def fourier_motzkin(normals, offsets, eliminate: list[int]) -> HRepresentation:
     normals = np.asarray(normals, dtype=float)
     if normals.shape[1] > 8:
         raise ValueError("oracle capped at 8 variables")
-    rows = [(row[:-1], row[-1]) for row in _to_frac_matrix(
-        np.column_stack([normals, np.asarray(offsets, dtype=float)]))]
+    rows = [(row[:-1], row[-1]) for row in _integers(_to_frac_matrix(
+        np.column_stack([normals, np.asarray(offsets, dtype=float)])))]
     for var in eliminate:
         pos = [(a, b) for a, b in rows if a[var] > 0]
         neg = [(a, b) for a, b in rows if a[var] < 0]
-        rest = [(a, b) for a, b in rows if a[var] == 0]
-        new = list(rest)
+        new = [(a, b) for a, b in rows if a[var] == 0]
         for ap, bp in pos:
             for an, bn in neg:
                 coef_p, coef_n = ap[var], -an[var]
-                a = [coef_n * x + coef_p * y for x, y in zip(ap, an)]
-                b = coef_n * bp + coef_p * bn
-                a[var] = Fraction(0)
-                new.append((a, b))
-        canon = _canonical_rows(new)
-        canon = _remove_redundant(canon)
-        rows = [([Fraction(x) for x in r[:-1]], Fraction(r[-1])) for r in canon]
-    canon = _canonical_rows(rows)
-    canon = _remove_redundant(canon)
+                new.append(([coef_n * x + coef_p * y for x, y in zip(ap, an)],
+                            coef_n * bp + coef_p * bn))
+        canon = _remove_redundant(_canonical_rows(new))
+        rows = [(r[:-1], r[-1]) for r in canon]
     dim = normals.shape[1]
-    out_n, out_b = _float_rows(canon, dim)
     keep = [j for j in range(dim) if j not in eliminate]
-    basis = np.eye(dim)[:, keep]
-    return HRepresentation(out_n, out_b, basis, exact=True,
-                           frac_rows=list(canon))
+    return _exact_hrep(rows, np.eye(dim)[:, keep])

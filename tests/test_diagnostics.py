@@ -43,6 +43,15 @@ def _strict_orthant_recession():
         sense="sup")
 
 
+def _free_plane():
+    # x in R^2 free and 0 x <= 1: the recession cone is all of R^2
+    dom, cod = space(real(2)), space(real(1))
+    return program.ConicProgram(
+        A=LinearMap(dom, cod, np.zeros((1, 2))), b=np.ones(1), c=np.zeros(2),
+        K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.FREE),
+        sense="sup")
+
+
 def _empty(n=2):
     dom, cod = space(real(n)), space(real(n))
     return program.ConicProgram(
@@ -144,6 +153,16 @@ def test_polar_recession_membership():
     assert inner(np.array([1.0, 0.0]), r) > 0
 
 
+def test_polar_recession_membership_no_along_the_lineality():
+    # a lineality direction r with <v, r> > 0 refutes membership before any solve
+    out = diagnostics.polar_recession_membership(_free_plane(), "primal",
+                                                 np.array([1.0, 0.0]))
+    assert out.verdict == "No"
+    assert out.detail == "lineality direction with positive inner product"
+    assert np.allclose(np.abs(out.witness), [1.0, 0.0])
+    assert inner(np.array([1.0, 0.0]), out.witness) > 0
+
+
 def test_polar_recession_membership_yes_needs_exact_cross_check(monkeypatch):
     # a zero support value is a Yes only if the exact cross-check does not
     # find the other side empty at offset v
@@ -207,6 +226,12 @@ def test_gordan_both_branches():
     assert np.linalg.norm(x) > 1e-6
     assert cones.member(q.C, x, 1e-6)
     assert cones.member(q.K, -q.A(x), 1e-6)
+
+
+def test_gordan_alternative_needs_a_pointed_recession_cone():
+    out = diagnostics.gordan_alternative(_free_plane())
+    assert out.verdict == "Unknown"
+    assert out.detail == "primal recession cone is not pointed"
 
 
 def _lifted(p):
@@ -370,6 +395,13 @@ def test_gap_bound_separation_on_planted():
     x = out.witness
     assert program.is_feasible_point(p, x, 1e-6)
     assert inner(p.c, x) > out.value - 1e-6
+
+
+def test_gap_bound_separation_needs_an_optimal_dual():
+    # the pathology's dual solve ends Unknown, so no level dobj - eps exists
+    out = diagnostics.gap_bound_separation(gallery.example_adapted(3), 1e-3)
+    assert out.verdict == "Unknown"
+    assert out.detail.startswith("dual not solved to optimality")
 
 
 def test_almost_feasibility_feasible_side():

@@ -10,6 +10,9 @@ package name lives on as a test helper or oracle: those go in tests/.
 
 A name a src/conedual module imports must be loaded in that module, listed
 in its __all__, or marked `# noqa: F401` on its import line.
+
+The exact projection reads floats in one function, so that its rounding
+rule lives in one place.
 """
 
 import ast
@@ -113,3 +116,23 @@ def test_every_package_import_is_used():
                 if name not in kept:
                     unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_projection_reads_floats_in_one_place():
+    """The exact projection converts floats by one rule: no Fraction and no
+    limit_denominator in projection.py outside `_to_frac_matrix`."""
+    tree = ast.parse((PACKAGE / "projection.py").read_text())
+    outside = []
+
+    def visit(node, inside):
+        if isinstance(node, ast.FunctionDef) and node.name == "_to_frac_matrix":
+            inside = True
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+        if name in ("Fraction", "limit_denominator") and not inside:
+            outside.append(f"projection.py:{node.lineno} {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    assert outside == []

@@ -1,6 +1,7 @@
 """Exact polyhedral projection: double description, projection cone, FM oracle."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -75,6 +76,14 @@ def test_double_description_rays_satisfy_inequalities():
 # reference: double description in Fraction arithmetic with the rank test
 
 
+def _primitive(v) -> tuple:
+    """A rational vector scaled by a positive factor to coprime integers."""
+    den = lcm(*(Fraction(x).denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
+
+
 def _ref_rank(rows) -> int:
     rows = [list(r) for r in rows]
     if not rows:
@@ -129,7 +138,7 @@ def _ref_double_description(ineqs, dim):
         rays, tight = keep_rays, keep_tight
     seen = {}
     for r in rays:
-        seen.setdefault(projection._primitive(r), r)
+        seen.setdefault(_primitive(r), r)
     return lin, [list(map(Fraction, k)) for k in seen if any(k)]
 
 
@@ -164,11 +173,38 @@ def test_double_description_matches_rank_test_reference(system):
     ineqs, dim = system
     lin, rays = projection.double_description(ineqs, dim)
     ref_lin, ref_rays = _ref_double_description(ineqs, dim)
-    assert [projection._primitive(r) for r in rays] == \
-        [projection._primitive(r) for r in ref_rays]
-    assert all(isinstance(x, Fraction) for g in lin + rays for x in g)
+    assert [_primitive(r) for r in rays] == [_primitive(r) for r in ref_rays]
+    assert all(type(x) is int for g in lin + rays for x in g)
     # the same lineality space
-    assert _ref_rank(lin) == _ref_rank(ref_lin) == _ref_rank(lin + ref_lin) == len(lin)
+    assert _ref_rank(_fr(lin)) == _ref_rank(ref_lin) == \
+        _ref_rank(_fr(lin) + ref_lin) == len(lin)
+
+
+@st.composite
+def _int_matrix(draw):
+    """Integer rows of width 1-6 with zero entries, negative leading entries,
+    and negated, scaled and summed copies of earlier rows (rank deficiency)."""
+    d = draw(st.integers(1, 6))
+    entry = st.sampled_from([-3, -2, -1, 0, 0, 0, 1, 2, 3])
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), max_size=6))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        f = draw(st.sampled_from([-2, -1, 2]))
+        rows.append([f * x + y for x, y in zip(rows[i], rows[j])])
+    return draw(st.permutations(rows)), d
+
+
+@PROPERTY
+@given(_int_matrix())
+@example(([[-1, 1]], 2))  # a negative pivot
+@example(([[0, -2, 1], [3, 0, 0], [0, 4, -2]], 3))
+def test_int_kernel_is_a_basis_of_the_null_space(system):
+    rows, d = system
+    basis = projection._int_kernel(rows, d)
+    assert all(type(x) is int and len(v) == d for v in basis for x in v)
+    assert all(projection._dot(row, v) == 0 for row in rows for v in basis)
+    assert len(basis) == d - _ref_rank(_fr(rows))
+    assert _ref_rank(_fr(basis)) == len(basis)
 
 
 _HALVES_THIRDS = st.builds(Fraction, st.integers(1, 6), st.sampled_from([1, 2, 3]))

@@ -88,6 +88,20 @@ def test_unbounded_lp_ray():
     assert inner(p.c, ray) > 1e-8
 
 
+def test_unbounded_inf_ray_rate_is_the_objective_slope():
+    # inf y over y free: the rate is <c, ray> < 0 of the inf program, not of
+    # the negated sup program the solve runs on
+    d1 = space(real(1))
+    p = program.ConicProgram(
+        A=LinearMap(d1, d1, np.eye(1)), b=np.zeros(1), c=np.ones(1),
+        K=cones.cone(d1, cones.FREE), C=cones.cone(d1, cones.FREE), sense="inf")
+    res = solver.solve(p)
+    assert res.status == "Unbounded"
+    ray = res.certificate["ray"]
+    assert res.certificate["objective_rate"] == pytest.approx(inner(p.c, ray))
+    assert res.certificate["objective_rate"] == pytest.approx(-1.0)
+
+
 def test_soc_analytic_value():
     # pin the cone axis to 1, maximize a linear functional
     rng = np.random.default_rng([9, 32])
