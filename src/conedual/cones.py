@@ -181,29 +181,32 @@ def canonical_relint_point(c: Cone) -> np.ndarray:
 def projector(c: Cone):
     """Euclidean projection onto the cone, planned once from its tags.
 
-    Zero coordinates are set to 0, Nonneg ones clipped at 0, Free ones kept;
-    each SecondOrder block is projected on (start, axis), each Psd block by
-    clipping the eigenvalues of its matrix.  The negation flag is applied to
-    the input and again to the output.
+    Nonneg coordinates are clipped at 0 by one `np.maximum` against a lower
+    bound planned once (0 on them, -inf elsewhere), which also makes the
+    copy; Zero coordinates are set to 0 through contiguous slices, Free ones
+    kept; each SecondOrder block is projected on (start, axis), each Psd
+    block by clipping the eigenvalues of its matrix.  The negation flag is
+    applied to the input and again to the output.
 
     A Psd block is planned as its slice, its order and the svec (rows, cols,
     weights), and its matrix goes to LAPACK's dsyevd on the lower triangle,
     the routine and triangle `np.linalg.eigh` calls, so that the result is
     bitwise that of `vec_to_sym`, `eigh` and `sym_to_vec`.
     """
-    zero, nonneg, socs, psds = [], [], [], []
+    negated, dim = c.negated, c.space.dim
+    lower = np.full(dim, -np.inf)
+    zero, socs, psds = [], [], []
     for tag, s, f in zip(c.tags, c.space.slices(), c.space.factors):
         if tag == ZERO:
-            zero.extend(range(s.start, s.stop))
+            if zero and zero[-1].stop == s.start:
+                s = slice(zero.pop().start, s.stop)
+            zero.append(s)
         elif tag == NONNEG:
-            nonneg.extend(range(s.start, s.stop))
+            lower[s] = 0.0
         elif tag == SOC:
             socs.append((s.start, s.stop - 1))
         elif tag == PSD:
             psds.append((s, f.size, *_svec_maps(f.size)))
-    zero = np.array(zero, dtype=np.intp)
-    nonneg = np.array(nonneg, dtype=np.intp)
-    negated, dim = c.negated, c.space.dim
     if psds:
         syevd, = get_lapack_funcs(("syevd",), (np.eye(1),))
 
@@ -211,11 +214,9 @@ def projector(c: Cone):
         x = np.asarray(x, dtype=float)
         if x.shape != (dim,):
             raise ValueError(f"expected vector of dim {dim}, got shape {x.shape}")
-        out = -1.0 * x if negated else x.copy()
-        if zero.size:
-            out[zero] = 0.0
-        if nonneg.size:
-            out[nonneg] = np.maximum(out[nonneg], 0.0)
+        out = np.maximum(-1.0 * x if negated else x, lower)
+        for s in zero:
+            out[s] = 0.0
         for start, axis in socs:
             z, t = out[start:axis], out[axis]
             nz = math.sqrt(z.dot(z))  # bitwise np.linalg.norm(z)

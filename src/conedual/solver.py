@@ -21,8 +21,19 @@ is kept only if its own residual |g(c) - c| is at most |f_k|; otherwise, and
 when the solve fails or the candidate is not finite, the step is the plain
 g_k.  The window restarts after each extrapolation.  An iteration is one map
 evaluation, that is one linear solve and one projection, so the evaluation
-of a rejected candidate counts as one.  Residuals are checked, and u and v
-formed, every CHECK_EVERY iterations.
+of a rejected candidate counts as one.
+
+The exit tests (optimal pair, Farkas ray, improving ray, fixed point) form u
+and v and run at k = 1, 2, 4, 8, ..., at every iterate that is a fresh
+extrapolation, and every CHECK_EVERY iterations.  Most of the solves behind
+the diagnostics are done within a few map evaluations, which a check every
+CHECK_EVERY alone (the schedule of SCS, O'Donoghue et al. 2016) would run on
+for up to CHECK_EVERY - 1 more; the powers of two catch them early at a
+logarithmic cost, and an extrapolation is the iterate most likely to pass.
+A check at every iteration costs more in residual products than the
+iterations it spares.  A check only reads the iterate, so the iterates are
+those of a loop that checks every CHECK_EVERY alone, and no solve stops
+later than it would there.
 
 An Unknown exit is one of two kinds, told apart by `certificate["kind"]`.  At
 the budget the certificate is empty.  At a fixed point it is "fixed_point":
@@ -36,11 +47,15 @@ program, of the sign-flipped one `solve` builds), as in Permenter, Friberg
 and Andersen 2017.  Every Unknown verdict built from such a solve gives the
 reason FIXED_POINT.
 
-The iteration is compiled once per solve: I + Q is LU-factored once, each
-iteration calls LAPACK's getrs on the factors directly (keeping lu_solve's
-finiteness and info checks), each extrapolation calls gesv, and the
-projection onto dual(K x C) is the plan `cones.projector` builds once from
-the cone's tags.
+The iteration is compiled once per solve: I + Q is formed in place and
+LU-factored once, each iteration calls LAPACK's getrs on the factors
+directly (keeping lu_solve's finiteness and info checks), each
+extrapolation calls gesv, and the projection onto the whole embedding cone
+R^n x dual(K x C) x R_+ is one call of the plan `cones.projector` builds
+once from its tags.  Each map value and residual is written straight into
+the extrapolation window.  A program over polar views of K and C is solved
+as its mirror image over the cones themselves, since one product cone
+cannot hold a polar view next to R^n and R_+.
 
 Strict feasibility of a system {x : G x + g in K} is decided by one solve
 of its theorem-of-the-alternative system {(z, sigma) : G z + sigma g - e in
@@ -66,6 +81,7 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -74,7 +90,7 @@ from scipy.linalg import get_lapack_funcs, lu_factor
 from scipy.linalg import lu_solve  # noqa: F401
 
 from . import cones, program
-from .spaces import LinearMap, inner
+from .spaces import LinearMap, inner, real, space
 
 TOL_FEAS = 1e-8
 TOL_GAP = 1e-8
@@ -136,6 +152,17 @@ def solve(p: program.ConicProgram, tol_feas: float = TOL_FEAS,
         if res.certificate.get("kind") == "unbounded_ray":
             res.certificate["objective_rate"] = -res.certificate["objective_rate"]
         return res
+    if p.K.negated and p.C.negated:
+        # polar views: x in polar(C) and b - A x in polar(K) read x' in C and
+        # -b - A x' in K for x' = -x, the same values and negated vectors
+        res = solve(replace(p, b=-p.b, c=-p.c, K=replace(p.K, negated=False),
+                            C=replace(p.C, negated=False)), tol_feas, tol_gap, max_iter)
+        if res.x is not None:
+            res.x, res.y = -res.x, -res.y
+        for key, val in res.certificate.items():
+            if isinstance(val, np.ndarray):
+                res.certificate[key] = -val
+        return res
     return _solve_sup(p, tol_feas, tol_gap, max_iter)
 
 
@@ -155,17 +182,16 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
     q[n:-1, -1] = bt
     q[-1, :n] = -ct
     q[-1, n:-1] = -bt
-    lu, piv = lu_factor(np.eye(nn) + q)
+    # I + Q in place; adding 0.0 turns -0.0 into 0.0, as adding I's zeros does
+    q += 0.0
+    q.flat[::nn + 1] = 1.0
+    lu, piv = lu_factor(q, overwrite_a=True)
     getrs, gesv = get_lapack_funcs(("getrs", "gesv"), (lu,))
-    project_kc = cones.projector(kc_dual)
-
-    def project(w):
-        """Projection onto R^n x dual(K x C) x R_+."""
-        out = w.copy()
-        out[n:-1] = project_kc(w[n:-1])
-        if out[-1] < 0.0:  # max(out[-1], 0.0), without the builtin's cost
-            out[-1] = 0.0
-        return out
+    # the projection onto R^n x dual(K x C) x R_+
+    project = cones.projector(cones.Cone(
+        space(real(n), *kc_dual.space.factors, real(1)),
+        (cones.FREE, *kc_dual.tags, cones.NONNEG)))
+    zeros = np.zeros(nn)
 
     # the splitting iterates w = u - v, with u = project(w) and v = u - w
     w = np.zeros(nn)
@@ -177,38 +203,44 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
     filled = 0
     guard = None  # (|f|, plain step) while w is an unverified extrapolation
 
-    norm_b = np.linalg.norm(bt)
-    norm_c = np.linalg.norm(ct)
+    norm_b = _norm(bt)
+    norm_c = _norm(ct)
 
-    best = SolveResult(status="Unknown")
+    best = {}  # the SolveResult fields of the check with the least gap so far
     for k in range(1, max_iter + 1):
-        w_old, pw_old = w, pw  # the update below makes new arrays
+        # the update below rebinds w and pw and writes only rows of the
+        # window that neither is
+        w_old, pw_old = w, pw
         rhs = 2.0 * pw - w
-        # the two checks lu_solve makes around getrs
-        if not np.isfinite(rhs).all():
+        # the two checks lu_solve makes around getrs; inf * 0 and nan * 0
+        # are nan, so one product tells whether rhs is finite
+        if not math.isfinite(rhs @ zeros):
             raise ValueError("array must not contain infs or NaNs")
         u_tilde, info = getrs(lu, piv, rhs, overwrite_b=True)
         if info:
             raise ValueError(f"illegal value in {-info}th argument of internal getrs")
-        f = f_hist[filled]  # the residual g - w, with g the map's value at w
+        # the residual f = g - w and the map's value g at w, written into the
+        # window's next rows
+        f = f_hist[filled]
         np.subtract(u_tilde, pw, out=f)
         f *= ALPHA
-        g = w + f
-        if guard is not None and not np.linalg.norm(f) <= guard[0]:
+        g = np.add(w, f, out=g_hist[filled])
+        if guard is not None and not _norm(f) <= guard[0]:
             # the extrapolation's residual exceeds the one it was built from
             w, guard = guard[1], None
         else:
-            g_hist[filled] = g
             filled += 1
             w, guard = g, None
             if filled > AA_MEMORY:
                 filled = 0
                 cand = _extrapolate(gesv, g_hist, f_hist)
                 if cand is not None:
-                    w, guard = cand, (np.linalg.norm(f_hist[-1]), g)
+                    w, guard = cand, (_norm(f_hist[-1]), g)
         pw = project(w)
 
-        if k % CHECK_EVERY and k != max_iter:
+        # a check only reads the iterate: at powers of two (the short solves
+        # end early), at each fresh extrapolation, and every CHECK_EVERY
+        if k & (k - 1) and guard is None and k % CHECK_EVERY and k != max_iter:
             continue
         u, v = pw, pw - w
         tau = u[-1]
@@ -216,8 +248,8 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
             xs = u[:n] / tau
             ys = u[n:-1] / tau
             ss = v[n:-1] / tau
-            pres = np.linalg.norm(at @ xs + ss - bt) / (1.0 + norm_b)
-            dres = np.linalg.norm(at.T @ ys + ct) / (1.0 + norm_c)
+            pres = _norm(at @ xs + ss - bt) / (1.0 + norm_b)
+            dres = _norm(at.T @ ys + ct) / (1.0 + norm_c)
             pval = ct @ xs
             dval = -bt @ ys
             gap = abs(pval - dval) / (1.0 + abs(pval) + abs(dval))
@@ -228,17 +260,14 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
                     gap=float(gap), pres=float(pres), dres=float(dres),
                     iterations=k,
                     certificate={"kind": "optimal", "w": ys[m:]})
-            if np.isnan(best.gap) or gap < best.gap:
-                best = SolveResult(
-                    status="Unknown", x=xs, y=ys[:m],
-                    pobj=float(-pval), dobj=float(bt @ ys),
-                    gap=float(gap), pres=float(pres), dres=float(dres),
-                    iterations=k)
+            if not best or math.isnan(best["gap"]) or gap < best["gap"]:
+                best = {"x": xs, "y": ys[:m], "pobj": float(-pval), "dobj": float(bt @ ys),
+                        "gap": float(gap), "pres": float(pres), "dres": float(dres)}
         # infeasibility certificates live in the tau -> 0 regime
         yb = bt @ u[n:-1]
         if yb < -1e-12:
             ycert = u[n:-1] / (-yb)
-            if np.linalg.norm(at.T @ ycert) <= tol_feas:
+            if _norm(at.T @ ycert) <= tol_feas:
                 return SolveResult(
                     status="PrimalInfeasible", iterations=k,
                     pobj=-np.inf, dobj=-np.inf,
@@ -247,22 +276,24 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
         if xc < -1e-12:
             xray = u[:n] / (-xc)
             sray = v[n:-1] / (-xc)
-            if np.linalg.norm(at @ xray + sray) <= tol_feas:
+            if _norm(at @ xray + sray) <= tol_feas:
                 return SolveResult(
                     status="Unbounded", iterations=k,
                     pobj=np.inf, dobj=np.inf,
                     certificate=_unbounded_certificate(p, xray))
         # tau = kappa = 0 and no step: the embedding has no strictly
         # complementary solution, and the iterate stays put from here on
-        scale = FIXED_POINT_TOL * (np.linalg.norm(u) + np.linalg.norm(v))
-        u_old, v_old = pw_old, pw_old - w_old
+        scale = FIXED_POINT_TOL * (_norm(u) + _norm(v))
         if (u[-1] <= scale and v[-1] <= scale and
-                np.linalg.norm(u - u_old) + np.linalg.norm(v - v_old) <= scale):
-            best.iterations = k
-            best.certificate = {"kind": "fixed_point", "x": u[:n], "y": u[n:-1], "s": v[n:-1]}
-            return best
-    best.iterations = max_iter
-    return best
+                _norm(u - pw_old) + _norm(v - (pw_old - w_old)) <= scale):
+            return SolveResult(status="Unknown", iterations=k, certificate={
+                "kind": "fixed_point", "x": u[:n], "y": u[n:-1], "s": v[n:-1]}, **best)
+    return SolveResult(status="Unknown", iterations=max_iter, **best)
+
+
+def _norm(x):
+    """np.linalg.norm of a 1-D array, bitwise, without its overhead."""
+    return math.sqrt(x @ x)
 
 
 def _extrapolate(gesv, gs, fs):
@@ -385,7 +416,11 @@ def _strict_feasibility(s, tol_feas, max_iter):
         x = None
         if not s.g.any():  # a cone, so z is a point of margin 1
             x, value = z, 1.0
-        elif sigma > tol_feas:
+        elif sigma > tol_feas * (1.0 + np.linalg.norm(res.x)):
+            # a coordinate of the solve's point is known only to about
+            # tol_feas (1 + |(z, sigma)|); a smaller sigma is 0, and z / sigma
+            # would be a point far out whose norm-scaled membership test
+            # proves nothing
             x, value = z / sigma, min(1.0, 1.0 / float(sigma))
         elif res.status == "Optimal":
             # sigma is 0 to the solver's tolerance, so z is a direction of

@@ -10,7 +10,7 @@ transpose of its coordinate matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -94,7 +94,7 @@ class EuclideanSpace:
         if not self.factors:
             raise ValueError("space needs at least one factor")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(f.dim for f in self.factors)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -133,11 +134,17 @@ def test_parser_reuse_leaks_no_state(tmp_path, capsys):
     assert expected[0][0] == 1 and expected[1][0] == 0
 
 
+# the child imports conedual from the source tree, as the tests do
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def _run(args, stdin_doc=None, tmp_path=None):
     inp = json.dumps(stdin_doc) if stdin_doc is not None else None
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "conedual.cli", *args],
                           input=inp, capture_output=True, text=True,
-                          cwd=tmp_path)
+                          cwd=tmp_path, env=env)
     return proc
 
 

@@ -386,6 +386,70 @@ def test_rejected_extrapolations_cost_one_iteration_each(monkeypatch):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(steps, plain_calls))
 
 
+def test_solve_stops_at_iteration_one_when_the_start_solves_it():
+    # with b = 0 and c = 0 the starting point (x, y, tau) = (0, 0, 1) is a
+    # solution and the map's fixed point, and the first check is at k = 1
+    dom, cod = space(real(2)), space(real(1))
+    p = program.ConicProgram(
+        A=LinearMap(dom, cod, np.array([[1.0, -2.0]])), b=np.zeros(1), c=np.zeros(2),
+        K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.NONNEG), sense="sup")
+    res = solver.solve(p)
+    assert (res.status, res.iterations) == ("Optimal", 1)
+    assert not res.x.any() and not res.y.any()
+
+
+def _simplex_lp():
+    """sup x1 + 2 x2 over x >= 0, x1 + x2 <= 1: x = (0, 1), y = 2, and the
+    embedding point w = u - v = (x, y - s_K, y_C - s_C, tau) with y_C = A* y
+    - c = (1, 0), s_K = 0, s_C = x passes every optimality test exactly."""
+    dom, cod = space(real(2)), space(real(1))
+    p = program.ConicProgram(
+        A=LinearMap(dom, cod, np.ones((1, 2))), b=np.ones(1), c=np.array([1.0, 2.0]),
+        K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.NONNEG), sense="sup")
+    return p, np.array([0.0, 1.0, 2.0, 1.0, -1.0, 1.0])
+
+
+def test_passing_extrapolation_stops_the_solve_at_once(monkeypatch):
+    # the first extrapolation comes after AA_MEMORY + 1 map evaluations, and
+    # a fresh extrapolation is checked at once: one that passes ends the solve
+    p, w_star = _simplex_lp()
+    plain, _ = _counted_solve(monkeypatch, p, lambda gesv, gs, fs: None)
+    assert plain.status == "Optimal" and plain.iterations > solver.AA_MEMORY + 1
+    res, calls = _counted_solve(monkeypatch, p, lambda gesv, gs, fs: w_star.copy())
+    assert (res.status, res.iterations, len(calls)) == ("Optimal", solver.AA_MEMORY + 1,
+                                                        solver.AA_MEMORY + 1)
+    assert res.x.tolist() == [0.0, 1.0] and res.y.tolist() == [2.0]
+    assert res.pobj == res.dobj == 2.0
+
+
+def test_polar_views_solve_as_their_mirror_image():
+    # x in polar(C) and b - A x in polar(K) is the program over C and K in
+    # x' = -x with b and c negated: the same values and negated vectors
+    p, _ = _simplex_lp()
+    pol = dataclasses.replace(p, b=-p.b, c=-p.c, K=cones.polar(p.K), C=cones.polar(p.C))
+    res, ref = solver.solve(pol), solver.solve(p)
+    assert res.status == ref.status == "Optimal" and res.iterations == ref.iterations
+    assert (res.pobj, res.dobj) == (ref.pobj, ref.dobj)
+    assert res.x.tobytes() == (-ref.x).tobytes() and res.y.tobytes() == (-ref.y).tobytes()
+    assert res.certificate["w"].tobytes() == (-ref.certificate["w"]).tobytes()
+    assert program.is_feasible_point(pol, res.x, 1e-6)
+    assert program.is_feasible_point(program.dualize(pol), res.y, 1e-6)
+
+
+def test_strict_feasibility_treats_sigma_at_the_solve_accuracy_as_zero():
+    # the Zero row 0 x - 1 = 0 makes the system empty, so the alternative
+    # forces sigma = 0; its solve stops Optimal with sigma = 1.3e-8, above
+    # tol_feas but within the accuracy of a point of norm 1.7, and z / sigma
+    # (norm 1.3e8) would pass the norm-scaled membership test
+    dom, cod = space(real(1)), space(real(2), real(2), real(1))
+    s = program.System(LinearMap(dom, cod, np.array([[-2.0], [-2.0], [-1.0], [-1.0], [0.0]])),
+                       np.array([-2.0, -1.0, -2.0, -2.0, -1.0]),
+                       cones.Cone(cod, (cones.NONNEG, cones.NONNEG, cones.ZERO)))
+    res = solver.strict_feasibility(s, max_iter=5000)
+    assert (res.verdict, res.detail) == ("No", "the system is empty")
+    assert inner(s.g, res.separator) < 0
+
+
 def _fingerprint(p, tol_feas=solver.TOL_FEAS, tol_gap=solver.TOL_GAP,
                  max_iter=solver.MAX_ITER):
     return (p.A.matrix.tobytes(), p.b.tobytes(), p.c.tobytes(), p.K, p.C, p.sense,
@@ -427,8 +491,8 @@ def test_report_iteration_counts_are_pinned(monkeypatch):
         seed=0)
     # The pathology's three solves that have no strictly complementary
     # solution stop at the embedding's fixed point, none at the budget.
-    for p, budget, count, total in ((gallery.example_adapted(3), 1200, 12, 400),
-                                    (planted, solver.MAX_ITER, 9, 1000)):
+    for p, budget, count, total in ((gallery.example_adapted(3), 1200, 12, 219),
+                                    (planted, solver.MAX_ITER, 9, 879)):
         for _ in range(2):
             solves = _report_solves(monkeypatch, p, max_iter=budget)
             assert len(solves) == count
