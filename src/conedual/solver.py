@@ -4,13 +4,23 @@ The sup-oriented program
 
     sup { <c, x> : b - A x in K, x in C }
 
-is rewritten in equality form min{ ct'x : At x + s = bt, s in K x C } with
-At = [A; -I], bt = (b, 0), ct = -c, and solved by operator splitting on the
-self-dual embedding.  The iterate is w = u - v, with u = Pi(w) its projection
-onto R^n x dual(K x C) x R_+ and v = u - w; one step is the relaxed
-Douglas-Rachford map g(w) = w + ALPHA (u~ - u), with u~ = (I + Q)^-1 (2u - w)
-from a dense cached factorization of I + Q.  Exits with a primal-dual pair,
-an infeasibility certificate, an unboundedness ray, or Unknown.
+is rewritten in equality form min{ ct'x : At x + s = bt, s in K' } and
+solved by operator splitting on the self-dual embedding.  K' is the product
+of the live factors of K x C, those that are not Free, and At and bt are
+[A; -I] and (b, 0) restricted to their rows; ct = -c.  A Free row
+constrains nothing, as dual(Free) = Zero, so it gets no row in the
+embedding, as free variables get no cone row in SCS (O'Donoghue, Chu,
+Parikh and Boyd 2016): a System's program (`System.as_program`) is over
+free x, and the embedding has order n + (live rows) + 1, not 2n + m + 1.
+The iterate is w = u - v, with u = Pi(w) its projection onto R^n x dual(K')
+x R_+ and v = u - w; one step is the relaxed Douglas-Rachford map g(w) = w +
+ALPHA (u~ - u), with u~ = (I + Q)^-1 (2u - w) from a dense cached
+factorization of I + Q.  Exits with a primal-dual pair, an infeasibility
+certificate, an unboundedness ray, or Unknown.  Every vector a result
+carries is over all rows of K x C: y and the certificates' w are exactly 0
+on a dropped row, and a fixed point's s there is the row's exact slack
+(b tau - A x on a row of K, x on a row of C).  The residuals and norm_b run
+over the live rows.
 
 The map is accelerated by safeguarded type-II Anderson extrapolation (Zhang,
 O'Donoghue and Boyd 2020).  Every AA_MEMORY map evaluations, the last
@@ -47,15 +57,17 @@ program, of the sign-flipped one `solve` builds), as in Permenter, Friberg
 and Andersen 2017.  Every Unknown verdict built from such a solve gives the
 reason FIXED_POINT.
 
-The iteration is compiled once per solve: I + Q is formed in place and
-LU-factored once, each iteration calls LAPACK's getrs on the factors
-directly (keeping lu_solve's finiteness and info checks), each
-extrapolation calls gesv, and the projection onto the whole embedding cone
-R^n x dual(K x C) x R_+ is one call of the plan `cones.projector` builds
-once from its tags.  Each map value and residual is written straight into
-the extrapolation window.  A program over polar views of K and C is solved
-as its mirror image over the cones themselves, since one product cone
-cannot hold a polar view next to R^n and R_+.
+The iteration is compiled once per solve: I + Q is formed in Fortran order
+straight from A, b and c and LU-factored in place by LAPACK's getrf
+(keeping lu_factor's finiteness check and error), each iteration calls
+getrs on the factors directly (keeping lu_solve's finiteness and info
+checks), each extrapolation calls gesv, and the projection onto the whole
+embedding cone R^n x dual(K') x R_+ is one call of the plan
+`cones.projector` builds once from its tags.  The live rows and that
+projector are planned once per pair (K, C).  Each map value and residual
+is written straight into the extrapolation window.  A program over polar
+views of K and C is solved as its mirror image over the cones themselves,
+since one product cone cannot hold a polar view next to R^n and R_+.
 
 Strict feasibility of a system {x : G x + g in K} is decided by one solve
 of its theorem-of-the-alternative system {(z, sigma) : G z + sigma g - e in
@@ -85,7 +97,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor
+from scipy.linalg import get_lapack_funcs
 # not called here; perfbench/layers.py looks up solver.lu_solve by name
 from scipy.linalg import lu_solve  # noqa: F401
 
@@ -166,31 +178,63 @@ def solve(p: program.ConicProgram, tol_feas: float = TOL_FEAS,
     return _solve_sup(p, tol_feas, tol_gap, max_iter)
 
 
+@functools.lru_cache(maxsize=256)
+def _embedding_plan(K: cones.Cone, C: cones.Cone):
+    """The live rows of K x C, those of its non-Free factors, and the
+    projection onto R^n x dual(live K x C) x R_+.
+
+    Returns (k_rows, c_cols, rows, project): k_rows indexes the live rows
+    of K, c_cols the variables under a non-Free factor of C, rows the live
+    rows of K x C (c_cols shifted past K), and project the planned
+    projector.  The index arrays are read-only, as every solve over (K, C)
+    shares them."""
+    kc = cones.cone_product(K, C)  # refuses a polar view next to a plain cone
+    live = [(dual_tag, f, s) for tag, dual_tag, f, s in zip(
+        kc.tags, cones.dual(kc).tags, kc.space.factors, kc.space.slices()) if tag != cones.FREE]
+    rows = np.array([i for _, _, s in live for i in range(s.start, s.stop)], dtype=np.intp)
+    m = K.space.dim
+    k_rows, c_cols = rows[rows < m], rows[rows >= m] - m
+    for arr in (k_rows, c_cols, rows):
+        arr.flags.writeable = False
+    project = cones.projector(cones.Cone(
+        space(real(C.space.dim), *(f for _, f, _ in live), real(1)),
+        (cones.FREE, *(tag for tag, _, _ in live), cones.NONNEG)))
+    return k_rows, c_cols, rows, project
+
+
 def _solve_sup(p, tol_feas, tol_gap, max_iter):
     n = p.A.domain.dim
     m = p.A.codomain.dim
-    fs = program.feasible_system(p)  # bt - At x in K x C
-    at, bt, ct = -fs.gmap.matrix, fs.g, -p.c
-    kc_dual = cones.dual(fs.cone)
-    mm = m + n  # rows of the equality form
+    k_rows, c_cols, rows, project = _embedding_plan(p.K, p.C)
+    # the equality form At x + s = bt, s in live K x C, over the live rows:
+    # At = [A; -I] and bt = (b, 0) restricted to them
+    mk = len(k_rows)
+    mm = len(rows)
     nn = n + mm + 1
+    at = np.zeros((mm, n))
+    at[:mk] = p.A.matrix[k_rows]
+    at[np.arange(mk, mm), c_cols] = -1.0
+    bt = np.zeros(mm)
+    bt[:mk] = p.b[k_rows]
+    ct = -p.c
 
-    q = np.zeros((nn, nn))
+    # I + Q, in Fortran order so that getrf factors it in place
+    q = np.zeros((nn, nn), order="F")
     q[:n, n:-1] = at.T
     q[:n, -1] = ct
     q[n:-1, :n] = -at
     q[n:-1, -1] = bt
     q[-1, :n] = -ct
     q[-1, n:-1] = -bt
-    # I + Q in place; adding 0.0 turns -0.0 into 0.0, as adding I's zeros does
-    q += 0.0
-    q.flat[::nn + 1] = 1.0
-    lu, piv = lu_factor(q, overwrite_a=True)
-    getrs, gesv = get_lapack_funcs(("getrs", "gesv"), (lu,))
-    # the projection onto R^n x dual(K x C) x R_+
-    project = cones.projector(cones.Cone(
-        space(real(n), *kc_dual.space.factors, real(1)),
-        (cones.FREE, *kc_dual.tags, cones.NONNEG)))
+    np.fill_diagonal(q, 1.0)
+    # the checks lu_factor makes around getrf; I + Q is nonsingular, Q being
+    # skew-symmetric, so getrf meets no zero pivot
+    if not np.isfinite(q).all():
+        raise ValueError("array must not contain infs or NaNs")
+    getrf, getrs, gesv = get_lapack_funcs(("getrf", "getrs", "gesv"), (q,))
+    lu, piv, info = getrf(q, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal getrf (lu_factor)")
     zeros = np.zeros(nn)
 
     # the splitting iterates w = u - v, with u = project(w) and v = u - w
@@ -254,14 +298,16 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
             dval = -bt @ ys
             gap = abs(pval - dval) / (1.0 + abs(pval) + abs(dval))
             if pres <= tol_feas and dres <= tol_gap and gap <= tol_gap:
+                yw = _on_all_rows(rows, m + n, ys)
                 return SolveResult(
-                    status="Optimal", x=xs, y=ys[:m],
+                    status="Optimal", x=xs, y=yw[:m],
                     pobj=float(-pval), dobj=float(bt @ ys),
                     gap=float(gap), pres=float(pres), dres=float(dres),
                     iterations=k,
-                    certificate={"kind": "optimal", "w": ys[m:]})
+                    certificate={"kind": "optimal", "w": yw[m:]})
             if not best or math.isnan(best["gap"]) or gap < best["gap"]:
-                best = {"x": xs, "y": ys[:m], "pobj": float(-pval), "dobj": float(bt @ ys),
+                best = {"x": xs, "y": _on_all_rows(rows, m + n, ys)[:m],
+                        "pobj": float(-pval), "dobj": float(bt @ ys),
                         "gap": float(gap), "pres": float(pres), "dres": float(dres)}
         # infeasibility certificates live in the tau -> 0 regime
         yb = bt @ u[n:-1]
@@ -271,7 +317,7 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
                 return SolveResult(
                     status="PrimalInfeasible", iterations=k,
                     pobj=-np.inf, dobj=-np.inf,
-                    certificate=_infeas_certificate(p, ycert, m))
+                    certificate=_infeas_certificate(p, _on_all_rows(rows, m + n, ycert), m))
         xc = ct @ u[:n]
         if xc < -1e-12:
             xray = u[:n] / (-xc)
@@ -286,14 +332,27 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
         scale = FIXED_POINT_TOL * (_norm(u) + _norm(v))
         if (u[-1] <= scale and v[-1] <= scale and
                 _norm(u - pw_old) + _norm(v - (pw_old - w_old)) <= scale):
+            # a dropped row's slack is exact: (b tau - A x, x) there
+            x = u[:n]
+            s = np.concatenate([p.b * tau - p.A.matrix @ x, x])
+            s[rows] = v[n:-1]
             return SolveResult(status="Unknown", iterations=k, certificate={
-                "kind": "fixed_point", "x": u[:n], "y": u[n:-1], "s": v[n:-1]}, **best)
+                "kind": "fixed_point", "x": x, "y": _on_all_rows(rows, m + n, u[n:-1]),
+                "s": s}, **best)
     return SolveResult(status="Unknown", iterations=max_iter, **best)
 
 
 def _norm(x):
     """np.linalg.norm of a 1-D array, bitwise, without its overhead."""
     return math.sqrt(x @ x)
+
+
+def _on_all_rows(rows, size, live):
+    """A vector over all rows of K x C from its values on the live rows,
+    0 on the dropped ones, as dual(Free) = Zero requires of y there."""
+    out = np.zeros(size)
+    out[rows] = live
+    return out
 
 
 def _extrapolate(gesv, gs, fs):

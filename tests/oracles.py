@@ -9,7 +9,8 @@ identities the cone and subspace tests check the package by.  The duality
 helpers at the end state weak duality, complementary slackness and the dual
 written with a basis of span C, and `extreme_rays` reads the projection
 cone's exact generators as floats.  `plain_solve` is the solver's splitting
-loop without Anderson extrapolation, which the accelerated loop replaced.
+loop without Anderson extrapolation, which the accelerated loop replaced,
+on the full embedding, with a row for every row of K x C, Free ones too.
 """
 
 from __future__ import annotations
@@ -228,7 +229,8 @@ def plain_solve(p, tol_feas=solver.TOL_FEAS, tol_gap=solver.TOL_GAP,
                 max_iter=solver.MAX_ITER):
     """`solver.solve` of a sup program by the unaccelerated splitting loop:
     relaxed alternating projections on the embedding's (u, v), every step
-    plain.  The reference the accelerated loop is checked against."""
+    plain, with a row for each of the m + n rows of K x C.  The reference
+    the accelerated loop on the live rows is checked against."""
     assert p.sense == "sup"
     n = p.A.domain.dim
     m = p.A.codomain.dim

@@ -512,7 +512,7 @@ def test_report_verdicts_are_pinned():
         (gallery.example_adapted(3), 1200, [u, n, n, n, n, n, n, n, n, u, u], "Unbounded"),
         (planted, solver.MAX_ITER, [n, n, y, y, u, n, n, n, n, y, y], "Unbounded"),
         (planted, 200, [n, n, y, y, u, n, n, n, n, y, y], "Unbounded"),
-        (planted, 150, [n, n, y, y, u, u, n, n, u, y, y], "Unknown"),
+        (planted, 60, [n, n, y, y, u, u, n, n, u, y, y], "Unknown"),
         (_box(), solver.MAX_ITER, [n, n, y, y, n, y, n, n, y, y, y], "Bounded"),
         (_orthant_free_objective(), solver.MAX_ITER,
          [n, n, u, n, n, n, n, n, n, u, u], "Unbounded"),

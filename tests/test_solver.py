@@ -321,13 +321,24 @@ def _population_program(kind, which, seed):
     return gallery.random_program(which, seed=seed)
 
 
+# the programs a population member poses to the solver: its own sup side,
+# and the two System solves behind strict and plain feasibility of its
+# feasible set, whose C is Free over all of the variables
+_FORMS = {
+    "sup": program.as_sup,
+    "alternative": lambda p: solver._alternative_program(program.feasible_system(p)),
+    "feasibility": lambda p: program.feasible_system(p).as_program(np.zeros(p.A.domain.dim)),
+}
+
+
 @oracles.PROPERTY
-@given(st.sampled_from(_POPULATIONS), st.integers(0, 2**16))
-def test_accelerated_solve_agrees_with_the_plain_loop(population, seed):
-    # the extrapolation changes the path and the iteration count, never the
-    # outcome: same status as the unaccelerated loop, the same values to the
+@given(st.sampled_from(_POPULATIONS), st.integers(0, 2**16), st.sampled_from(sorted(_FORMS)))
+def test_accelerated_solve_agrees_with_the_plain_loop(population, seed, form):
+    # the extrapolation and the embedding of the live rows alone change the
+    # path and the iteration count, never the outcome: same status as the
+    # unaccelerated loop on the full embedding, the same values to the
     # solver's tolerance, and certificates that revalidate
-    p = program.as_sup(_population_program(*population, seed))
+    p = _FORMS[form](_population_program(*population, seed))
     res, ref = solver.solve(p), oracles.plain_solve(p)
     assert res.status == ref.status, (res, ref)
     if res.status == "Optimal":
@@ -343,12 +354,13 @@ def _counted_solve(monkeypatch, p, extrapolate):
     calls = []
 
     def lapack(names, arrays):
-        getrs, gesv = get_lapack_funcs(names, arrays)
+        funcs = get_lapack_funcs(names, arrays)
+        getrs = funcs[names.index("getrs")]
 
         def counted(lu, piv, rhs, **kw):
             calls.append(rhs.copy())
             return getrs(lu, piv, rhs, **kw)
-        return counted, gesv
+        return tuple(counted if f is getrs else f for f in funcs)
 
     with monkeypatch.context() as mp:
         mp.setattr(solver, "get_lapack_funcs", lapack)
@@ -436,6 +448,48 @@ def test_polar_views_solve_as_their_mirror_image():
     assert program.is_feasible_point(program.dualize(pol), res.y, 1e-6)
 
 
+def test_free_rows_are_not_embedded():
+    # dual(Free) = Zero, so a Free row constrains nothing: the embedding has
+    # no row for it, y and w are exactly 0 there, and the fixed point's s
+    # there is the row's exact slack.  Two Free rows stacked on the feasible
+    # system of p, over free x, leave p's own embedding, so the solve is
+    # p's solve step for step
+    rng = np.random.default_rng(0)
+    p = program.as_sup(gallery.planted_strong_duality(*MIXES[1], seed=3))
+    fs = program.feasible_system(p)
+    free = slice(-2, None)
+    q = fs.stack(rng.standard_normal((2, fs.gmap.domain.dim)), [0.0, 1.5],
+                 cones.FREE).as_program(p.c)
+    res, ref, own = solver.solve(q), oracles.plain_solve(q), solver.solve(p)
+    assert res.status == ref.status == own.status == "Optimal"
+    for a, b in ((res.pobj, ref.pobj), (res.dobj, ref.dobj)):
+        assert abs(a - b) <= 1e-6 * (1 + abs(b))
+    assert (res.iterations, res.pobj, res.dobj) == (own.iterations, own.pobj, own.dobj)
+    assert res.x.tobytes() == own.x.tobytes()
+    # C of q is Free over all of x, so w is 0 throughout
+    assert res.y[free].tobytes() == bytes(16)
+    assert res.certificate["w"].tobytes() == bytes(8 * len(p.c))
+    _assert_certificate_revalidates(q, res)
+
+    # the weakly infeasible primal of the pathology, with two Free rows of
+    # offset 0: the solve stops at the embedding's fixed point, as the plain
+    # loop does
+    fs = program.feasible_system(gallery.example_adapted(3))
+    n = fs.gmap.domain.dim
+    q = fs.stack(rng.standard_normal((2, n)), [0.0, 0.0], cones.FREE).as_program(np.zeros(n))
+    res, ref = solver.solve(q), oracles.plain_solve(q)
+    assert res.status == ref.status == "Unknown"
+    assert res.certificate["kind"] == ref.certificate["kind"] == "fixed_point"
+    cert, m = res.certificate, q.A.codomain.dim
+    y, s, x = cert["y"], cert["s"], cert["x"]
+    assert y[free].tobytes() == bytes(16) and y[m:].tobytes() == bytes(8 * n)
+    # the slack of a Free row of K is b tau - A x = -A x at offset 0, that
+    # of a row of C is x
+    assert np.array_equal(s[m - 2:m], -(q.A.matrix @ x)[free])
+    assert s[m:].tobytes() == x.tobytes()
+    _assert_certificate_revalidates(q, res)
+
+
 def test_strict_feasibility_treats_sigma_at_the_solve_accuracy_as_zero():
     # the Zero row 0 x - 1 = 0 makes the system empty, so the alternative
     # forces sigma = 0; its solve stops Optimal with sigma = 1.3e-8, above
@@ -491,8 +545,8 @@ def test_report_iteration_counts_are_pinned(monkeypatch):
         seed=0)
     # The pathology's three solves that have no strictly complementary
     # solution stop at the embedding's fixed point, none at the budget.
-    for p, budget, count, total in ((gallery.example_adapted(3), 1200, 12, 219),
-                                    (planted, solver.MAX_ITER, 9, 879)):
+    for p, budget, count, total in ((gallery.example_adapted(3), 1200, 12, 197),
+                                    (planted, solver.MAX_ITER, 9, 789)):
         for _ in range(2):
             solves = _report_solves(monkeypatch, p, max_iter=budget)
             assert len(solves) == count
