@@ -11,14 +11,14 @@ Sides are named relative to the sup member of the pair: side "primal" is the
 sup program, side "dual" its inf conic dual.  Passing an inf program selects
 the same pair with the roles fixed accordingly.
 
-Every condition is a question about a `program.System`.  The tests a
-`strong_duality_report` runs share their Slater, feasibility and recession
-systems, so the report is `solver.memoised`: within one call each
-strict-feasibility and feasibility system is solved once, and nothing is
-kept between calls.
-The two closedness conditions are the sides of a conic Gordan-Stiemke
-alternative; the second is a hyperplane-restricted strict recession system,
-so inside a report it reuses the solve of the matching recession row.
+Every condition is a question about one of the eight systems that
+`posed_systems` builds: per side, the feasible system, its recession system,
+that recession system on the other objective's hyperplane, and the
+perspective system.  `strong_duality_report` decides each of them once and
+reads every row from those verdicts; the standalone tests pose the same
+systems one at a time.  The two closedness conditions are the sides of a
+conic Gordan-Stiemke alternative; the second is a hyperplane-restricted
+strict recession system, the same system as a report row's.
 """
 
 from __future__ import annotations
@@ -42,6 +42,26 @@ def _side_program(p: program.ConicProgram, side: str) -> program.ConicProgram:
     if side == "dual":
         return program.dualize(ps)
     raise ValueError("side must be 'primal' or 'dual'")
+
+
+_OTHER = {"primal": "dual", "dual": "primal"}
+
+
+def posed_systems(p: program.ConicProgram) -> dict[str, program.System]:
+    """The eight systems the sufficient conditions ask about.  Per side:
+    `feasible-{side}`, {z : G z + g in M}; `recession-{side}`, the same with
+    g = 0; `perp-{side}`, that with the Zero row <v, z> = 0 added, v = c on
+    side "primal" and b on side "dual"; and `perspective-{side}`, the
+    recession system over (z, t) with G z + t g in M."""
+    ps = program.as_sup(p)
+    out = {}
+    for side, hyperplane in (("primal", ps.c), ("dual", ps.b)):
+        fs = program.feasible_system(_side_program(ps, side))
+        rs = fs.homogeneous()
+        out.update({f"feasible-{side}": fs, f"recession-{side}": rs,
+                    f"perp-{side}": rs.stack(hyperplane[None, :], [0.0], cones.ZERO),
+                    f"perspective-{side}": rs.extend(fs.g[:, None])})
+    return out
 
 
 @dataclass
@@ -86,7 +106,7 @@ def jsonable(v):
 def slater(p: program.ConicProgram, side: str = "primal",
            **kw) -> solver.Verdict:
     """Relative strict feasibility of the chosen side's feasible set."""
-    return solver.strict_feasibility(program.feasible_system(_side_program(p, side)), **kw)
+    return solver.strict_feasibility(posed_systems(p)[f"feasible-{side}"], **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -95,23 +115,13 @@ def slater(p: program.ConicProgram, side: str = "primal",
 
 def recession_cone(p: program.ConicProgram, side: str = "primal") -> program.System:
     """The homogeneous system whose solutions form the side's recession cone."""
-    return program.feasible_system(_side_program(p, side)).homogeneous()
+    return posed_systems(p)[f"recession-{side}"]
 
 
 def recession_strict(p: program.ConicProgram, side: str = "primal",
-                     restrict_orthogonal_to: np.ndarray | None = None,
                      **kw) -> solver.Verdict:
-    """Strict feasibility of the homogeneous system defining the recession cone.
-
-    `restrict_orthogonal_to` adds the equality <v, r> = 0 as a Zero-cone row,
-    which implements the hyperplane-restricted variants of the strict
-    recession tests.
-    """
-    rs = recession_cone(p, side)
-    if restrict_orthogonal_to is not None:
-        v = np.asarray(restrict_orthogonal_to, dtype=float)
-        rs = rs.stack(v[None, :], [0.0], cones.ZERO)
-    return solver.strict_feasibility(rs, **kw)
+    """Strict feasibility of the homogeneous system defining the recession cone."""
+    return solver.strict_feasibility(recession_cone(p, side), **kw)
 
 
 def polar_recession_membership(p: program.ConicProgram, side: str,
@@ -144,9 +154,8 @@ def polar_recession_membership(p: program.ConicProgram, side: str,
             return replace(vr, verdict="No", detail="recession ray with positive inner product")
         return solver.Verdict("Unknown", value=vr.value,
                               detail=f"support value inconclusive ({vr.verdict})")
-    if recession_strict(p, side).verdict == "Yes":
-        other = "dual" if side == "primal" else "primal"
-        q = _side_program(p, other)
+    if solver.strict_feasibility(rs).verdict == "Yes":
+        q = _side_program(p, _OTHER[side])
         w = v if q.sense == "inf" else -v
         if solver.feasibility(program.feasible_system(replace(q, b=w))).verdict == "No":
             return solver.Verdict("Unknown", value=vr.value,
@@ -168,37 +177,42 @@ def boundedness(p: program.ConicProgram, side: str = "primal",
     separator it was read from, if any); Empty with the emptiness
     certificate.  Otherwise the detail ends with the feasibility verdict.
     """
-    feas = solver.feasibility(program.feasible_system(_side_program(p, side)),
-                              max_iter=max_iter)
+    posed = posed_systems(p)
+    return _boundedness(
+        solver.feasibility(posed[f"feasible-{side}"], max_iter=max_iter),
+        posed[f"recession-{side}"],
+        solver.strict_feasibility(posed[f"recession-{_OTHER[side]}"], max_iter=max_iter))
+
+
+def _boundedness(feas: solver.Verdict, rs: program.System,
+                 sr: solver.Verdict) -> solver.Verdict:
+    """`boundedness` from the side's feasibility verdict, its recession
+    system rs and the opposite recession system's strict feasibility sr."""
     if feas.verdict == "No":
         return solver.Verdict("Empty", witness=feas.separator,
                               detail="feasible set is empty")
     found = f" (feasibility {feas.verdict})"
-    rs = recession_cone(p, side)
     if rs.lineality.dim > 0:
         return solver.Verdict("Unbounded", witness=rs.lineality.basis[:, 0],
                               detail="nonzero lineality in the recession cone" + found)
-    sr, ray = _opposite_recession(p, side, rs, max_iter)
     if sr.verdict == "Yes":
         return replace(sr, verdict="Bounded", detail="strict recession point of the "
                        "opposite homogeneous system" + found)
+    ray = _recession_ray(sr, rs)
     if ray is not None:
         return replace(sr, verdict="Unbounded", witness=ray,
                        detail="recession ray recovered from the separator" + found)
     return solver.Verdict("Unknown", detail=sr.detail + found)
 
 
-def _opposite_recession(p: program.ConicProgram, side: str, rs: program.System,
-                        max_iter: int = solver.MAX_ITER) -> tuple:
-    """Strict feasibility of the opposite homogeneous system, and the unit
-    direction its separator carries if that is a solution of `rs`, else None."""
-    other = "dual" if side == "primal" else "primal"
-    sr = recession_strict(p, other, max_iter=max_iter)
+def _recession_ray(sr: solver.Verdict, rs: program.System) -> np.ndarray | None:
+    """The unit direction the separator of the opposite recession system's
+    No carries, if it is a solution of `rs`, else None."""
     if sr.verdict != "No" or sr.separator is None:
-        return sr, None
+        return None
     ray = sr.separator[:rs.gmap.domain.dim]
     nr = np.linalg.norm(ray)
-    return sr, (ray / nr if nr > 1e-7 and rs.member(ray / nr) else None)
+    return ray / nr if nr > 1e-7 and rs.member(ray / nr) else None
 
 
 def gordan_alternative(p: program.ConicProgram) -> solver.Verdict:
@@ -210,12 +224,14 @@ def gordan_alternative(p: program.ConicProgram) -> solver.Verdict:
     homogeneous system is (A* y, y) in C* x K*, so its strict feasibility
     witness is the Interior y, and the direction its separator carries the Ray.
     """
-    rs = recession_cone(p, "primal")
+    posed = posed_systems(p)
+    rs = posed["recession-primal"]
     if rs.lineality.dim > 0:
         return solver.Verdict("Unknown", detail="primal recession cone is not pointed")
-    sr, ray = _opposite_recession(p, "primal", rs)
+    sr = solver.strict_feasibility(posed["recession-dual"])
     if sr.verdict == "Yes":
         return replace(sr, verdict="Interior", detail="interior dual homogeneous point")
+    ray = _recession_ray(sr, rs)
     if ray is not None:
         return replace(sr, verdict="Ray", witness=ray,
                        detail="nonzero primal recession direction")
@@ -252,12 +268,9 @@ def closedness_conditions(p: program.ConicProgram, side: str = "primal",
     "primal" (the primal perspective map) and P(lam_1, t) on side "dual", a
     point of M in range(P) outside the lineality of M.
     """
-    ps = program.as_sup(p)
-    fs = program.feasible_system(_side_program(ps, side))
-    other, hyperplane = ("dual", ps.b) if side == "primal" else ("primal", ps.c)
-    return [solver.strict_feasibility(fs.homogeneous().extend(fs.g[:, None]),
-                                      max_iter=max_iter),
-            recession_strict(ps, other, restrict_orthogonal_to=hyperplane, max_iter=max_iter)]
+    posed = posed_systems(p)
+    return [solver.strict_feasibility(posed[name], max_iter=max_iter)
+            for name in (f"perspective-{side}", f"perp-{_OTHER[side]}")]
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +359,8 @@ def almost_feasibility(p: program.ConicProgram, side: str = "dual") -> solver.Ve
     # |delta| of the maximiser, not -tau, which is the same to the solver's
     # tolerance but can be negative
     norm = float(np.linalg.norm(vr.witness[n:n + m])) if vr.verdict == "Optimal" else np.nan
-    other = "dual" if side == "primal" else "primal"
     v = -sgn * q.b
-    polar = polar_recession_membership(p, other, v)
+    polar = polar_recession_membership(p, _OTHER[side], v)
     detail = f"{polar.detail}; minimum perturbation {vr.verdict}"
     witness = ray = None
     if polar.verdict == "Yes":
@@ -393,11 +405,11 @@ def finiteness_check(p: program.ConicProgram, side: str = "primal") -> solver.Ve
     A strict recession direction d of a feasible side adds no case: with a
     feasible x0, G(x0 + d) + g in K + ri K = ri K makes x0 + d a Slater point.
     """
-    if slater(p, side).verdict != "Yes":
+    posed = posed_systems(p)
+    if solver.strict_feasibility(posed[f"feasible-{side}"]).verdict != "Yes":
         return solver.Verdict("Unknown", detail="no strict feasibility established")
     res = solver.solve(_side_program(p, side))
-    other = "dual" if side == "primal" else "primal"
-    feas = solver.feasibility(program.feasible_system(_side_program(p, other)))
+    feas = solver.feasibility(posed[f"feasible-{_OTHER[side]}"])
     detail = f"other side feasibility {feas.verdict}, side solve {res.status}"
     if feas.verdict == "Yes" and res.status == "Optimal":
         return solver.Verdict("Finite", witness=feas.witness, value=res.pobj, detail=detail)
@@ -436,53 +448,60 @@ def _fires(sub: str, ok: bool) -> str:
     return "No" if sub == "No" else "Unknown"
 
 
-@solver.memoised
 def strong_duality_report(p: program.ConicProgram,
                           max_iter: int = solver.MAX_ITER) -> DualityReport:
     """The sufficient conditions for strong duality, one entry per row of
     (condition, citation, verdict, witness, margins), and both optimal values.
 
-    The no-CQ conditions still require the stated side to be feasible.
+    Each system of `posed_systems` is decided once (strict feasibility, and
+    feasibility of the two feasible systems), and every row is `_fires` of a
+    sub-verdict read from those verdicts.  The no-CQ conditions still
+    require the stated side to be feasible.
     """
     ps = program.as_sup(p)
-    sl_p = slater(ps, "primal", max_iter=max_iter)
-    sl_d = slater(ps, "dual", max_iter=max_iter)
-    feas_p, feas_d = (solver.feasibility(program.feasible_system(q), max_iter=max_iter)
-                      .verdict == "Yes" for q in (ps, program.dualize(ps)))
+    posed = posed_systems(ps)
+    strict, feas = {}, {}
+    for side in ("primal", "dual"):
+        strict[f"feasible-{side}"], feas[side] = solver.strict_and_feasibility(
+            posed[f"feasible-{side}"], max_iter=max_iter)
+    strict.update((name, solver.strict_feasibility(s, max_iter=max_iter))
+                  for name, s in posed.items() if name not in strict)
+    feas_p, feas_d = (feas[side].verdict == "Yes" for side in ("primal", "dual"))
     both = feas_p and feas_d
     c_in = image_of_subspace(ps.A.adjoint(), cones.span(ps.K).complement()).contains(ps.c)
     b_in = image_of_subspace(ps.A, cones.lineality(ps.C)).contains(ps.b)
     c_in_lin_perp = cones.lineality(ps.C).complement().contains(ps.c)
 
-    rows = [("objective-in-adjoint-image", CITATIONS["objective"],
-             _fires("Yes" if c_in else "No", feas_p), None, {"algebraic": bool(c_in)}),
-            ("rhs-in-image-of-lineality", CITATIONS["rhs"],
-             _fires("Yes" if b_in else "No", feas_d), None, {"algebraic": bool(b_in)})]
-    for side, sl in (("primal", sl_p), ("dual", sl_d)):
-        rows.append((f"slater-{side}", CITATIONS["slater"], _fires(sl.verdict, both),
-                     sl.witness, {"margin": sl.value}))
-    for name, side, hyperplane, side_ok in (
-            ("strict-recession-primal", "primal", None, cones.span(ps.K).contains(ps.b)),
-            ("strict-recession-dual", "dual", None, c_in_lin_perp),
-            ("strict-recession-dual-b-perp", "dual", ps.b, True),
-            ("strict-recession-primal-c-perp", "primal", ps.c, True)):
-        rs = recession_strict(ps, side, restrict_orthogonal_to=hyperplane, max_iter=max_iter)
-        rows.append((name, CITATIONS["recession"], _fires(rs.verdict, side_ok and both),
-                     rs.witness, {"margin": rs.value, "side_condition": bool(side_ok)}))
-    bd = boundedness(ps, "primal", max_iter=max_iter)
+    # (condition, citation, sub-verdict, side conditions, witness, margins)
+    rows = [("objective-in-adjoint-image", "objective", "Yes" if c_in else "No", feas_p,
+             None, {"algebraic": bool(c_in)}),
+            ("rhs-in-image-of-lineality", "rhs", "Yes" if b_in else "No", feas_d,
+             None, {"algebraic": bool(b_in)})]
+    for side in ("primal", "dual"):
+        sl = strict[f"feasible-{side}"]
+        rows.append((f"slater-{side}", "slater", sl.verdict, both, sl.witness,
+                     {"margin": sl.value}))
+    for name, system, side_ok in (
+            ("strict-recession-primal", "recession-primal", cones.span(ps.K).contains(ps.b)),
+            ("strict-recession-dual", "recession-dual", c_in_lin_perp),
+            ("strict-recession-dual-b-perp", "perp-dual", True),
+            ("strict-recession-primal-c-perp", "perp-primal", True)):
+        rs = strict[system]
+        rows.append((name, "recession", rs.verdict, side_ok and both, rs.witness,
+                     {"margin": rs.value, "side_condition": bool(side_ok)}))
+    bd = _boundedness(feas["primal"], posed["recession-primal"], strict["recession-dual"])
     # Bounded fires only with a feasible point; without one it refutes nothing
     bounded = {"Bounded": "Yes", "Unbounded": "No", "Empty": "No"}.get(bd.verdict, "Unknown")
-    rows.append(("boundedness-cq", CITATIONS["boundedness"],
-                 _fires(bounded if c_in_lin_perp else "No", feas_p),
+    rows.append(("boundedness-cq", "boundedness", bounded if c_in_lin_perp else "No", feas_p,
                  bd.witness, {"boundedness": bd.verdict}))
     for side in ("primal", "dual"):
-        cc = closedness_conditions(ps, side, max_iter=max_iter)
-        rows.append((f"closedness-{side}", CITATIONS["closedness"],
-                     "Yes" if both and any(v.verdict == "Yes" for v in cc) else "Unknown",
+        cc = (strict[f"perspective-{side}"], strict[f"perp-{_OTHER[side]}"])
+        rows.append((f"closedness-{side}", "closedness",
+                     "Yes" if any(v.verdict == "Yes" for v in cc) else "Unknown", both,
                      None, {f"condition_{k}": v.verdict for k, v in enumerate(cc, 1)}))
-    rep = DualityReport([{"condition": name, "verdict": verdict, "witness": witness,
-                          "citation": citation, "margins": margins}
-                         for name, citation, verdict, witness, margins in rows])
+    rep = DualityReport([{"condition": name, "verdict": _fires(sub, ok), "witness": witness,
+                          "citation": CITATIONS[citation], "margins": margins}
+                         for name, citation, sub, ok, witness, margins in rows])
 
     def value(res):
         return np.nan if res.status == "Unknown" else res.pobj

@@ -80,18 +80,15 @@ is often not, so that its solve ran out the budget.  Plain feasibility,
 where strict feasibility does not settle it, is one solve of
 sup{0 : G x + g in K}.
 
-Inside a call decorated with `memoised` (`diagnostics.strong_duality_report`
-is), `strict_feasibility` and the plain solve of `feasibility` decide a
-system whose exact bytes, cone, tolerance and budget they have already
-decided in that call from a memo, without solving again.  The memo lives
-for the call only, and its results are shared between callers; `Verdict`
-is frozen, so a caller derives a new one with `dataclasses.replace` rather
-than editing a shared one.
+The strict and the plain question of one system meet in
+`strict_and_feasibility`, which answers both with at most one plain solve:
+the strict route consults the plain solve when the alternative's point
+is a recession direction, and feasibility falls back on it.  Nothing is
+kept between calls.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -420,36 +417,6 @@ def _alternative_program(s: program.System) -> program.ConicProgram:
     return alt.as_program(np.zeros(n + 1))
 
 
-# results of the innermost memoised call, keyed on the question and the
-# exact system; None outside such a call
-_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "strict_feasibility_memo", default=None)
-
-
-def memoised(fn):
-    """Decorate fn so that each system it poses is decided once per call."""
-    @functools.wraps(fn)
-    def call(*args, **kw):
-        token = _memo.set({})
-        try:
-            return fn(*args, **kw)
-        finally:
-            _memo.reset(token)
-    return call
-
-
-def _decide_once(decide, s: program.System, *args) -> Verdict:
-    """decide(s, *args), from the memo when one is active."""
-    cache = _memo.get()
-    if cache is None:
-        return decide(s, *args)
-    key = (decide, s.gmap.domain, s.gmap.codomain, s.gmap.matrix.tobytes(),
-           s.g.tobytes(), s.cone, *args)
-    if key not in cache:
-        cache[key] = decide(s, *args)
-    return cache[key]
-
-
 def strict_feasibility(s: program.System, tol_feas: float = TOL_FEAS,
                        max_iter: int = MAX_ITER) -> Verdict:
     """Decide whether {x : G x + g in cone} meets the relative interior, by
@@ -461,10 +428,12 @@ def strict_feasibility(s: program.System, tol_feas: float = TOL_FEAS,
     <g, lam> <= 0, lam nonzero on the curved/nonneg part, or with a
     certificate that the system is empty outright (<g, lam> < 0).
     """
-    return _decide_once(_strict_feasibility, s, tol_feas, max_iter)
+    return _strict_feasibility(s, tol_feas, max_iter,
+                               lambda: _plain_feasibility(s, tol_feas, max_iter))
 
 
-def _strict_feasibility(s, tol_feas, max_iter):
+def _strict_feasibility(s, tol_feas, max_iter, plain):
+    """`strict_feasibility`, with plain() the plain feasibility verdict of s."""
     res = solve(_alternative_program(s), tol_feas=tol_feas, max_iter=max_iter)
     n = s.gmap.domain.dim
 
@@ -485,7 +454,7 @@ def _strict_feasibility(s, tol_feas, max_iter):
             # sigma is 0 to the solver's tolerance, so z is a direction of
             # recession into the relative interior: s meets the relative
             # interior exactly when it is nonempty, at x + z for any x in s
-            base = _decide_once(_plain_feasibility, s, tol_feas, max_iter)
+            base = plain()
             if base.verdict == "No":
                 return base
             if base.verdict == "Yes":
@@ -586,12 +555,20 @@ def feasibility(s: program.System, tol_feas: float = TOL_FEAS,
     A strict-feasibility Yes or emptiness certificate decides it; otherwise
     one plain solve of sup{0 : G x + g in cone} does, and its point must
     revalidate by membership, its Farkas ray as an emptiness certificate.
-    Inside a memoised call both solves come from the memo.
+    The plain solve is made at most once (see `strict_and_feasibility`).
     """
-    res = strict_feasibility(s, tol_feas=tol_feas, max_iter=max_iter)
-    if res.verdict == "Yes" or res.detail == "the system is empty":
-        return res
-    return _decide_once(_plain_feasibility, s, tol_feas, max_iter)
+    return strict_and_feasibility(s, tol_feas, max_iter)[1]
+
+
+def strict_and_feasibility(s: program.System, tol_feas: float = TOL_FEAS,
+                           max_iter: int = MAX_ITER) -> tuple[Verdict, Verdict]:
+    """(`strict_feasibility`, `feasibility`) of s, with at most one plain
+    solve, which the strict route and the feasibility fallback share."""
+    plain = functools.cache(lambda: _plain_feasibility(s, tol_feas, max_iter))
+    strict = _strict_feasibility(s, tol_feas, max_iter, plain)
+    if strict.verdict == "Yes" or strict.detail == "the system is empty":
+        return strict, strict
+    return strict, plain()
 
 
 def _plain_feasibility(s, tol_feas, max_iter):

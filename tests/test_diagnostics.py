@@ -130,9 +130,9 @@ def test_recession_strict():
     res = diagnostics.recession_strict(q, "primal")
     assert res.verdict == "Yes"
     assert cones.relint_member(q.C, res.witness)
-    # restricting orthogonal to a strictly positive vector kills the orthant
-    res2 = diagnostics.recession_strict(q, "primal",
-                                        restrict_orthogonal_to=np.ones(2))
+    # restricting orthogonal to a strictly positive vector (here c) kills
+    # the orthant
+    res2 = solver.strict_feasibility(diagnostics.posed_systems(q)["perp-primal"])
     assert res2.verdict != "Yes"
 
 
@@ -608,6 +608,45 @@ def test_report_is_mirror_symmetric(p):
                 for e in diagnostics.strong_duality_report(_mirror(ps), max_iter=1200).entries
                 if e["condition"] in MIRROR_ROWS}
     assert mirrored == {k: v for k, v in rep.items() if k in MIRROR_ROWS}
+
+
+@pytest.mark.parametrize("p", [
+    *(pytest.param(gallery.planted_strong_duality(*mix, seed=0), id=f"mix-{i}")
+      for i, mix in enumerate(MIXES)),
+    *(pytest.param(gallery.random_program(name, seed=0), id=name)
+      for name in sorted(gallery.PROFILES)),
+    pytest.param(gallery.example_adapted(3), id="example-adapted-3")])
+def test_report_rows_agree_with_the_standalone_diagnostics(p):
+    # the report decides each posed system once; every row it reads from
+    # those verdicts is the standalone diagnostic's answer on the same system
+    budget = 1200
+    posed = diagnostics.posed_systems(p)
+    rows = {e["condition"]: e
+            for e in diagnostics.strong_duality_report(p, max_iter=budget).entries}
+    both = all(solver.feasibility(posed[f"feasible-{side}"], max_iter=budget).verdict == "Yes"
+               for side in ("primal", "dual"))
+
+    def agrees(row, v, ok=True):
+        assert row["verdict"] == diagnostics._fires(v.verdict, ok and both), (row, v)
+        np.testing.assert_array_equal(row["margins"]["margin"], v.value)
+        if v.witness is None:
+            assert row["witness"] is None
+        else:
+            np.testing.assert_array_equal(row["witness"], v.witness)
+
+    for side in ("primal", "dual"):
+        agrees(rows[f"slater-{side}"], diagnostics.slater(p, side, max_iter=budget))
+        row = rows[f"strict-recession-{side}"]
+        agrees(row, diagnostics.recession_strict(p, side, max_iter=budget),
+               row["margins"]["side_condition"])
+        cc = diagnostics.closedness_conditions(p, side, max_iter=budget)
+        assert rows[f"closedness-{side}"]["margins"] == \
+            {"condition_1": cc[0].verdict, "condition_2": cc[1].verdict}
+    for name, system in (("strict-recession-dual-b-perp", "perp-dual"),
+                         ("strict-recession-primal-c-perp", "perp-primal")):
+        agrees(rows[name], solver.strict_feasibility(posed[system], max_iter=budget))
+    assert rows["boundedness-cq"]["margins"]["boundedness"] == \
+        diagnostics.boundedness(p, "primal", max_iter=budget).verdict
 
 
 def test_report_json_is_strict():

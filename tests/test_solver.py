@@ -504,6 +504,29 @@ def test_strict_feasibility_treats_sigma_at_the_solve_accuracy_as_zero():
     assert inner(s.g, res.separator) < 0
 
 
+def test_feasibility_makes_at_most_one_plain_solve(monkeypatch):
+    # the empty system above: the alternative's point has sigma = 0, so the
+    # strict route consults the plain solve; forced not to decide there, the
+    # feasibility fallback reads that solve rather than making a second
+    dom, cod = space(real(1)), space(real(2), real(2), real(1))
+    s = program.System(LinearMap(dom, cod, np.array([[-2.0], [-2.0], [-1.0], [-1.0], [0.0]])),
+                       np.array([-2.0, -1.0, -2.0, -2.0, -1.0]),
+                       cones.Cone(cod, (cones.NONNEG, cones.NONNEG, cones.ZERO)))
+    calls = []
+
+    def plain(*args):
+        calls.append(args)
+        return solver.Verdict("Unknown", detail="forced")
+
+    monkeypatch.setattr(solver, "_plain_feasibility", plain)
+    strict = solver.strict_feasibility(s, max_iter=5000)
+    assert strict.detail == "point of the alternative gives no interior witness"
+    assert len(calls) == 1
+    calls.clear()
+    assert solver.feasibility(s, max_iter=5000).detail == "forced"
+    assert len(calls) == 1
+
+
 def _fingerprint(p, tol_feas=solver.TOL_FEAS, tol_gap=solver.TOL_GAP,
                  max_iter=solver.MAX_ITER):
     return (p.A.matrix.tobytes(), p.b.tobytes(), p.c.tobytes(), p.K, p.C, p.sense,
