@@ -51,6 +51,16 @@ class Cone:
             if tag in (NONNEG, SOC) and f.kind == "sym":
                 raise ValueError(f"{tag} cannot sit on a Sym factor")
 
+    # the dataclass hash, computed once, as for EuclideanSpace
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.space, self.tags, self.negated))
+        return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
 
 def cone(space: EuclideanSpace, *tags: str) -> Cone:
     return Cone(space, tuple(tags))

@@ -60,9 +60,12 @@ class PreconditionFailed(Exception):
 # exact linear algebra in integers
 
 
-def _to_frac_matrix(mat) -> list[list[Fraction]]:
-    return [[Fraction(x).limit_denominator(10**12) if isinstance(x, float)
-             else Fraction(x) for x in row] for row in mat]
+def _to_frac_matrix(mat) -> list[list[int | Fraction]]:
+    """The exact rationals of a float matrix: an integral entry is its int,
+    any other the nearest fraction of denominator at most 10**12.  An int
+    carries the numerator and denominator `_integers` reads."""
+    return [[int(x) if x.is_integer() else Fraction(x).limit_denominator(10**12)
+             for x in row] for row in np.asarray(mat, dtype=float).tolist()]
 
 
 def _dot(a, b):

@@ -45,6 +45,24 @@ iterations it spares.  A check only reads the iterate, so the iterates are
 those of a loop that checks every CHECK_EVERY alone, and no solve stops
 later than it would there.
 
+When every live factor of K x C is Zero or Nonneg, a check whose iterate
+passes none of the exit tests also polishes it (`_polisher`; solution
+polishing as in OSQP, Stellato, Banjac, Goulart, Bemporad and Boyd 2020):
+the splitting crawls toward a vertex that the iterate's active set already
+names.  For c != 0 the active rows A are the Zero rows and the Nonneg rows
+with y_i > s_i, that is w_i > 0 as u = Pi(w); least squares moves x onto
+At_A x = bt_A and y_A onto At_A' y_A = -ct, with y = 0 off A.  For c = 0,
+y = 0 is dual optimal, and x is only moved onto the Zero rows: which slacks
+vanish there is noise, and a guess of them pins the sigma of an alternative
+system to 0, which sends strict feasibility to its plain fallback.  When
+<bt, y> < 0, y on its support (the Zero rows and y_i > 0) is projected onto
+ker At_S' for a Farkas ray.  A polished point is clipped into its cone, and
+it ends the solve only if it passes the same exit test an iterate must
+pass, so a wrong guess costs its least-squares solves and nothing else: the
+iterates and every exit are those of the loop without it, and a polished
+certificate is held to the same tolerances.  Each distinct guess is tried
+once; c = 0 has no guess, so its projection is made at each check.
+
 An Unknown exit is one of two kinds, told apart by `certificate["kind"]`.  At
 the budget the certificate is empty.  At a fixed point it is "fixed_point":
 when a residual check finds tau, kappa and the last step each at most
@@ -180,29 +198,36 @@ def _embedding_plan(K: cones.Cone, C: cones.Cone):
     """The live rows of K x C, those of its non-Free factors, and the
     projection onto R^n x dual(live K x C) x R_+.
 
-    Returns (k_rows, c_cols, rows, project): k_rows indexes the live rows
-    of K, c_cols the variables under a non-Free factor of C, rows the live
-    rows of K x C (c_cols shifted past K), and project the planned
-    projector.  The index arrays are read-only, as every solve over (K, C)
+    Returns (k_rows, c_cols, rows, project, zero): k_rows indexes the live
+    rows of K, c_cols the variables under a non-Free factor of C, rows the
+    live rows of K x C (c_cols shifted past K), project the planned
+    projector, and zero the mask of the Zero rows among the live rows when
+    every live factor is Zero or Nonneg (the embeddings `_polisher` acts
+    on), else None.  The arrays are read-only, as every solve over (K, C)
     shares them."""
     kc = cones.cone_product(K, C)  # refuses a polar view next to a plain cone
-    live = [(dual_tag, f, s) for tag, dual_tag, f, s in zip(
+    live = [(tag, dual_tag, f, s) for tag, dual_tag, f, s in zip(
         kc.tags, cones.dual(kc).tags, kc.space.factors, kc.space.slices()) if tag != cones.FREE]
-    rows = np.array([i for _, _, s in live for i in range(s.start, s.stop)], dtype=np.intp)
+    rows = np.array([i for *_, s in live for i in range(s.start, s.stop)], dtype=np.intp)
     m = K.space.dim
     k_rows, c_cols = rows[rows < m], rows[rows >= m] - m
-    for arr in (k_rows, c_cols, rows):
-        arr.flags.writeable = False
+    zero = None
+    if all(tag in (cones.ZERO, cones.NONNEG) for tag, *_ in live):
+        zero = np.array([tag == cones.ZERO for tag, _, f, _ in live for _ in range(f.dim)],
+                        dtype=bool)
+    for arr in (k_rows, c_cols, rows, zero):
+        if arr is not None:
+            arr.flags.writeable = False
     project = cones.projector(cones.Cone(
-        space(real(C.space.dim), *(f for _, f, _ in live), real(1)),
-        (cones.FREE, *(tag for tag, _, _ in live), cones.NONNEG)))
-    return k_rows, c_cols, rows, project
+        space(real(C.space.dim), *(f for _, _, f, _ in live), real(1)),
+        (cones.FREE, *(dual_tag for _, dual_tag, _, _ in live), cones.NONNEG)))
+    return k_rows, c_cols, rows, project, zero
 
 
 def _solve_sup(p, tol_feas, tol_gap, max_iter):
     n = p.A.domain.dim
     m = p.A.codomain.dim
-    k_rows, c_cols, rows, project = _embedding_plan(p.K, p.C)
+    k_rows, c_cols, rows, project, zero = _embedding_plan(p.K, p.C)
     # the equality form At x + s = bt, s in live K x C, over the live rows:
     # At = [A; -I] and bt = (b, 0) restricted to them
     mk = len(k_rows)
@@ -247,6 +272,40 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
     norm_b = _norm(bt)
     norm_c = _norm(ct)
 
+    def residuals(xs, ys, ss):
+        """pres, dres, gap and <ct, xs> of the pair (xs, ys) with slack ss."""
+        pres = _norm(at @ xs + ss - bt) / (1.0 + norm_b)
+        dres = _norm(at.T @ ys + ct) / (1.0 + norm_c)
+        pval = ct @ xs
+        dval = -bt @ ys
+        gap = abs(pval - dval) / (1.0 + abs(pval) + abs(dval))
+        return pres, dres, gap, pval
+
+    def optimal(xs, ys, fit, k):
+        """The Optimal result of a pair whose residuals `fit` pass the exit
+        test, else None."""
+        pres, dres, gap, pval = fit
+        if not (pres <= tol_feas and dres <= tol_gap and gap <= tol_gap):
+            return None
+        yw = _on_all_rows(rows, m + n, ys)
+        return SolveResult(
+            status="Optimal", x=xs, y=yw[:m],
+            pobj=float(-pval), dobj=float(bt @ ys),
+            gap=float(gap), pres=float(pres), dres=float(dres),
+            iterations=k,
+            certificate={"kind": "optimal", "w": yw[m:]})
+
+    def infeasible(ycert, k):
+        """The PrimalInfeasible result of a ray y in dual(K') with <bt, y> =
+        -1 that passes the exit test, else None."""
+        if not _norm(at.T @ ycert) <= tol_feas:
+            return None
+        return SolveResult(
+            status="PrimalInfeasible", iterations=k,
+            pobj=-np.inf, dobj=-np.inf,
+            certificate=_infeas_certificate(p, _on_all_rows(rows, m + n, ycert), m))
+
+    polish = None if zero is None else _polisher(at, bt, ct, zero)
     best = {}  # the SolveResult fields of the check with the least gap so far
     for k in range(1, max_iter + 1):
         # the update below rebinds w and pw and writes only rows of the
@@ -289,19 +348,11 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
             xs = u[:n] / tau
             ys = u[n:-1] / tau
             ss = v[n:-1] / tau
-            pres = _norm(at @ xs + ss - bt) / (1.0 + norm_b)
-            dres = _norm(at.T @ ys + ct) / (1.0 + norm_c)
-            pval = ct @ xs
-            dval = -bt @ ys
-            gap = abs(pval - dval) / (1.0 + abs(pval) + abs(dval))
-            if pres <= tol_feas and dres <= tol_gap and gap <= tol_gap:
-                yw = _on_all_rows(rows, m + n, ys)
-                return SolveResult(
-                    status="Optimal", x=xs, y=yw[:m],
-                    pobj=float(-pval), dobj=float(bt @ ys),
-                    gap=float(gap), pres=float(pres), dres=float(dres),
-                    iterations=k,
-                    certificate={"kind": "optimal", "w": yw[m:]})
+            fit = residuals(xs, ys, ss)
+            done = optimal(xs, ys, fit, k)
+            if done is not None:
+                return done
+            pres, dres, gap, pval = fit
             if not best or math.isnan(best["gap"]) or gap < best["gap"]:
                 best = {"x": xs, "y": _on_all_rows(rows, m + n, ys)[:m],
                         "pobj": float(-pval), "dobj": float(bt @ ys),
@@ -309,12 +360,9 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
         # infeasibility certificates live in the tau -> 0 regime
         yb = bt @ u[n:-1]
         if yb < -1e-12:
-            ycert = u[n:-1] / (-yb)
-            if _norm(at.T @ ycert) <= tol_feas:
-                return SolveResult(
-                    status="PrimalInfeasible", iterations=k,
-                    pobj=-np.inf, dobj=-np.inf,
-                    certificate=_infeas_certificate(p, _on_all_rows(rows, m + n, ycert), m))
+            done = infeasible(u[n:-1] / (-yb), k)
+            if done is not None:
+                return done
         xc = ct @ u[:n]
         if xc < -1e-12:
             xray = u[:n] / (-xc)
@@ -336,6 +384,19 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
             return SolveResult(status="Unknown", iterations=k, certificate={
                 "kind": "fixed_point", "x": x, "y": _on_all_rows(rows, m + n, u[n:-1]),
                 "s": s}, **best)
+        # the iterate passed no exit test: its polished pair or ray may, and
+        # ends the solve only if it does
+        if polish is not None:
+            pair, ray = polish(w, u)
+            if pair is not None:
+                x, y, s = pair
+                done = optimal(x, y, residuals(x, y, s), k)
+                if done is not None:
+                    return done
+            if ray is not None:
+                done = infeasible(ray, k)
+                if done is not None:
+                    return done
     return SolveResult(status="Unknown", iterations=max_iter, **best)
 
 
@@ -350,6 +411,69 @@ def _on_all_rows(rows, size, live):
     out = np.zeros(size)
     out[rows] = live
     return out
+
+
+def _polisher(at, bt, ct, zero):
+    """The polish step of a solve whose live factors are all Zero or Nonneg,
+    with `zero` the mask of the Zero rows.
+
+    polish(w, u), for an iterate w and u = Pi(w), returns (pair, ray), each
+    a candidate for the exit tests or None:
+    - pair (x, y, s), when tau > 1e-12.  For c != 0 the active set guessed
+      is the Zero rows and the Nonneg rows with y_i > s_i, that is w_i > 0:
+      x moves by least squares onto At_A x = bt_A, and y_A onto At_A' y_A =
+      -ct, with y = 0 off A.  For c = 0, y = 0 is dual optimal and x moves
+      onto the Zero rows alone.  Then y is clipped into dual(K') and s =
+      Pi_K'(bt - At x).
+    - ray y, when <bt, y> < -1e-12 for the y part of u: y on its support S
+      (the Zero rows and y_i > 0) projected onto ker At_S', clipped into
+      dual(K') and scaled to <bt, y> = -1.
+    Each distinct guess of an active set or support is tried once; the
+    projection for c = 0 guesses nothing and is made at every call."""
+    n = at.shape[1]
+    nonneg = ~zero
+    a_zero, b_zero = at[zero], bt[zero]
+    # c = 0 projects onto the same rows at every call: one pseudo-inverse
+    zero_pinv = functools.cache(lambda: np.linalg.pinv(a_zero))
+    c_zero = not ct.any()
+    tried_pair, tried_ray = set(), set()
+
+    def polish(w, u):
+        yu, tau = u[n:-1], u[-1]
+        guess = zero | (w[n:-1] > 0)
+        key = guess.tobytes()
+        pair = ray = None
+        if tau > 1e-12 and (c_zero or key not in tried_pair):
+            xs = u[:n] / tau
+            y = np.zeros(len(bt))
+            if c_zero:
+                x = xs + zero_pinv() @ (b_zero - a_zero @ xs)
+            else:
+                tried_pair.add(key)
+                a, ya = at[guess], yu[guess] / tau
+                x = xs + _lstsq(a, bt[guess] - a @ xs)
+                y[guess] = ya + _lstsq(a.T, -ct - a.T @ ya)
+                y[nonneg] = np.maximum(y[nonneg], 0.0)
+            s = bt - at @ x
+            s[zero] = 0.0
+            pair = x, y, np.maximum(s, 0.0, out=s)
+        if bt @ yu < -1e-12 and key not in tried_ray:
+            tried_ray.add(key)
+            a, ya = at[guess], yu[guess]
+            y = np.zeros(len(bt))
+            y[guess] = ya - a @ _lstsq(a, ya)
+            y[nonneg] = np.maximum(y[nonneg], 0.0)
+            yb = bt @ y
+            if yb < -1e-12:
+                ray = y / -yb
+        return pair, ray
+
+    return polish
+
+
+def _lstsq(a, r):
+    """The least-norm least-squares solution z of a z = r."""
+    return np.linalg.lstsq(a, r, rcond=None)[0]
 
 
 def _extrapolate(gesv, gs, fs):

@@ -98,6 +98,18 @@ class EuclideanSpace:
     def dim(self) -> int:
         return sum(f.dim for f in self.factors)
 
+    # the dataclass hash, computed once: every lru_cache keyed on a space or
+    # a cone hashes it at each lookup
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.factors,))
+        return h
+
+    def __getstate__(self):
+        # a str hashes differently in another process, so a pickle drops it
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     def slices(self) -> list[slice]:
         out, k = [], 0
         for f in self.factors:

@@ -1,5 +1,7 @@
 """Cone calculus: duality, membership, projections, entry thresholds."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -290,3 +292,19 @@ def test_projector_is_planned_once_per_cone():
     assert cones.projector(c) is cones.projector(cones.Cone(c.space, c.tags))
     with pytest.raises(ValueError):
         cones.project(c, np.zeros(4))
+
+
+def test_cached_hashes_are_the_dataclass_hashes():
+    # Cone and EuclideanSpace keep their hash once computed; it must be the
+    # hash of their fields, as the frozen dataclass defines it, and a pickle
+    # must not carry it to a process whose str hashes differ
+    c = cones.Cone(space(real(2), sym(2)), (cones.ZERO, cones.PSD))
+    twin = cones.Cone(space(real(2), sym(2)), (cones.ZERO, cones.PSD))
+    assert hash(c) == hash(twin) == hash((c.space, c.tags, c.negated))
+    assert hash(c.space) == hash((c.space.factors,))
+    assert c == twin and c != cones.polar(c) and c != cones.dual(c)
+    assert hash(cones.polar(c)) == hash((c.space, cones.dual(c).tags, True))
+    state = pickle.dumps(c)
+    assert b"_hash" not in state
+    back = pickle.loads(state)
+    assert back == c and hash(back) == hash(c)

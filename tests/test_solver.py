@@ -423,7 +423,10 @@ def _simplex_lp():
 
 def test_passing_extrapolation_stops_the_solve_at_once(monkeypatch):
     # the first extrapolation comes after AA_MEMORY + 1 map evaluations, and
-    # a fresh extrapolation is checked at once: one that passes ends the solve
+    # a fresh extrapolation is checked at once: one that passes ends the solve.
+    # The polish step would end this LP at k = 4, before any extrapolation,
+    # so it is kept out, as the extrapolation is patched below
+    monkeypatch.setattr(solver, "_polisher", lambda *args: None)
     p, w_star = _simplex_lp()
     plain, _ = _counted_solve(monkeypatch, p, lambda gesv, gs, fs: None)
     assert plain.status == "Optimal" and plain.iterations > solver.AA_MEMORY + 1
@@ -432,6 +435,117 @@ def test_passing_extrapolation_stops_the_solve_at_once(monkeypatch):
                                                         solver.AA_MEMORY + 1)
     assert res.x.tolist() == [0.0, 1.0] and res.y.tolist() == [2.0]
     assert res.pobj == res.dobj == 2.0
+
+
+@pytest.mark.parametrize("n, m, seed", [(60, 80, 1), (90, 120, 0)])
+def test_polish_settles_planted_lps_the_splitting_leaves_unknown(n, m, seed):
+    # without the polish step both ran out 50,000 iterations Unknown; the
+    # active set guessed from an early iterate gives HiGHS's vertex
+    p = gallery.planted_strong_duality([(cones.NONNEG, n)], [(cones.NONNEG, m)], seed=seed)
+    res = solver.solve(p, max_iter=5000)
+    lp = linprog(-p.c, A_ub=p.A.matrix, b_ub=p.b, bounds=[(0, None)] * n, method="highs")
+    assert res.status == "Optimal" and lp.status == 0, (res.status, lp.message)
+    for value in (res.pobj, res.dobj):
+        assert abs(value + lp.fun) <= 1e-6 * (1 + abs(lp.fun)), (value, -lp.fun)
+    _assert_certificate_revalidates(p, res)
+
+
+@st.composite
+def _polyhedral_programs(draw):
+    """sup <c, x> s.t. b - A x in K, x in C, with K a product of 1-2 Zero
+    and Nonneg factors, C of 1-2 Zero, Nonneg and Free factors, small
+    integer data, and c = 0 in about one draw in four: degenerate, empty,
+    unbounded and doubly infeasible programs are common."""
+    def factors(tags, most):
+        return draw(st.lists(st.tuples(st.sampled_from(tags), st.integers(1, most)),
+                             min_size=1, max_size=2))
+
+    def entries(k):
+        return np.array(draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)),
+                        dtype=float)
+
+    kf = factors([cones.NONNEG, cones.ZERO], 3)
+    cf = factors([cones.NONNEG, cones.ZERO, cones.FREE], 2)
+    cod, dom = space(*(real(k) for _, k in kf)), space(*(real(k) for _, k in cf))
+    m, n = cod.dim, dom.dim
+    a, b, c = entries(m * n).reshape(m, n), entries(m), entries(n)
+    if draw(st.integers(0, 3)) == 0:
+        c = np.zeros(n)
+    return program.ConicProgram(A=LinearMap(dom, cod, a), b=b, c=c,
+                                K=cones.cone(cod, *(t for t, _ in kf)),
+                                C=cones.cone(dom, *(t for t, _ in cf)), sense="sup")
+
+
+def _solve_with(p, **patches):
+    """solver.solve(p) with the solver's names in `patches` replaced."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in patches.items():
+            mp.setattr(solver, name, value)
+        return solver.solve(p)
+
+
+def _noisy_polisher(noise):
+    """`solver._polisher` with noise(shape) added to every vector of every
+    candidate it proposes, as if its corrections were garbage."""
+    polisher = solver._polisher
+
+    def make(*args):
+        polish = polisher(*args)
+
+        def noisy(w, u):
+            pair, ray = polish(w, u)
+            return (None if pair is None else tuple(v + noise(v.shape) for v in pair),
+                    None if ray is None else ray + noise(ray.shape))
+        return noisy
+    return make
+
+
+def _same_result(a, b):
+    """Whether two results agree bit for bit; repr matches nan to nan."""
+    vectors = ((a.x, b.x), (a.y, b.y))
+    return (repr((a.status, a.iterations, a.pobj, a.dobj)) ==
+            repr((b.status, b.iterations, b.pobj, b.dobj)) and
+            all(u.tobytes() == v.tobytes() if u is not None else v is None for u, v in vectors))
+
+
+@oracles.PROPERTY
+@given(_polyhedral_programs())
+def test_polished_solves_agree_with_the_plain_loop_and_highs(p):
+    res = solver.solve(p)
+    unpolished = _solve_with(p, _polisher=lambda *args: None)
+    ref = oracles.plain_solve(p)
+    status, value = oracles.lp_value(p)
+    _assert_certificate_revalidates(p, res)
+    _assert_certificate_revalidates(p, ref)
+    # the status is the plain loop's, except on a program empty on both
+    # sides, which has a Farkas ray and an improving ray: either certifies
+    # it, and both revalidate above
+    if res.status != ref.status:
+        assert {res.status, ref.status} == {"PrimalInfeasible", "Unbounded"}, (res, ref)
+        assert status == "infeasible"
+    if res.status == "Optimal":
+        assert status == "optimal"
+        for v in (res.pobj, res.dobj):
+            assert abs(v - value) <= 1e-6 * (1 + abs(value)), (res, value)
+    if res.status == "PrimalInfeasible":
+        assert status == "infeasible"
+        if (res.status, res.iterations) != (unpolished.status, unpolished.iterations):
+            # a polished Farkas ray
+            cert = res.certificate
+            assert min(cert["y_margin"], cert["w_margin"]) >= -1e-8
+            assert cert["adjoint_residual"] <= 1e-6 and cert["b_dot_y"] < 0
+
+    # a polish whose candidates are garbage never ends a solve: NaN fails
+    # every exit test, so the solve is the unpolished loop's, step for step
+    nan = _solve_with(p, _polisher=_noisy_polisher(lambda shape: np.full(shape, np.nan)))
+    assert _same_result(nan, unpolished), (nan, unpolished)
+    # a finite garbage point may happen to pass; then it is a true
+    # certificate, as only the exit test lets it end the solve
+    rng = np.random.default_rng(0)
+    junk = _solve_with(p, _polisher=_noisy_polisher(lambda sh: 1e3 * rng.standard_normal(sh)))
+    _assert_certificate_revalidates(p, junk)
+    if junk.status == "Optimal":
+        assert abs(junk.pobj - value) <= 1e-6 * (1 + abs(value)), (junk, value)
 
 
 def test_polar_views_solve_as_their_mirror_image():
