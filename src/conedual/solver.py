@@ -22,6 +22,22 @@ on a dropped row, and a fixed point's s there is the row's exact slack
 (b tau - A x on a row of K, x on a row of C).  The residuals and norm_b run
 over the live rows.
 
+The embedding is posed on unit-norm data, as SCS normalises b and c before
+it embeds them (O'Donoghue et al. 2016, section 4): I + Q holds beta bt and
+gamma ct, with beta = 1 / |bt| and gamma = 1 / |ct|, or 1 where that norm is
+0, as it is for c in every feasibility and alternative solve.  A solution
+(x, y, s) of the data's program is then (beta x, gamma y, beta s) of the
+embedded one, so the iterate holds u = (beta x tau, gamma y tau, tau) and v
+= (0, beta s tau, beta gamma kappa), and each check maps u and v back before
+any exit test or polish reads them.  The tolerances, the residuals, norm_b,
+norm_c and every certificate, the fixed point's included, are in the data's
+own units; the rays need no mapping, each being normalised by <bt, y> or
+<ct, x>.  A positive scale of b or of c changes the embedding only by
+rounding.  Each norm is taken of the vector over its largest entry, so that
+b / |b| and c / |c| are finite for all finite data.  The scale comes from
+the data alone: a rule that rescales along the solve, as SCS 3.0 does when
+sqrt(pres / dres) drifts, was measured and saved nothing (ROADMAP item 19).
+
 The map is accelerated by safeguarded type-II Anderson extrapolation (Zhang,
 O'Donoghue and Boyd 2020).  Every AA_MEMORY map evaluations, the last
 AA_MEMORY + 1 pairs (g_i, f_i = g_i - w_i) give the candidate g_k - dG gamma,
@@ -76,7 +92,7 @@ and Andersen 2017.  Every Unknown verdict built from such a solve gives the
 reason FIXED_POINT.
 
 The iteration is compiled once per solve: I + Q is formed in Fortran order
-straight from A, b and c and LU-factored in place by LAPACK's getrf
+straight from A, b / |b| and c / |c| and LU-factored in place by LAPACK's getrf
 (keeping lu_factor's finiteness check and error), each iteration calls
 getrs on the factors directly (keeping lu_solve's finiteness and info
 checks), each extrapolation calls gesv, and the projection onto the whole
@@ -239,15 +255,24 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
     bt = np.zeros(mm)
     bt[:mk] = p.b[k_rows]
     ct = -p.c
+    # the embedding holds bt / |bt| and ct / |ct|, and each check maps its
+    # u and v back to the data's units by u_back and v_back
+    norm_b, b_unit = _unit(bt)
+    norm_c, c_unit = _unit(ct)
+    b_back, c_back = norm_b or 1.0, norm_c or 1.0
+    u_back = np.empty(nn)
+    u_back[:n], u_back[n:-1], u_back[-1] = b_back, c_back, 1.0
+    v_back = np.empty(nn)
+    v_back[:n], v_back[n:-1], v_back[-1] = c_back, b_back, b_back * c_back
 
     # I + Q, in Fortran order so that getrf factors it in place
     q = np.zeros((nn, nn), order="F")
     q[:n, n:-1] = at.T
-    q[:n, -1] = ct
+    q[:n, -1] = c_unit
     q[n:-1, :n] = -at
-    q[n:-1, -1] = bt
-    q[-1, :n] = -ct
-    q[-1, n:-1] = -bt
+    q[n:-1, -1] = b_unit
+    q[-1, :n] = -c_unit
+    q[-1, n:-1] = -b_unit
     np.fill_diagonal(q, 1.0)
     # the checks lu_factor makes around getrf; I + Q is nonsingular, Q being
     # skew-symmetric, so getrf meets no zero pivot
@@ -268,9 +293,6 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
     f_hist = np.empty((AA_MEMORY + 1, nn))
     filled = 0
     guard = None  # (|f|, plain step) while w is an unverified extrapolation
-
-    norm_b = _norm(bt)
-    norm_c = _norm(ct)
 
     def residuals(xs, ys, ss):
         """pres, dres, gap and <ct, xs> of the pair (xs, ys) with slack ss."""
@@ -342,7 +364,8 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
         # end early), at each fresh extrapolation, and every CHECK_EVERY
         if k & (k - 1) and guard is None and k % CHECK_EVERY and k != max_iter:
             continue
-        u, v = pw, pw - w
+        # the iterate in the data's units
+        u, v = pw * u_back, (pw - w) * v_back
         tau = u[-1]
         if tau > 1e-12:
             xs = u[:n] / tau
@@ -376,7 +399,7 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
         # complementary solution, and the iterate stays put from here on
         scale = FIXED_POINT_TOL * (_norm(u) + _norm(v))
         if (u[-1] <= scale and v[-1] <= scale and
-                _norm(u - pw_old) + _norm(v - (pw_old - w_old)) <= scale):
+                _norm(u - pw_old * u_back) + _norm(v - (pw_old - w_old) * v_back) <= scale):
             # a dropped row's slack is exact: (b tau - A x, x) there
             x = u[:n]
             s = np.concatenate([p.b * tau - p.A.matrix @ x, x])
@@ -387,7 +410,7 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
         # the iterate passed no exit test: its polished pair or ray may, and
         # ends the solve only if it does
         if polish is not None:
-            pair, ray = polish(w, u)
+            pair, ray = polish(u - v, u)
             if pair is not None:
                 x, y, s = pair
                 done = optimal(x, y, residuals(x, y, s), k)
@@ -405,6 +428,18 @@ def _norm(x):
     return math.sqrt(x @ x)
 
 
+def _unit(v):
+    """(|v|, v / |v|), or (0, v) when v = 0.  Both are taken of v / max|v|,
+    so that v / |v| is finite for every finite v, and |v| overflows only
+    where it exceeds the largest float."""
+    top = np.abs(v).max(initial=0.0)
+    if not top:
+        return 0.0, v
+    v = v / top
+    nv = _norm(v)
+    return top * nv, v / nv
+
+
 def _on_all_rows(rows, size, live):
     """A vector over all rows of K x C from its values on the live rows,
     0 on the dropped ones, as dual(Free) = Zero requires of y there."""
@@ -417,8 +452,9 @@ def _polisher(at, bt, ct, zero):
     """The polish step of a solve whose live factors are all Zero or Nonneg,
     with `zero` the mask of the Zero rows.
 
-    polish(w, u), for an iterate w and u = Pi(w), returns (pair, ray), each
-    a candidate for the exit tests or None:
+    polish(w, u), for an iterate's u = Pi(w) and w = u - v, both mapped back
+    to the data's units, returns (pair, ray), each a candidate for the exit
+    tests or None:
     - pair (x, y, s), when tau > 1e-12.  For c != 0 the active set guessed
       is the Zero rows and the Nonneg rows with y_i > s_i, that is w_i > 0:
       x moves by least squares onto At_A x = bt_A, and y_A onto At_A' y_A =

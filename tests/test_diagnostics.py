@@ -564,13 +564,25 @@ def test_pathology_fires_nothing_whatever_the_units():
 
 
 def test_boundedness_cq_is_unknown_without_feasibility():
-    # MIX 4 with (A, b) scaled by 1e-3 is Bounded, but its feasibility stays
-    # Unknown at this budget: without a feasible point the condition is not
-    # refuted, so the row reads Unknown, not No
-    p = _scaled(gallery.planted_strong_duality(*MIXES[4], seed=1), 1e-3)
+    # MIX 5 with (A, b) scaled by 1e-3 is Bounded, but its feasibility stays
+    # Unknown at this budget (and at 50,000): without a feasible point the
+    # condition is not refuted, so the row reads Unknown, not No
+    p = _scaled(gallery.planted_strong_duality(*MIXES[5], seed=0), 1e-3)
     row = diagnostics.strong_duality_report(p, max_iter=5000).entries[8]
     assert (row["condition"], row["verdict"], row["margins"]) == \
         ("boundedness-cq", "Unknown", {"boundedness": "Bounded"})
+
+
+def test_boundedness_cq_fires_once_feasibility_is_decided():
+    # MIX 4 with (A, b) scaled by 1e-3: the plain feasibility solve finds a
+    # point within the budget, and the planted pair is bounded, so the row
+    # reads Yes
+    p = _scaled(gallery.planted_strong_duality(*MIXES[4], seed=1), 1e-3)
+    feas = solver.feasibility(program.feasible_system(program.as_sup(p)), max_iter=5000)
+    assert (feas.verdict, feas.detail) == ("Yes", "boundary witness")
+    row = diagnostics.strong_duality_report(p, max_iter=5000).entries[8]
+    assert (row["condition"], row["verdict"], row["margins"]) == \
+        ("boundedness-cq", "Yes", {"boundedness": "Bounded"})
 
 
 # each report row and the row that answers the same question on the mirror

@@ -13,6 +13,9 @@ in its __all__, or marked `# noqa: F401` on its import line.
 
 The exact projection reads floats in one function, so that its rounding
 rule lives in one place.
+
+No package module reads the environment: the solver's scale and every
+other setting come from the data and the arguments, never from a knob.
 """
 
 import ast
@@ -136,3 +139,18 @@ def test_projection_reads_floats_in_one_place():
 
     visit(tree, False)
     assert outside == []
+
+
+def test_no_package_module_reads_the_environment():
+    """No os.environ or os.getenv under src/conedual, as an attribute, a
+    name or an import from os."""
+    banned = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [node.attr] if isinstance(node, ast.Attribute) else \
+                [node.id] if isinstance(node, ast.Name) else \
+                [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            reads += [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+                      for name in names if name in banned]
+    assert reads == []

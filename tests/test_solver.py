@@ -1,6 +1,7 @@
 """Operator-splitting solver against independent oracles and hand instances."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -268,15 +269,47 @@ def test_solver_respects_iteration_budget():
 
 def test_solver_rejects_non_finite_iterates():
     # finite data whose iterates overflow: the linear solve refuses them, as
-    # scipy's lu_solve does, rather than iterating on infs and NaNs
+    # scipy's lu_solve does, rather than iterating on infs and NaNs.  b and c
+    # enter the embedding as unit vectors, so the huge entries sit in A
     dom, cod = space(real(2)), space(real(2))
     p = program.ConicProgram(
-        A=LinearMap(dom, cod, np.eye(2)), b=np.array([1e308, -1e308]),
-        c=np.array([1e308, 1e308]), K=cones.cone(cod, cones.NONNEG),
+        A=LinearMap(dom, cod, np.array([[1e308, 1e308], [1.0, 1.0]])), b=np.ones(2),
+        c=np.ones(2), K=cones.cone(cod, cones.NONNEG),
         C=cones.cone(dom, cones.NONNEG), sense="sup")
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="must not contain infs or NaNs"):
         solver.solve(p, max_iter=200)
+
+
+def test_embedding_of_extreme_data_is_finite(monkeypatch):
+    # b enters the embedding as b / |b|, with |b| taken of b / max|b|: the
+    # norm of entries near the largest float is finite and positive, and a
+    # norm beyond it still leaves a finite unit vector
+    b = np.array([1e308, -1e308])
+    norm_b, unit = solver._unit(b)
+    assert np.isfinite(norm_b) and norm_b > 0 and 1.0 / norm_b > 0
+    assert abs(np.linalg.norm(unit) - 1.0) <= 1e-15
+    with np.errstate(over="ignore"):
+        norm, unit = solver._unit(np.full(4, 1e308))
+    assert norm == np.inf and unit.tolist() == [0.5] * 4
+    assert solver._unit(np.zeros(3))[0] == 0.0
+    # the I + Q factored for that b is finite, and its b column is b / |b|
+    dom, cod = space(real(2)), space(real(2))
+    p = program.ConicProgram(
+        A=LinearMap(dom, cod, np.eye(2)), b=b, c=np.ones(2),
+        K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.FREE), sense="sup")
+    factored = []
+
+    def lapack(names, arrays):
+        factored.append(arrays[0].copy())
+        return get_lapack_funcs(names, arrays)
+
+    monkeypatch.setattr(solver, "get_lapack_funcs", lapack)
+    with np.errstate(over="ignore", invalid="ignore"):
+        solver.solve(p, max_iter=10)
+    (q,) = factored
+    assert np.isfinite(q).all()
+    assert np.allclose(q[2:4, -1], b / norm_b, rtol=0, atol=1e-15)
 
 
 def test_strict_feasibility_without_convergence_has_no_margin():
@@ -348,6 +381,25 @@ def test_accelerated_solve_agrees_with_the_plain_loop(population, seed, form):
     _assert_certificate_revalidates(p, ref)
 
 
+@pytest.mark.parametrize("population", _POPULATIONS, ids=lambda pop: f"{pop[0]}-{pop[1]}")
+def test_scaling_b_or_c_scales_the_solve(population):
+    # b -> k b scales the feasible set by k, and c -> k c the objective, so
+    # both scale the optimal value by k and keep every status.  The unscaled
+    # solve is the oracle: the same status at the same budget, Optimal
+    # values k times its own, and certificates that revalidate
+    for seed in range(4):
+        p = _population_program(*population, seed)
+        ref = solver.solve(p, max_iter=5000)
+        for which, k in itertools.product("bc", (1e-3, 1e3)):
+            q = dataclasses.replace(p, **{which: k * getattr(p, which)})
+            res = solver.solve(q, max_iter=5000)
+            assert res.status == ref.status, (seed, which, k, res, ref)
+            if res.status == "Optimal":
+                for a, b in ((res.pobj, ref.pobj), (res.dobj, ref.dobj)):
+                    assert abs(a - k * b) <= 1e-5 * k * (1 + abs(b)), (seed, which, k, a, b)
+            _assert_certificate_revalidates(q, res)
+
+
 def _counted_solve(monkeypatch, p, extrapolate):
     """solver.solve(p) with `extrapolate` for the extrapolation, and the
     right-hand side of every linear solve it made."""
@@ -412,13 +464,17 @@ def test_solve_stops_at_iteration_one_when_the_start_solves_it():
 
 def _simplex_lp():
     """sup x1 + 2 x2 over x >= 0, x1 + x2 <= 1: x = (0, 1), y = 2, and the
-    embedding point w = u - v = (x, y - s_K, y_C - s_C, tau) with y_C = A* y
-    - c = (1, 0), s_K = 0, s_C = x passes every optimality test exactly."""
+    embedding point w = u - v = (x / |b|, (y_K, y_C) / |c| - (s_K, s_C) / |b|,
+    tau) with y_K = 2, y_C = A* y_K - c = (1, 0), s_K = 0 and s_C = x passes
+    every optimality test exactly, as the embedding holds b / |b| and c / |c|;
+    here |b| = 1."""
     dom, cod = space(real(2)), space(real(1))
+    c = np.array([1.0, 2.0])
     p = program.ConicProgram(
-        A=LinearMap(dom, cod, np.ones((1, 2))), b=np.ones(1), c=np.array([1.0, 2.0]),
+        A=LinearMap(dom, cod, np.ones((1, 2))), b=np.ones(1), c=c,
         K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.NONNEG), sense="sup")
-    return p, np.array([0.0, 1.0, 2.0, 1.0, -1.0, 1.0])
+    norm_c = np.linalg.norm(c)
+    return p, np.array([0.0, 1.0, 2.0 / norm_c, 1.0 / norm_c, -1.0, 1.0])
 
 
 def test_passing_extrapolation_stops_the_solve_at_once(monkeypatch):
@@ -683,7 +739,7 @@ def test_report_iteration_counts_are_pinned(monkeypatch):
     # The pathology's three solves that have no strictly complementary
     # solution stop at the embedding's fixed point, none at the budget.
     for p, budget, count, total in ((gallery.example_adapted(3), 1200, 12, 197),
-                                    (planted, solver.MAX_ITER, 9, 789)):
+                                    (planted, solver.MAX_ITER, 9, 676)):
         for _ in range(2):
             solves = _report_solves(monkeypatch, p, max_iter=budget)
             assert len(solves) == count
