@@ -3,16 +3,19 @@
 The projection cone for the set X = {x in C : b - A x in K} and a subspace L
 is {(y, w) in K* x C* : A* y - w in L}.  Each of its rays (y, w) yields a
 valid inequality <A* y - w, x> <= <b, y> on the projection of X onto L, and
-for polyhedral cones the extreme rays give the full H-representation.
+for polyhedral cones the extreme rays give the full H-representation.  An
+inf program's set {y : A y - b in K, y in C} is read with -A and -b.
 `projection_cone` builds that system for `precondition`, for the exact
-enumeration and for the sampled outer approximation alike.
+enumeration and for the sampled outer approximation alike.  The hypothesis
+of the description, that the cone meets the relative interior of K* x C*,
+is decided by the solver on the sampled path, and read off the exact
+generators on the exact path.
 
 The exact path runs in integers from the float boundary on.  Floats enter it
 by one rule, `_to_frac_matrix` (the nearest fraction of denominator at most
 10**12), and each matrix is then scaled to integers by one positive factor.
-One fraction-free Gauss-Jordan elimination, `_int_kernel`, serves every
-linear-algebra question: the null space of the projection cone's equality
-rows, and the dimension tests of the redundancy removal below.
+One fraction-free Gauss-Jordan elimination, `_int_kernel`, gives the null
+space of the projection cone's equality rows.
 
 Ray enumeration uses the double description method: rays are kept as coprime
 integer vectors, and the tight constraints of each ray as a bitmask.  Two
@@ -22,22 +25,14 @@ to the rank test (Fukuda and Prodon, "Double description method revisited",
 1996).
 
 The candidate rows, one per ray, are mostly redundant.  Redundancy is
-decided by the same method, without LP: one double description of the
-homogenised cone {(x, t) : beta t - <a, x> >= 0 per row, t >= 0} shows
-whether the set is empty (no ray with t > 0; the result is then the single
-infeasible marker 0 <= -1) and whether it is full-dimensional (no nonzero
-vector is orthogonal to all its generators).  On a full-dimensional set a
-row is kept exactly when it defines a facet: the generators tight at it
-leave a one-dimensional orthogonal complement.  On a lower-dimensional set
-the rows are taken in order, and a row is dropped when the cone of the rows
-still kept without it satisfies it, which takes one further double
-description per row.  A Fourier-Motzkin eliminator, which removes redundant
+decided by the same method, without LP and without a rank test: see
+`_remove_redundant`.  A Fourier-Motzkin eliminator, which removes redundant
 rows the same way, is provided as an oracle for tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -124,8 +119,10 @@ def _int_kernel(rows: list[list[int]], d: int) -> list[list[int]]:
 # double description on {z : B z >= 0}
 
 
-def double_description(ineqs, dim: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Generators (lineality basis, extreme rays) of {z : B z >= 0}.
+def double_description(ineqs, dim: int) -> tuple[list[list[int]], list[list[int]],
+                                                 list[int]]:
+    """Generators (lineality basis, extreme rays) of {z : B z >= 0}, and for
+    each ray the bitmask of the rows tight at it (bit i: row i vanishes).
 
     The rows may be rational; each is scaled to integers, and every generator
     is a coprime integer vector, so each update below is a positive multiple
@@ -171,17 +168,29 @@ def double_description(ineqs, dim: int) -> tuple[list[list[int]], list[list[int]
                                            for y, x in zip(rays[ip], rays[im])]))
                 keep_tight.append(common | bit)
         rays, tight = keep_rays, keep_tight
-    # coprime rays are equal exactly when positive multiples of each other
-    return lin, [list(k) for k in dict.fromkeys(map(tuple, rays)) if any(k)]
+    # coprime rays are equal exactly when positive multiples of each other,
+    # and equal rays are tight at the same rows
+    out = {tuple(r): t for r, t in zip(rays, tight) if any(r)}
+    return lin, [list(k) for k in out], list(out.values())
 
 
 # ---------------------------------------------------------------------------
 # projection cone
 
 
+def _sup_form(p: program.ConicProgram) -> program.ConicProgram:
+    """A sup program with the feasible set of p: an inf program's
+    {y : A y - b in K, y in C} is {y : -b - (-A) y in K, y in C}."""
+    if p.sense == "sup":
+        return p
+    return replace(p, A=LinearMap(p.A.domain, p.A.codomain, -p.A.matrix),
+                   b=-p.b, c=-p.c, sense="sup")
+
+
 def projection_cone(p: program.ConicProgram, sub: Subspace) -> program.System:
-    """The projection cone {(y, w) in K* x C* : A* y - w in L} as a system."""
-    ps = program.as_sup(p)
+    """The projection cone {(y, w) in K* x C* : A* y - w in L} of the
+    feasible set of p, written in sup form, as a system."""
+    ps = _sup_form(p)
     n = ps.A.domain.dim
     d = ps.A.codomain.dim + n
     pc = program.System(
@@ -209,7 +218,7 @@ def _exact_lift(pc: program.System):
     # one common scale for the whole basis keeps the null-space coordinates
     # of every generator, up to a positive factor
     bn = [[_dot(row, nv) for nv in null] for row in _exact_rows(pc, cones.NONNEG)]
-    lin_z, rays_z = double_description(bn, len(null))
+    lin_z, rays_z, _ = double_description(bn, len(null))
     cols = list(zip(*null))
 
     def lift(z):
@@ -271,9 +280,10 @@ def _float_rows(rows: list[tuple], dim: int) -> tuple[np.ndarray, np.ndarray]:
     return mat[:, :-1], mat[:, -1]
 
 
-def _homogenised(rows: list[tuple], n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Integer (lineality basis, extreme rays) of the homogenised cone
-    {(x, t) : beta t - <a, x> >= 0 for every row (a, beta), t >= 0}."""
+def _homogenised(rows: list[tuple], n: int):
+    """`double_description` of the homogenised cone
+    {(x, t) : beta t - <a, x> >= 0 for every row (a, beta), t >= 0}: bit 0 of
+    a ray's mask is the row t >= 0, bit i + 1 is rows[i]."""
     ineqs = [[0] * n + [1]] + [[-x for x in row[:-1]] + [row[-1]] for row in rows]
     return double_description(ineqs, n + 1)
 
@@ -286,15 +296,18 @@ def _slack(row: tuple, gen: list[int]) -> int:
 def _remove_redundant(rows: list[tuple]) -> list[tuple]:
     """Drop the rows implied by the rest, exactly and without LP.
 
-    The rows are coprime integer tuples (a, beta) of a x <= beta.  One double
-    description of the homogenised cone (`_homogenised`) decides everything:
+    The rows are coprime integer tuples (a, beta) of a x <= beta.  A
+    coordinate that no row uses is a line of the set and is dropped first.
+    One double description of the homogenised cone (`_homogenised`) then
+    decides everything from its rays and their bitmasks of tight rows:
 
     - no ray has t > 0: the set is empty, and the result is the single
       infeasible marker (0, ..., 0, -1);
-    - no nonzero vector is orthogonal to every generator (a full-dimensional
-      set): a row is kept exactly when it defines a facet, that is, when the
-      vectors orthogonal to the lineality basis and the rays tight at it form
-      a line;
+    - no row is tight at every ray (a full-dimensional set): a row is kept
+      exactly when it defines a facet, that is, when no other row, nor
+      t >= 0, is tight at a strict superset of its tight rays (a face is the
+      lineality plus the rays it contains, so faces are ordered as their
+      sets of rays are);
     - otherwise (a lower-dimensional set, where a facet has no unique
       defining row): the rows are taken in order, and a row is dropped when
       it holds on the cone of the rows still kept without it, i.e. has slack
@@ -305,45 +318,63 @@ def _remove_redundant(rows: list[tuple]) -> list[tuple]:
     if not rows:
         return []
     n = len(rows[0]) - 1
-    lin, rays = _homogenised(rows, n)
+    used = [j for j in range(n) if any(row[j] for row in rows)]
+    short = [tuple(row[j] for j in used) + row[-1:] for row in rows]
+    _, rays, tight = _homogenised(short, len(used))
     if not any(r[-1] > 0 for r in rays):
         return [(0,) * n + (-1,)]
-    if not _int_kernel(lin + rays, n + 1):
-        return [row for row in rows
-                if len(_int_kernel(lin + [r for r in rays if _slack(row, r) == 0], n + 1)) == 1]
+    # faces[i]: bit k set when ray k is tight at homogenised row i
+    faces = [sum(1 << k for k, t in enumerate(tight) if t >> i & 1)
+             for i in range(len(rows) + 1)]
+    if (1 << len(rays)) - 1 not in faces:
+        return [row for row, f in zip(rows, faces[1:])
+                if not any(g != f and f | g == g for g in faces)]
     keep = list(range(len(rows)))
     for i in range(len(rows)):
         rest = [j for j in keep if j != i]
-        lin_i, rays_i = _homogenised([rows[j] for j in rest], n)
-        if all(_slack(rows[i], g) == 0 for g in lin_i) and \
-                all(_slack(rows[i], r) >= 0 for r in rays_i):
+        lin_i, rays_i, _ = _homogenised([short[j] for j in rest], len(used))
+        if all(_slack(short[i], g) == 0 for g in lin_i) and \
+                all(_slack(short[i], r) >= 0 for r in rays_i):
             keep = rest
     return [rows[j] for j in keep]
 
 
 def precondition(p: program.ConicProgram, sub: Subspace) -> solver.Verdict:
     """Strict feasibility of the projection cone system (hypothesis of the
-    extreme-ray description)."""
+    extreme-ray description), by the solver; `project` asks it only of
+    non-polyhedral cones."""
     return solver.strict_feasibility(projection_cone(p, sub))
 
 
 def project(p: program.ConicProgram, sub: Subspace) -> HRepresentation:
-    """H-representation of the projection of the feasible set onto `sub`.
+    """H-representation of the projection of the feasible set of p onto `sub`.
 
     Exact (double description) for polyhedral cones; otherwise a sampled
-    outer approximation flagged exact=False.
+    outer approximation flagged exact=False.  Raises PreconditionFailed
+    when the projection cone meets no relative interior point of K* x C*.
     """
-    ps = program.as_sup(p)
+    ps = _sup_form(p)
+    if ps.is_fully_polyhedral():
+        return _project_polyhedral(ps, sub)
     pre = precondition(ps, sub)
     if pre.verdict == "No":
         raise PreconditionFailed(pre.detail)
-    if ps.is_fully_polyhedral():
-        return _project_polyhedral(ps, sub)
     return _project_sampled(ps, sub)
 
 
 def _project_polyhedral(ps, sub) -> HRepresentation:
-    lin, rays = _exact_lift(projection_cone(ps, sub))
+    pc = projection_cone(ps, sub)
+    lin, rays = _exact_lift(pc)
+    # the cone meets the relative interior of K* x C* exactly when each
+    # Nonneg row, a unit vector of (y, w), is positive at some extreme ray
+    # (then all are at the sum of those rays)
+    m = ps.A.codomain.dim
+    for row in _exact_rows(pc, cones.NONNEG):
+        if not any(_dot(row, r) > 0 for r in rays):
+            i = next(j for j, x in enumerate(row) if x)
+            name = f"y_{i + 1} of K*" if i < m else f"w_{i - m + 1} of C*"
+            raise PreconditionFailed(f"{name} vanishes on the whole projection cone: "
+                                     "it meets no relative interior point of K* x C*")
     n = ps.A.domain.dim
     # s [A* | -I] and s (b, 0) for one positive integer s: the row of a
     # generator (y, w) is s times (A* y - w, <b, y>)

@@ -182,7 +182,7 @@ def _cone_hform_dd(ineq_rows, eq_rows, dim):
     for e in eq_rows:
         rows.append(e[:])
         rows.append([-x for x in e])
-    return projection.double_description(rows, dim)
+    return projection.double_description(rows, dim)[:2]
 
 
 def _in_polar_of(lin, rays, v):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conedual import cli, cones, gallery, program, solver
+from conedual.spaces import LinearMap, real, space
 
 
 def _instance_doc(seed=0):
@@ -253,6 +254,44 @@ def test_cli_project(tmp_path, capsys):
     assert cli.main(["project", "--subspace", str(spath), str(ipath)]) == 0
     text = capsys.readouterr().out
     assert " . x <= " in text and "np.float64" not in text
+
+
+def _project_files(tmp_path, p, basis):
+    ipath = tmp_path / "inst.json"
+    ipath.write_text(json.dumps(cli.dump(p)))
+    spath = tmp_path / "sub.json"
+    spath.write_text(json.dumps({"basis": basis}))
+    return str(ipath), str(spath)
+
+
+def test_cli_project_reports_a_failed_precondition(tmp_path, capsys):
+    # x >= 0, x1 + x2 >= -1: eliminating x2 needs w2 = -y > 0 with y >= 0
+    dom, cod = space(real(2)), space(real(1))
+    p = program.ConicProgram(
+        A=LinearMap(dom, cod, -np.ones((1, 2))), b=np.ones(1), c=np.ones(2),
+        K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.NONNEG),
+        sense="sup")
+    ipath, spath = _project_files(tmp_path, p, [[1.0], [0.0]])
+    assert cli.main(["project", "--subspace", spath, ipath]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("precondition failed: y_1 of K* vanishes"), out
+
+
+def test_cli_project_reads_an_inf_instance_as_its_own_set(tmp_path):
+    # inf {<1, y> : y1 >= 1, 1 <= y2 <= 3, y >= 0}, with A of 3 rows and 2
+    # columns, projects onto y1 >= 1
+    dom, cod = space(real(2)), space(real(3))
+    p = program.ConicProgram(
+        A=LinearMap(dom, cod, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])),
+        b=np.array([1.0, 1.0, -3.0]), c=np.ones(2),
+        K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.NONNEG),
+        sense="inf")
+    ipath, spath = _project_files(tmp_path, p, [[1.0], [0.0]])
+    proc = _run(["--json", "project", "--subspace", spath, ipath])
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["exact"] is True
+    assert out["normals"] == [[-1.0, 0.0]] and out["offsets"] == [-1.0]
 
 
 @pytest.mark.parametrize("basis, warning", [

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conedual import cones, gallery, program, projection
+from conedual import cones, gallery, program, projection, solver
 from conedual.spaces import LinearMap, Subspace, real, space
 from oracles import PROPERTY, extreme_rays, lp_remove_redundant, polyhedral_rows
 
@@ -32,8 +32,8 @@ def _packing(amat, b=None):
 
 def test_double_description_orthant():
     # {x : x_i >= 0} has the standard basis as extreme rays
-    lin, rays = projection.double_description(_fr([[1, 0, 0], [0, 1, 0],
-                                                   [0, 0, 1]]), 3)
+    lin, rays, _ = projection.double_description(_fr([[1, 0, 0], [0, 1, 0],
+                                                      [0, 0, 1]]), 3)
     assert lin == []
     got = {tuple(r) for r in rays}
     assert got == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
@@ -41,7 +41,7 @@ def test_double_description_orthant():
 
 def test_double_description_halfspace_lineality():
     # one inequality in R^2: lineality along its boundary plus one ray
-    lin, rays = projection.double_description(_fr([[1, 0]]), 2)
+    lin, rays, _ = projection.double_description(_fr([[1, 0]]), 2)
     assert len(lin) == 1 and len(rays) == 1
     assert lin[0][0] == 0 and lin[0][1] != 0
     assert rays[0][0] > 0
@@ -50,7 +50,7 @@ def test_double_description_halfspace_lineality():
 def test_double_description_pointed_3d():
     # x3 >= 0, x3 >= x1, x3 >= -x1, x2 free -> lineality e2, rays (+-1, 0, 1)
     ineqs = _fr([[-1, 0, 1], [1, 0, 1], [0, 0, 1]])
-    lin, rays = projection.double_description(ineqs, 3)
+    lin, rays, _ = projection.double_description(ineqs, 3)
     assert len(lin) == 1
     assert lin[0][0] == 0 and lin[0][2] == 0 and lin[0][1] != 0
     norm_rays = set()
@@ -65,7 +65,7 @@ def test_double_description_rays_satisfy_inequalities():
     for _ in range(10):
         m, n = int(rng.integers(2, 6)), int(rng.integers(2, 5))
         ineqs = _fr(rng.integers(-3, 4, size=(m, n)).tolist())
-        lin, rays = projection.double_description(ineqs, n)
+        lin, rays, _ = projection.double_description(ineqs, n)
         for r in rays:
             assert all(projection._dot(a, r) >= 0 for a in ineqs)
             assert any(r)
@@ -171,9 +171,12 @@ def _rational_system(draw):
                [-2, 0, 2]]), 3))
 def test_double_description_matches_rank_test_reference(system):
     ineqs, dim = system
-    lin, rays = projection.double_description(ineqs, dim)
+    lin, rays, tight = projection.double_description(ineqs, dim)
     ref_lin, ref_rays = _ref_double_description(ineqs, dim)
     assert [_primitive(r) for r in rays] == [_primitive(r) for r in ref_rays]
+    # each ray's mask names exactly the rows that vanish at it
+    assert tight == [sum(1 << i for i, a in enumerate(ineqs) if projection._dot(a, r) == 0)
+                     for r in rays]
     assert all(type(x) is int for g in lin + rays for x in g)
     # the same lineality space
     assert _ref_rank(_fr(lin)) == _ref_rank(ref_lin) == \
@@ -245,7 +248,12 @@ def _row_system(draw):
     rows = draw(st.lists(st.lists(entry, min_size=n + 1, max_size=n + 1),
                          min_size=1, max_size=7))
     pairs = [[-x for x in row] for row in rows if draw(st.booleans())]
-    rows = projection._canonical_rows([(row[:-1], row[-1]) for row in rows + pairs])
+    rows += pairs
+    if draw(st.booleans()):
+        # a coordinate that no row uses: a line of the set
+        col = draw(st.integers(0, n))
+        rows = [row[:col] + [0] + row[col:] for row in rows]
+    rows = projection._canonical_rows([(row[:-1], row[-1]) for row in rows])
     assume(rows)
     return rows
 
@@ -253,6 +261,11 @@ def _row_system(draw):
 @PROPERTY
 @given(_row_system())
 @example([(-1, 0, 0), (0, -1, 0), (1, 1, 2), (1, 2, 4)])  # full-dimensional
+# x2 unused: a line of the set, dropped before the double description
+@example([(-1, 0, 0, 0), (0, 0, -1, 0), (1, 0, 1, 2), (1, 0, 2, 4)])
+# the unit square and x1 + x2 <= 2, tight only at the vertex (1, 1): its
+# rays are a strict subset of those of x1 <= 1
+@example([(-1, 0, 0), (0, -1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 2)])
 @example([(-1, 0, -1), (0, -1, 0), (0, 1, 2), (1, 0, 1), (1, 1, 4)])  # x1 = 1
 @example([(-1, 1), (1, -2)])  # x >= -1 and x <= -2: empty
 def test_remove_redundant_matches_lp_loop(rows):
@@ -302,8 +315,80 @@ def test_precondition_failure_raises():
         K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.NONNEG),
         sense="sup")
     sub = Subspace(p.A.domain, np.eye(2)[:, :1])
-    with pytest.raises(projection.PreconditionFailed):
+    # -y - w2 = 0 with y, w2 >= 0: y_1 is the first Nonneg coordinate that
+    # vanishes on the whole projection cone
+    with pytest.raises(projection.PreconditionFailed, match=r"^y_1 of K\* vanishes"):
         projection.project(p, sub)
+
+
+def _inf_program(amat, b, k_tags, c_tags):
+    """inf {<1, y> : A y - b in K, y in C} over one real factor per tag."""
+    amat = np.asarray(amat, dtype=float)
+    dom = space(*(real(1) for _ in c_tags))
+    cod = space(*(real(1) for _ in k_tags))
+    return program.ConicProgram(
+        A=LinearMap(dom, cod, amat), b=np.asarray(b, dtype=float),
+        c=np.ones(amat.shape[1]), K=cones.cone(cod, *k_tags),
+        C=cones.cone(dom, *c_tags), sense="inf")
+
+
+def test_project_reads_an_inf_program_as_its_own_set():
+    n2 = [cones.NONNEG] * 2
+    # inf {y >= 0, y - (1, 1) >= 0}: the set is y >= (1, 1), not the dual's
+    # [0, 1]^2.  Eliminating y2 needs a positive u2 or w2 with u2 + w2 = 0,
+    # so the hypothesis fails and says where
+    p = _inf_program(np.eye(2), [1, 1], n2, n2)
+    sub = Subspace(p.A.domain, np.eye(2)[:, :1])
+    with pytest.raises(projection.PreconditionFailed, match=r"^y_2 of K\*"):
+        projection.project(p, sub)
+    assert solver.strict_feasibility(projection.projection_cone(p, sub)).verdict == "No"
+    # the same set with y2 free: its projection onto y1 is y1 >= 1
+    free2 = [cones.NONNEG, cones.FREE]
+    p = _inf_program(np.eye(2), [1, 1], free2, free2)
+    assert projection.project(p, sub).canonical_set() == {(-1, 0, -1)}
+    # and with 1 <= y2 <= 3 (A not square) the projection is y1 >= 1 too
+    p = _inf_program([[1, 0], [0, 1], [0, -1]], [1, 1, -3], [cones.NONNEG] * 3, n2)
+    assert projection.project(p, sub).canonical_set() == {(-1, 0, -1)}
+
+
+_POLY_TAG = st.sampled_from([cones.NONNEG, cones.NONNEG, cones.ZERO, cones.FREE])
+
+
+@st.composite
+def _polyhedral_program(draw):
+    """A program of either sense with integer data in -2..2, one or two
+    Nonneg/Zero/Free factors of size 1-2 on each side, and a coordinate
+    subspace of dimension 1..n."""
+    def factors():
+        sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+        return space(*(real(s) for s in sizes)), [draw(_POLY_TAG) for _ in sizes]
+
+    (dom, c_tags), (cod, k_tags) = factors(), factors()
+    n, m = dom.dim, cod.dim
+    entry = st.integers(-2, 2)
+    amat = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(entry, min_size=m, max_size=m))
+    p = program.ConicProgram(
+        A=LinearMap(dom, cod, np.array(amat, dtype=float)), b=np.array(b, dtype=float),
+        c=np.ones(n), K=cones.cone(cod, *k_tags), C=cones.cone(dom, *c_tags),
+        sense=draw(st.sampled_from(["sup", "inf"])))
+    keep = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return p, Subspace(dom, np.eye(n)[:, sorted(keep)])
+
+
+@PROPERTY
+@given(_polyhedral_program())
+def test_exact_precondition_matches_the_solver(data):
+    # the exact path reads the hypothesis off the projection cone's
+    # generators; the solver decides the same strict feasibility in floats
+    p, sub = data
+    pre = solver.strict_feasibility(projection.projection_cone(p, sub))
+    assume(pre.verdict != "Unknown")
+    if pre.verdict == "No":
+        with pytest.raises(projection.PreconditionFailed):
+            projection.project(p, sub)
+    else:
+        assert projection.project(p, sub).exact
 
 
 def test_project_matches_fm_on_simplex():
@@ -369,7 +454,12 @@ def test_exact_projection_makes_no_lp_call(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("linprog called by exact projection")
 
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver.solve called by exact projection")
+
     monkeypatch.setattr(projection, "linprog", no_lp)
+    # the precondition is read off the exact generators, without a solve
+    monkeypatch.setattr(solver, "solve", no_solve)
     rng = np.random.default_rng([13, 3])
     for _ in range(3):
         # bounded like the benchmark's polytopes: x >= 0, A x <= b, sum(x) <= 8
