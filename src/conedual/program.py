@@ -66,6 +66,16 @@ def dualize(p: ConicProgram) -> ConicProgram:
     )
 
 
+def sup_form(p: ConicProgram) -> ConicProgram:
+    """The sup program with the feasible set of p: an inf program's
+    {y : A y - b in K, y in C} is {y : -b - (-A) y in K, y in C}, and its
+    objective is negated."""
+    if p.sense == "sup":
+        return p
+    return replace(p, A=LinearMap(p.A.domain, p.A.codomain, -p.A.matrix),
+                   b=-p.b, c=-p.c, sense="sup")
+
+
 def as_sup(p: ConicProgram) -> ConicProgram:
     """The sup member of the pair that p belongs to."""
     return p if p.sense == "sup" else dualize(p)
@@ -138,17 +148,16 @@ class System:
 
 
 def feasible_system(p: ConicProgram) -> System:
-    """The feasible set as {z : G z + g in cone} with cone = K x C.
+    """The feasible set as {z : G z + g in cone} with cone = K x C, posed
+    on the sup form of p:
 
     sup:  (b - A x, x) in K x C
     inf:  (A y - b, y) in K x C
     """
-    n = p.A.domain.dim
-    if p.sense == "sup":
-        slack = System(LinearMap(p.A.domain, p.A.codomain, -p.A.matrix), p.b, p.K)
-    else:
-        slack = System(LinearMap(p.A.domain, p.A.codomain, p.A.matrix), -p.b, p.K)
-    return slack.stack(np.eye(n), np.zeros(n), p.C)
+    ps = sup_form(p)
+    slack = System(LinearMap(ps.A.domain, ps.A.codomain, -ps.A.matrix), ps.b, ps.K)
+    n = ps.A.domain.dim
+    return slack.stack(np.eye(n), np.zeros(n), ps.C)
 
 
 def is_feasible_point(p: ConicProgram, x: np.ndarray, tol: float | None = None) -> bool:

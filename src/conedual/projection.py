@@ -2,27 +2,26 @@
 
 The projection cone for the set X = {x in C : b - A x in K} and a subspace L
 is {(y, w) in K* x C* : A* y - w in L}.  Each of its rays (y, w) yields a
-valid inequality <A* y - w, x> <= <b, y> on the projection of X onto L, and
-for polyhedral cones the extreme rays give the full H-representation.  An
+valid inequality <A* y - w, x> <= <b, y> on the projection of X onto L.  An
 inf program's set {y : A y - b in K, y in C} is read with -A and -b.
 `projection_cone` builds that system for `precondition`, for the exact
-enumeration and for the sampled outer approximation alike.  The hypothesis
-of the description, that the cone meets the relative interior of K* x C*,
-is decided by the solver on the sampled path, and read off the exact
-generators on the exact path.
+enumeration and for the sampled outer approximation alike.  For general
+cones the rays describe the projection when the cone meets the relative
+interior of K* x C*, which the solver decides on the sampled path.  For
+polyhedral cones Farkas' lemma needs no such hypothesis, and the extreme
+rays and lineality always give the full H-representation (Balas 2005).
 
 The exact path runs in integers from the float boundary on.  Floats enter it
 by one rule, `_to_frac_matrix` (the nearest fraction of denominator at most
 10**12), and each matrix is then scaled to integers by one positive factor.
-One fraction-free Gauss-Jordan elimination, `_int_kernel`, gives the null
-space of the projection cone's equality rows.
 
-Ray enumeration uses the double description method: rays are kept as coprime
-integer vectors, and the tight constraints of each ray as a bitmask.  Two
-rays are adjacent when no third ray is tight wherever both are; on the
-minimal ray set the method maintains, this combinatorial test is equivalent
-to the rank test (Fukuda and Prodon, "Double description method revisited",
-1996).
+The generators come from one double description of {z : E z = 0, B z >= 0},
+the projection cone's Zero and Nonneg rows; the equality rows are eliminated
+by its lineality update.  Rays are kept as coprime integer vectors, and the
+tight constraints of each ray as a bitmask.  Two rays are adjacent when no
+third ray is tight wherever both are; on the minimal ray set the method
+maintains, this combinatorial test is equivalent to the rank test (Fukuda
+and Prodon, "Double description method revisited", 1996).
 
 The candidate rows, one per ray, are mostly redundant.  Redundancy is
 decided by the same method, without LP and without a rank test: see
@@ -32,7 +31,7 @@ rows the same way, is provided as an oracle for tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -79,60 +78,29 @@ def _coprime(v: list[int]) -> list[int]:
     return [x // g for x in v] if g > 1 else v
 
 
-def _int_kernel(rows: list[list[int]], d: int) -> list[list[int]]:
-    """Basis of the null space of integer rows, by fraction-free Gauss-Jordan
-    elimination.
-
-    Each row is updated by integer combinations and divided by its gcd, so
-    every row stays a nonzero multiple of its reduced-echelon row, whatever
-    the sign of its pivot p_i.  With L the lcm of the pivots, the basis
-    vector of a free column has L there and -row_i[col] L / p_i at the pivot
-    of row i: one common positive multiple of the rational basis.
-    """
-    mat = [list(row) for row in rows]
-    pivots: list[int] = []
-    for col in range(d):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        top = mat[r]
-        for i, row in enumerate(mat):
-            if i != r and row[col]:
-                mat[i] = _coprime([top[col] * x - row[col] * y for x, y in zip(row, top)])
-        pivots.append(col)
-        if len(pivots) == len(mat):
-            break
-    scale = lcm(*(mat[i][pc] for i, pc in enumerate(pivots)))
-    basis = []
-    for fc in (c for c in range(d) if c not in pivots):
-        v = [0] * d
-        v[fc] = scale
-        for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][fc] * (scale // mat[i][pc])
-        basis.append(v)
-    return basis
-
-
 # ---------------------------------------------------------------------------
-# double description on {z : B z >= 0}
+# double description on {z : E z = 0, B z >= 0}
 
 
-def double_description(ineqs, dim: int) -> tuple[list[list[int]], list[list[int]],
-                                                 list[int]]:
-    """Generators (lineality basis, extreme rays) of {z : B z >= 0}, and for
-    each ray the bitmask of the rows tight at it (bit i: row i vanishes).
+def double_description(ineqs, dim: int, eqs=()) -> tuple[list[list[int]], list[list[int]],
+                                                          list[int]]:
+    """Generators (lineality basis, extreme rays) of {z : E z = 0, B z >= 0},
+    and for each ray the bitmask of the rows of B tight at it (bit i: row i
+    vanishes).
 
     The rows may be rational; each is scaled to integers, and every generator
     is a coprime integer vector, so each update below is a positive multiple
-    of the rational one.
+    of the rational one.  The rows of E come first and need only the
+    lineality update, as no ray exists yet: one that meets the lineality
+    removes its pivot vector from the cone, where a row of B keeps it as a
+    ray, so the cone's dimension drops by one.
     """
     lin = [[int(i == j) for j in range(dim)] for i in range(dim)]
     rays: list[list[int]] = []
-    tight: list[int] = []  # bit i set: processed row i vanishes at the ray
-    for idx, a in enumerate(_integers([row])[0] for row in ineqs):
-        bit = 1 << idx
+    tight: list[int] = []  # bit i set: processed row i of B vanishes at the ray
+    span = dim  # the dimension of {z : E z = 0}
+    # rows of E take the negative indices
+    for idx, a in enumerate((_integers([row])[0] for row in [*eqs, *ineqs]), -len(eqs)):
         vals_lin = [_dot(a, l) for l in lin]
         j0 = next((j for j, v in enumerate(vals_lin) if v != 0), None)
         if j0 is not None:
@@ -143,11 +111,18 @@ def double_description(ineqs, dim: int) -> tuple[list[list[int]], list[list[int]
                    for j, (l, vj) in enumerate(zip(lin, vals_lin)) if j != j0]
             rays = [_coprime([v0 * x - _dot(a, r) * y for x, y in zip(r, l0)])
                     for r in rays]
+            if idx < 0:
+                span -= 1
+                continue
+            bit = 1 << idx
             # the promoted lineality vector is tight at every earlier
             # constraint, since processed rows vanish on the lineality
             tight = [t | bit for t in tight] + [bit - 1]
             rays.append(l0)
             continue
+        if idx < 0:
+            continue  # a row of E that vanishes on the lineality
+        bit = 1 << idx
         vals = [_dot(a, r) for r in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
@@ -156,7 +131,7 @@ def double_description(ineqs, dim: int) -> tuple[list[list[int]], list[list[int]
         keep_tight = [tight[i] for i in pos] + [tight[i] | bit for i in zero]
         # adjacency: at least pointed_dim - 2 common tight rows, and no third
         # ray tight at all of them
-        need = dim - len(lin) - 2
+        need = span - len(lin) - 2
         for ip in pos:
             for im in neg:
                 common = tight[ip] & tight[im]
@@ -178,19 +153,10 @@ def double_description(ineqs, dim: int) -> tuple[list[list[int]], list[list[int]
 # projection cone
 
 
-def _sup_form(p: program.ConicProgram) -> program.ConicProgram:
-    """A sup program with the feasible set of p: an inf program's
-    {y : A y - b in K, y in C} is {y : -b - (-A) y in K, y in C}."""
-    if p.sense == "sup":
-        return p
-    return replace(p, A=LinearMap(p.A.domain, p.A.codomain, -p.A.matrix),
-                   b=-p.b, c=-p.c, sense="sup")
-
-
 def projection_cone(p: program.ConicProgram, sub: Subspace) -> program.System:
     """The projection cone {(y, w) in K* x C* : A* y - w in L} of the
     feasible set of p, written in sup form, as a system."""
-    ps = _sup_form(p)
+    ps = program.sup_form(p)
     n = ps.A.domain.dim
     d = ps.A.codomain.dim + n
     pc = program.System(
@@ -211,20 +177,10 @@ def _exact_rows(pc: program.System, tag: str) -> list[list[int]]:
 
 
 def _exact_lift(pc: program.System):
-    """Integer generators of the homogeneous polyhedral system (lineality, rays)."""
-    null = _int_kernel(_exact_rows(pc, cones.ZERO), pc.gmap.domain.dim)
-    if not null:
-        return [], []
-    # one common scale for the whole basis keeps the null-space coordinates
-    # of every generator, up to a positive factor
-    bn = [[_dot(row, nv) for nv in null] for row in _exact_rows(pc, cones.NONNEG)]
-    lin_z, rays_z, _ = double_description(bn, len(null))
-    cols = list(zip(*null))
-
-    def lift(z):
-        return _coprime([_dot(z, col) for col in cols])
-
-    return [lift(z) for z in lin_z], [lift(z) for z in rays_z]
+    """Integer generators (lineality, rays) of the homogeneous polyhedral
+    system, by one double description of its Zero and Nonneg rows."""
+    return double_description(_exact_rows(pc, cones.NONNEG), pc.gmap.domain.dim,
+                              eqs=_exact_rows(pc, cones.ZERO))[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +305,12 @@ def precondition(p: program.ConicProgram, sub: Subspace) -> solver.Verdict:
 def project(p: program.ConicProgram, sub: Subspace) -> HRepresentation:
     """H-representation of the projection of the feasible set of p onto `sub`.
 
-    Exact (double description) for polyhedral cones; otherwise a sampled
-    outer approximation flagged exact=False.  Raises PreconditionFailed
-    when the projection cone meets no relative interior point of K* x C*.
+    Exact (double description) for polyhedral cones, with no hypothesis;
+    otherwise a sampled outer approximation flagged exact=False, which
+    raises PreconditionFailed when the projection cone meets no relative
+    interior point of K* x C*.
     """
-    ps = _sup_form(p)
+    ps = program.sup_form(p)
     if ps.is_fully_polyhedral():
         return _project_polyhedral(ps, sub)
     pre = precondition(ps, sub)
@@ -365,16 +322,6 @@ def project(p: program.ConicProgram, sub: Subspace) -> HRepresentation:
 def _project_polyhedral(ps, sub) -> HRepresentation:
     pc = projection_cone(ps, sub)
     lin, rays = _exact_lift(pc)
-    # the cone meets the relative interior of K* x C* exactly when each
-    # Nonneg row, a unit vector of (y, w), is positive at some extreme ray
-    # (then all are at the sum of those rays)
-    m = ps.A.codomain.dim
-    for row in _exact_rows(pc, cones.NONNEG):
-        if not any(_dot(row, r) > 0 for r in rays):
-            i = next(j for j, x in enumerate(row) if x)
-            name = f"y_{i + 1} of K*" if i < m else f"w_{i - m + 1} of C*"
-            raise PreconditionFailed(f"{name} vanishes on the whole projection cone: "
-                                     "it meets no relative interior point of K* x C*")
     n = ps.A.domain.dim
     # s [A* | -I] and s (b, 0) for one positive integer s: the row of a
     # generator (y, w) is s times (A* y - w, <b, y>)

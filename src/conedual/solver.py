@@ -133,7 +133,7 @@ from scipy.linalg import get_lapack_funcs
 from scipy.linalg import lu_solve  # noqa: F401
 
 from . import cones, program
-from .spaces import LinearMap, inner, real, space
+from .spaces import inner, real, space
 
 TOL_FEAS = 1e-8
 TOL_GAP = 1e-8
@@ -187,10 +187,7 @@ def solve(p: program.ConicProgram, tol_feas: float = TOL_FEAS,
           tol_gap: float = TOL_GAP, max_iter: int = MAX_ITER) -> SolveResult:
     """Solve a conic program; inf programs are handled by sign flips."""
     if p.sense == "inf":
-        neg = program.ConicProgram(
-            A=LinearMap(p.A.domain, p.A.codomain, -p.A.matrix),
-            b=-p.b, c=-p.c, K=p.K, C=p.C, sense="sup")
-        res = solve(neg, tol_feas, tol_gap, max_iter)
+        res = solve(program.sup_form(p), tol_feas, tol_gap, max_iter)
         res.pobj, res.dobj = -res.pobj, -res.dobj
         if res.certificate.get("kind") == "unbounded_ray":
             res.certificate["objective_rate"] = -res.certificate["objective_rate"]

@@ -265,16 +265,19 @@ def _project_files(tmp_path, p, basis):
 
 
 def test_cli_project_reports_a_failed_precondition(tmp_path, capsys):
-    # x >= 0, x1 + x2 >= -1: eliminating x2 needs w2 = -y > 0 with y >= 0
-    dom, cod = space(real(2)), space(real(1))
+    # x in SOC(3), its head last, projected onto x1: A* y - w in span(e1)
+    # forces w2 = w3 = 0, and w in SOC then forces w = 0, never interior to
+    # C*; the sampled path needs that hypothesis and refuses
+    dom, cod = space(real(3)), space(real(1))
     p = program.ConicProgram(
-        A=LinearMap(dom, cod, -np.ones((1, 2))), b=np.ones(1), c=np.ones(2),
-        K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.NONNEG),
+        A=LinearMap(dom, cod, np.zeros((1, 3))), b=np.ones(1), c=np.ones(3),
+        K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.SOC),
         sense="sup")
-    ipath, spath = _project_files(tmp_path, p, [[1.0], [0.0]])
+    ipath, spath = _project_files(tmp_path, p, [[1.0], [0.0], [0.0]])
     assert cli.main(["project", "--subspace", spath, ipath]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("precondition failed: y_1 of K* vanishes"), out
+    assert out.startswith("precondition failed: separating functional from the "
+                          "alternative"), out
 
 
 def test_cli_project_reads_an_inf_instance_as_its_own_set(tmp_path):

@@ -148,10 +148,15 @@ _RATIONAL = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]
 @st.composite
 def _rational_system(draw):
     """Rows of B z >= 0 with negated pairs (implicit equalities), positively
-    scaled duplicates and a zero row among them, in a drawn order."""
+    scaled duplicates and a zero row among them, in a drawn order, and 0-3
+    rows of E z = 0, some of them combinations of earlier ones."""
     dim = draw(st.integers(1, 6))
-    rows = draw(st.lists(st.lists(_RATIONAL, min_size=dim, max_size=dim),
-                         min_size=2, max_size=8))
+    row = st.lists(_RATIONAL, min_size=dim, max_size=dim)
+    eqs = draw(st.lists(row, max_size=3))
+    if eqs and draw(st.booleans()):
+        f = draw(st.sampled_from([Fraction(-1), Fraction(1, 2), Fraction(3)]))
+        eqs[-1] = [f * x + y for x, y in zip(eqs[0], eqs[-1])]
+    rows = draw(st.lists(row, min_size=2, max_size=8))
     # a zero row is tight at every ray, so it passes the count test for
     # pairs that are not adjacent
     extra = [[Fraction(0)] * dim] if draw(st.booleans()) else []
@@ -162,17 +167,21 @@ def _rational_system(draw):
         elif kind == "scaled":
             f = draw(st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(5, 3)]))
             extra.append([f * x for x in row])
-    return draw(st.permutations(rows + extra)), dim
+    return draw(st.permutations(rows + extra)), dim, eqs
 
 
 @PROPERTY
 @given(_rational_system())
 @example((_fr([[0, 0, 0], [0, -2, -2], [-2, 1, 0], [-2, -2, 1], [-2, 1, 2],
-               [-2, 0, 2]]), 3))
+               [-2, 0, 2]]), 3, []))
+# the second equality is twice the first: it leaves the lineality alone
+@example((_fr([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3, _fr([[1, -1, 0], [2, -2, 0]])))
 def test_double_description_matches_rank_test_reference(system):
-    ineqs, dim = system
-    lin, rays, tight = projection.double_description(ineqs, dim)
-    ref_lin, ref_rays = _ref_double_description(ineqs, dim)
+    ineqs, dim, eqs = system
+    lin, rays, tight = projection.double_description(ineqs, dim, eqs=eqs)
+    # the reference reads each equality as a negated pair of inequalities
+    pairs = [r for e in eqs for r in (e, [-x for x in e])]
+    ref_lin, ref_rays = _ref_double_description(pairs + ineqs, dim)
     assert [_primitive(r) for r in rays] == [_primitive(r) for r in ref_rays]
     # each ray's mask names exactly the rows that vanish at it
     assert tight == [sum(1 << i for i, a in enumerate(ineqs) if projection._dot(a, r) == 0)
@@ -201,9 +210,11 @@ def _int_matrix(draw):
 @given(_int_matrix())
 @example(([[-1, 1]], 2))  # a negative pivot
 @example(([[0, -2, 1], [3, 0, 0], [0, 4, -2]], 3))
-def test_int_kernel_is_a_basis_of_the_null_space(system):
+def test_double_description_of_equalities_is_the_null_space(system):
+    # {z : E z = 0} has no ray, and its lineality is the null space of E
     rows, d = system
-    basis = projection._int_kernel(rows, d)
+    basis, rays, tight = projection.double_description([], d, eqs=rows)
+    assert rays == [] and tight == []
     assert all(type(x) is int and len(v) == d for v in basis for x in v)
     assert all(projection._dot(row, v) == 0 for row in rows for v in basis)
     assert len(basis) == d - _ref_rank(_fr(rows))
@@ -306,19 +317,18 @@ def test_extreme_rays_rejects_a_ray_outside_the_cone(monkeypatch):
         extreme_rays(pc)
 
 
-def test_precondition_failure_raises():
+def test_project_needs_no_interior_point_of_the_projection_cone():
     # eliminating x2 requires w2 = (A* y)_2 > 0, but the second column of A
-    # is negative and y >= 0, so the projection cone has no interior point
+    # is negative and y >= 0, so the projection cone has no interior point.
+    # For polyhedral cones its rays still give the projection exactly
     dom, cod = space(real(2)), space(real(1))
     p = program.ConicProgram(
         A=LinearMap(dom, cod, -np.ones((1, 2))), b=np.ones(1), c=np.ones(2),
         K=cones.cone(cod, cones.NONNEG), C=cones.cone(dom, cones.NONNEG),
         sense="sup")
     sub = Subspace(p.A.domain, np.eye(2)[:, :1])
-    # -y - w2 = 0 with y, w2 >= 0: y_1 is the first Nonneg coordinate that
-    # vanishes on the whole projection cone
-    with pytest.raises(projection.PreconditionFailed, match=r"^y_1 of K\* vanishes"):
-        projection.project(p, sub)
+    # x >= 0 and x1 + x2 >= -1 project onto x1 >= 0
+    assert projection.project(p, sub).canonical_set() == {(-1, 0, 0)}
 
 
 def _inf_program(amat, b, k_tags, c_tags):
@@ -335,12 +345,12 @@ def _inf_program(amat, b, k_tags, c_tags):
 def test_project_reads_an_inf_program_as_its_own_set():
     n2 = [cones.NONNEG] * 2
     # inf {y >= 0, y - (1, 1) >= 0}: the set is y >= (1, 1), not the dual's
-    # [0, 1]^2.  Eliminating y2 needs a positive u2 or w2 with u2 + w2 = 0,
-    # so the hypothesis fails and says where
+    # [0, 1]^2, and its projection onto y1 is y1 >= 1.  The projection cone
+    # forces u2 = w2 = 0 and so meets no interior point of K* x C*, which a
+    # polyhedral projection does not need
     p = _inf_program(np.eye(2), [1, 1], n2, n2)
     sub = Subspace(p.A.domain, np.eye(2)[:, :1])
-    with pytest.raises(projection.PreconditionFailed, match=r"^y_2 of K\*"):
-        projection.project(p, sub)
+    assert projection.project(p, sub).canonical_set() == {(-1, 0, -1)}
     assert solver.strict_feasibility(projection.projection_cone(p, sub)).verdict == "No"
     # the same set with y2 free: its projection onto y1 is y1 >= 1
     free2 = [cones.NONNEG, cones.FREE]
@@ -376,19 +386,40 @@ def _polyhedral_program(draw):
     return p, Subspace(dom, np.eye(n)[:, sorted(keep)])
 
 
+def _lp_contains(inner_rows, outer_rows) -> bool:
+    """Every row of `outer_rows` holds on the nonempty set of `inner_rows`,
+    each the (normals, offsets) of N x <= d, by HiGHS."""
+    (ni, di), (no, do) = inner_rows, outer_rows
+    for normal, off in zip(no, do):
+        res = linprog(-normal, A_ub=ni, b_ub=di, bounds=[(None, None)] * len(normal),
+                      method="highs")
+        assert res.status in (0, 3), res.message
+        if res.status == 3 or -res.fun > off + 1e-7 * (1 + abs(off)):
+            return False
+    return True
+
+
 @PROPERTY
 @given(_polyhedral_program())
-def test_exact_precondition_matches_the_solver(data):
-    # the exact path reads the hypothesis off the projection cone's
-    # generators; the solver decides the same strict feasibility in floats
+def test_exact_projection_matches_fm_on_polyhedral_programs(data):
+    # no hypothesis on the projection cone: its rays give the projection of
+    # every polyhedral set, empty or not, as Fourier-Motzkin does.  FM shares
+    # `_remove_redundant`, so the sets are compared by LP, not by their rows
     p, sub = data
-    pre = solver.strict_feasibility(projection.projection_cone(p, sub))
-    assume(pre.verdict != "Unknown")
-    if pre.verdict == "No":
-        with pytest.raises(projection.PreconditionFailed):
-            projection.project(p, sub)
-    else:
-        assert projection.project(p, sub).exact
+    h = projection.project(p, sub)
+    assert h.exact
+    aub, bub, aeq, beq = polyhedral_rows(program.sup_form(p))
+    n = p.A.domain.dim
+    kept = np.flatnonzero(sub.basis.any(axis=1))
+    fm = projection.fourier_motzkin(np.vstack([aub, aeq, -aeq]),
+                                    np.concatenate([bub, beq, -beq]),
+                                    [j for j in range(n) if j not in kept])
+    sets = [(h.normals, h.offsets), (fm.normals, fm.offsets)]
+    empty = [linprog(np.zeros(n), A_ub=a, b_ub=b, bounds=[(None, None)] * n,
+                     method="highs").status == 2 for a, b in sets]
+    assert empty[0] == empty[1]
+    if not empty[0]:
+        assert _lp_contains(*sets) and _lp_contains(*sets[::-1])
 
 
 def test_project_matches_fm_on_simplex():
@@ -458,7 +489,7 @@ def test_exact_projection_makes_no_lp_call(monkeypatch):
         raise AssertionError("solver.solve called by exact projection")
 
     monkeypatch.setattr(projection, "linprog", no_lp)
-    # the precondition is read off the exact generators, without a solve
+    # nor is the solver: the polyhedral path asks no precondition
     monkeypatch.setattr(solver, "solve", no_solve)
     rng = np.random.default_rng([13, 3])
     for _ in range(3):
