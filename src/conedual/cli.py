@@ -64,7 +64,7 @@ def _build_space(factors: list[dict]):
 def _finite_array(name: str, value) -> np.ndarray:
     try:
         arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"field {name}: {exc}") from exc
     if not np.isfinite(arr).all():
         raise InstanceError(f"field {name}: entries must be finite numbers")
@@ -113,14 +113,20 @@ def load(doc: dict) -> program.ConicProgram:
         raise InstanceError(str(exc)) from exc
 
 
+def _read_json(fh):
+    """The JSON document of a file; nesting beyond the parser's limit is bad input."""
+    try:
+        return json.load(fh)
+    except RecursionError as exc:
+        raise InstanceError("field (root): nested too deeply") from exc
+
+
 def parse(path: str) -> program.ConicProgram:
     """Load and validate an instance file ('-' reads stdin)."""
     if path == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(path) as fh:
-            doc = json.load(fh)
-    return load(doc)
+        return load(_read_json(sys.stdin))
+    with open(path) as fh:
+        return load(_read_json(fh))
 
 
 def dump(p: program.ConicProgram, annotations: dict | None = None) -> dict:
@@ -252,7 +258,7 @@ def _dispatch(args) -> int:
         return 0
     if args.command == "project":
         with open(args.subspace) as fh:
-            sdoc = json.load(fh)
+            sdoc = _read_json(fh)
         if not isinstance(sdoc, dict) or "basis" not in sdoc:
             raise InstanceError("field basis: missing from the subspace file")
         basis = _finite_array("basis", sdoc["basis"])

@@ -23,10 +23,12 @@ third ray is tight wherever both are; on the minimal ray set the method
 maintains, this combinatorial test is equivalent to the rank test (Fukuda
 and Prodon, "Double description method revisited", 1996).
 
-The candidate rows, one per ray, are mostly redundant.  Redundancy is
-decided by the same method, without LP and without a rank test: see
-`_remove_redundant`.  A Fourier-Motzkin eliminator, which removes redundant
-rows the same way, is provided as an oracle for tests.
+The candidate rows, one per generator, are mostly redundant.
+`_remove_redundant` maps any integer rows to one canonical irredundant form,
+the implicit equalities in reduced echelon form and one row per facet, read
+off one more double description without LP or rank test, so equal sets give
+equal rows.  A Fourier-Motzkin eliminator, which ends each step with it, is
+provided as an oracle for tests.
 """
 
 from __future__ import annotations
@@ -212,17 +214,6 @@ class HRepresentation:
                 "exact": self.exact}
 
 
-def _canonical_rows(rows: list[tuple[list[int], int]]) -> list[tuple]:
-    out = set()
-    for normal, off in rows:
-        prim = tuple(_coprime(list(normal) + [off]))
-        if any(prim[:-1]):
-            out.add(prim)
-        elif prim[-1] < 0:
-            out.add(prim)  # infeasible marker 0 <= negative
-    return sorted(out)
-
-
 def _float_rows(rows: list[tuple], dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(normals, offsets) in floats of exact integer rows, each divided by the
     largest absolute entry of its normal (of its offset for the infeasible
@@ -236,63 +227,78 @@ def _float_rows(rows: list[tuple], dim: int) -> tuple[np.ndarray, np.ndarray]:
     return mat[:, :-1], mat[:, -1]
 
 
-def _homogenised(rows: list[tuple], n: int):
-    """`double_description` of the homogenised cone
-    {(x, t) : beta t - <a, x> >= 0 for every row (a, beta), t >= 0}: bit 0 of
-    a ray's mask is the row t >= 0, bit i + 1 is rows[i]."""
-    ineqs = [[0] * n + [1]] + [[-x for x in row[:-1]] + [row[-1]] for row in rows]
-    return double_description(ineqs, n + 1)
+def _pivot(row) -> int:
+    return next(j for j, x in enumerate(row) if x)
 
 
-def _slack(row: tuple, gen: list[int]) -> int:
-    """beta t - <a, x> of the row (a, beta) at the generator (x, t)."""
-    return row[-1] * gen[-1] - _dot(row[:-1], gen[:-1])
+def _reduce(row, basis):
+    """The coprime integer row that is a positive multiple of row minus a
+    combination of the echelon rows of basis, zero in each of their pivots."""
+    for e in basis:
+        p = _pivot(e)
+        if row[p]:
+            row = [e[p] * x - row[p] * y for x, y in zip(row, e)]
+    return _coprime(row)
 
 
-def _remove_redundant(rows: list[tuple]) -> list[tuple]:
-    """Drop the rows implied by the rest, exactly and without LP.
+def _echelon(rows) -> list[list[int]]:
+    """The reduced echelon form of consistent integer rows (a, beta) of
+    a x = beta: coprime rows, each with a positive leading entry that is the
+    only nonzero in its column.  It depends only on the rows' span."""
+    basis: list[list[int]] = []
+    for row in rows:
+        row = _reduce(row, basis)
+        if any(row):
+            row = row if row[_pivot(row)] > 0 else [-x for x in row]
+            basis = [_reduce(e, [row]) for e in basis] + [row]
+    return basis
 
-    The rows are coprime integer tuples (a, beta) of a x <= beta.  A
-    coordinate that no row uses is a line of the set and is dropped first.
-    One double description of the homogenised cone (`_homogenised`) then
-    decides everything from its rays and their bitmasks of tight rows:
+
+def _remove_redundant(rows) -> list[tuple]:
+    """The canonical irredundant form of integer rows (a, beta) of
+    a x <= beta, exactly and without LP.
+
+    Rows are divided by their gcd, and rows 0 <= beta with beta >= 0 go; a
+    coordinate no row uses is a line of the set.  One double description of
+    the homogenised cone {(x, t) : beta t - <a, x> >= 0, t >= 0} decides the
+    rest from its rays' tight-row masks (faces are ordered as their sets of
+    rays; Fukuda and Prodon 1996):
 
     - no ray has t > 0: the set is empty, and the result is the single
       infeasible marker (0, ..., 0, -1);
-    - no row is tight at every ray (a full-dimensional set): a row is kept
-      exactly when it defines a facet, that is, when no other row, nor
-      t >= 0, is tight at a strict superset of its tight rays (a face is the
-      lineality plus the rays it contains, so faces are ordered as their
-      sets of rays are);
-    - otherwise (a lower-dimensional set, where a facet has no unique
-      defining row): the rows are taken in order, and a row is dropped when
-      it holds on the cone of the rows still kept without it, i.e. has slack
-      0 at each of that cone's lineality vectors and slack >= 0 at each of
-      its rays.  This is the sequential rule of a redundancy LP per row,
-      decided by one further double description per row.
+    - the rows tight at every ray are the implicit equalities, emitted as
+      the pairs e <= eps, -e <= -eps of their reduced echelon form;
+    - each other row tight at some ray with t > 0, whose tight rays no other
+      such row nor t >= 0 strictly contains, defines a facet, and is emitted
+      reduced modulo the echelon rows.
+
+    A nonempty polyhedron's implicit equalities and its facets' rows, modulo
+    its affine hull, are unique (Schrijver 1986, section 8), so equal sets
+    give equal rows.  The form is canonical, not the fewest rows: a hull of
+    codimension k takes 2k rows where k + 1 would do.
     """
     if not rows:
         return []
     n = len(rows[0]) - 1
+    rows = sorted({tuple(_coprime(row)) for row in rows if any(row[:-1]) or row[-1] < 0})
     used = [j for j in range(n) if any(row[j] for row in rows)]
-    short = [tuple(row[j] for j in used) + row[-1:] for row in rows]
-    _, rays, tight = _homogenised(short, len(used))
-    if not any(r[-1] > 0 for r in rays):
+    # bit 0 of a ray's mask is the row t >= 0, bit i + 1 is rows[i]
+    _, rays, tight = double_description(
+        [[0] * len(used) + [1]] + [[-row[j] for j in used] + [row[-1]] for row in rows],
+        len(used) + 1)
+    inner = sum(1 << k for k, r in enumerate(rays) if r[-1] > 0)
+    if not inner:
         return [(0,) * n + (-1,)]
     # faces[i]: bit k set when ray k is tight at homogenised row i
     faces = [sum(1 << k for k, t in enumerate(tight) if t >> i & 1)
              for i in range(len(rows) + 1)]
-    if (1 << len(rays)) - 1 not in faces:
-        return [row for row, f in zip(rows, faces[1:])
-                if not any(g != f and f | g == g for g in faces)]
-    keep = list(range(len(rows)))
-    for i in range(len(rows)):
-        rest = [j for j in keep if j != i]
-        lin_i, rays_i, _ = _homogenised([short[j] for j in rest], len(used))
-        if all(_slack(short[i], g) == 0 for g in lin_i) and \
-                all(_slack(short[i], r) >= 0 for r in rays_i):
-            keep = rest
-    return [rows[j] for j in keep]
+    every = (1 << len(rays)) - 1
+    eqs = _echelon([row for row, f in zip(rows, faces[1:]) if f == every])
+    facets = [_reduce(row, eqs) for row, f in zip(rows, faces[1:])
+              if f & inner and f != every and
+              not any(g != f and g != every and f | g == g for g in faces)]
+    return sorted({tuple(s * x for x in row) for row in eqs for s in (1, -1)} |
+                  set(map(tuple, facets)))
 
 
 def precondition(p: program.ConicProgram, sub: Subspace) -> solver.Verdict:
@@ -325,17 +331,16 @@ def _project_polyhedral(ps, sub) -> HRepresentation:
     n = ps.A.domain.dim
     # s [A* | -I] and s (b, 0) for one positive integer s: the row of a
     # generator (y, w) is s times (A* y - w, <b, y>)
-    *amat, bvec = _integers(_to_frac_matrix(np.vstack([
+    mat = _integers(_to_frac_matrix(np.vstack([
         np.hstack([ps.A.matrix.T, -np.eye(n)]), np.append(ps.b, np.zeros(n))])))
     gens = rays + lin + [[-x for x in g] for g in lin]
-    return _exact_hrep([([_dot(row, g) for row in amat], _dot(bvec, g)) for g in gens],
-                       sub.basis)
+    return _exact_hrep([[_dot(row, g) for row in mat] for g in gens], sub.basis)
 
 
-def _exact_hrep(rows: list[tuple[list[int], int]], basis: np.ndarray) -> HRepresentation:
+def _exact_hrep(rows, basis: np.ndarray) -> HRepresentation:
     """The H-representation of the integer rows (a, beta) of a x <= beta:
     canonical, without redundant rows, and in floats."""
-    canon = _remove_redundant(_canonical_rows(rows))
+    canon = _remove_redundant(rows)
     normals, offsets = _float_rows(canon, basis.shape[0])
     return HRepresentation(normals, offsets, basis, exact=True, frac_rows=canon)
 
@@ -394,19 +399,12 @@ def fourier_motzkin(normals, offsets, eliminate: list[int]) -> HRepresentation:
     normals = np.asarray(normals, dtype=float)
     if normals.shape[1] > 8:
         raise ValueError("oracle capped at 8 variables")
-    rows = [(row[:-1], row[-1]) for row in _integers(_to_frac_matrix(
-        np.column_stack([normals, np.asarray(offsets, dtype=float)])))]
+    rows = _integers(_to_frac_matrix(
+        np.column_stack([normals, np.asarray(offsets, dtype=float)])))
     for var in eliminate:
-        pos = [(a, b) for a, b in rows if a[var] > 0]
-        neg = [(a, b) for a, b in rows if a[var] < 0]
-        new = [(a, b) for a, b in rows if a[var] == 0]
-        for ap, bp in pos:
-            for an, bn in neg:
-                coef_p, coef_n = ap[var], -an[var]
-                new.append(([coef_n * x + coef_p * y for x, y in zip(ap, an)],
-                            coef_n * bp + coef_p * bn))
-        canon = _remove_redundant(_canonical_rows(new))
-        rows = [(r[:-1], r[-1]) for r in canon]
-    dim = normals.shape[1]
-    keep = [j for j in range(dim) if j not in eliminate]
-    return _exact_hrep(rows, np.eye(dim)[:, keep])
+        pos = [r for r in rows if r[var] > 0]
+        neg = [r for r in rows if r[var] < 0]
+        rows = _remove_redundant([r for r in rows if r[var] == 0] +
+                                 [[-rn[var] * x + rp[var] * y for x, y in zip(rp, rn)]
+                                  for rp in pos for rn in neg])
+    return _exact_hrep(rows, np.delete(np.eye(normals.shape[1]), eliminate, axis=1))

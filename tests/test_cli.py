@@ -297,6 +297,35 @@ def test_cli_project_reads_an_inf_instance_as_its_own_set(tmp_path):
     assert out["normals"] == [[-1.0, 0.0]] and out["offsets"] == [-1.0]
 
 
+def _segment(rows, b, n_eq):
+    """{x in R^3 : (b - A x)[:n_eq] = 0, (b - A x)[n_eq:] >= 0}."""
+    dom, cod = space(real(3)), space(real(n_eq), real(len(b) - n_eq))
+    return program.ConicProgram(
+        A=LinearMap(dom, cod, np.array(rows, dtype=float)), b=np.array(b, dtype=float),
+        c=np.ones(3), K=cones.cone(cod, cones.ZERO, cones.NONNEG),
+        C=cones.cone(dom, cones.FREE), sense="sup")
+
+
+@pytest.mark.parametrize("basis", [np.eye(3)[:, :2].tolist(), np.eye(3).tolist()])
+def test_cli_project_prints_one_set_one_way(tmp_path, capsys, basis):
+    # the segment {x1 = 2, x3 = -1, x2 <= 5}, once by x1 = 2, x3 = -1 and
+    # x2 <= 5, and once by x1 = 2, x1 - 2 x3 = 4, x2 <= 5 and a redundant
+    # x1 + x2 <= 7: the same set, so the same output
+    outs = []
+    for name, p in (("a", _segment([[1, 0, 0], [0, 0, 1], [0, 1, 0]], [2, -1, 5], 2)),
+                    ("b", _segment([[1, 0, 0], [1, 0, -2], [0, 1, 0], [1, 1, 0]],
+                                   [2, 4, 5, 7], 2))):
+        (tmp_path / name).mkdir()
+        ipath, spath = _project_files(tmp_path / name, p, basis)
+        assert cli.main(["--json", "project", "--subspace", spath, ipath]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    # x1 = 2 as a pair of rows, and x2 <= 5
+    out = json.loads(outs[0])
+    assert {(*nrm, off) for nrm, off in zip(out["normals"], out["offsets"])} >= \
+        {(-1, 0, 0, -2), (1, 0, 0, 2), (0, 1, 0, 5)}
+
+
 @pytest.mark.parametrize("basis, warning", [
     ([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]], ""),  # spanning, not orthonormal
     ([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]],
@@ -338,6 +367,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     # missing file
     proc = _run(["solve", str(tmp_path / "absent.json")])
     assert proc.returncode == 2
+    # nested beyond the JSON parser's recursion limit
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = _run(["solve", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr == "invalid instance: field (root): nested too deeply\n"
     # unreadable instance or subspace paths: a directory, non-UTF-8 bytes;
     # in process, so a traceback would fail the test
     good = tmp_path / "inst.json"
@@ -369,6 +403,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     ("A", [[float("nan"), 0.0, 0.0], [0.0, 0.0, 0.0]]),
     ("b", [float("inf"), 0.0]),
     ("c", [0.0, float("nan"), 0.0]),
+    ("b", [10**400, 0.0]),  # an integer literal beyond the float range
 ])
 def test_cli_rejects_malformed_data(tmp_path, capsys, field, value):
     doc = _instance_doc()
@@ -383,6 +418,7 @@ def test_cli_rejects_malformed_data(tmp_path, capsys, field, value):
     {"columns": [[1.0], [0.0], [0.0]]},  # no basis
     {"basis": [[1.0, 0.0], [0.0], [0.0, 1.0]]},  # ragged
     {"basis": [["x", 0.0], [0.0, 1.0], [0.0, 0.0]]},  # not numeric
+    {"basis": [[10**400], [0.0], [0.0]]},  # beyond the float range
 ])
 def test_cli_project_rejects_malformed_basis(tmp_path, capsys, sdoc):
     ipath = tmp_path / "inst.json"

@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 from math import gcd, lcm
+from random import Random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -251,45 +253,106 @@ def test_project_matches_fm_on_rational_packings(data):
 
 @st.composite
 def _row_system(draw):
-    """Canonical rows (a, beta) of a x <= beta in 1-4 variables, with zero
-    entries, opposite pairs (implicit equalities) and offsets that often
-    make the system empty."""
+    """Integer rows (a, beta) of a x <= beta in 1-4 variables, with zero
+    entries, opposite pairs (implicit equalities), scaled duplicates and
+    offsets that often make the system empty."""
     n = draw(st.integers(1, 4))
     entry = st.sampled_from([-3, -2, -1, 0, 0, 0, 1, 2, 3])
     rows = draw(st.lists(st.lists(entry, min_size=n + 1, max_size=n + 1),
                          min_size=1, max_size=7))
-    pairs = [[-x for x in row] for row in rows if draw(st.booleans())]
-    rows += pairs
+    for row in list(rows):
+        kind = draw(st.sampled_from(["none", "negated", "scaled"]))
+        if kind == "negated":
+            rows.append([-x for x in row])
+        elif kind == "scaled":
+            rows.append([2 * x for x in row])
     if draw(st.booleans()):
         # a coordinate that no row uses: a line of the set
         col = draw(st.integers(0, n))
         rows = [row[:col] + [0] + row[col:] for row in rows]
-    rows = projection._canonical_rows([(row[:-1], row[-1]) for row in rows])
-    assume(rows)
     return rows
 
 
+def _float_system(rows) -> tuple[np.ndarray, np.ndarray]:
+    """(normals, offsets) of small integer rows (a, beta) of a x <= beta."""
+    mat = np.array(rows, dtype=float)
+    return mat[:, :-1], mat[:, -1]
+
+
+def _rows_contain(inner, outer) -> bool:
+    """Every row of `outer` holds on the nonempty set of the rows `inner`."""
+    if not any(any(row[:-1]) for row in inner):
+        return all(not any(row[:-1]) and row[-1] >= 0 for row in outer)
+    return not outer or _lp_contains(_float_system(inner), _float_system(outer))
+
+
+# the point x1 = 2, x3 = -1 (x2 a line), once by x3 rows and once by rows of
+# x1 - 2 x3 = 4: the same set, so the same rows
+_POINT_BY_X3 = [[1, 0, 0, 2], [-1, 0, 0, -2], [0, 0, 1, -1], [0, 0, -1, 1]]
+_POINT_BY_X1_X3 = [[1, 0, 0, 2], [-1, 0, 0, -2], [1, 0, -2, 4], [-1, 0, 2, -4]]
+
+
 @PROPERTY
-@given(_row_system())
-@example([(-1, 0, 0), (0, -1, 0), (1, 1, 2), (1, 2, 4)])  # full-dimensional
+@given(_row_system(), st.randoms(use_true_random=False))
+@example([[-1, 0, 0], [0, -1, 0], [1, 1, 2], [1, 2, 4]], Random(0))  # full-dimensional
 # x2 unused: a line of the set, dropped before the double description
-@example([(-1, 0, 0, 0), (0, 0, -1, 0), (1, 0, 1, 2), (1, 0, 2, 4)])
+@example([[-1, 0, 0, 0], [0, 0, -1, 0], [1, 0, 1, 2], [1, 0, 2, 4]], Random(0))
 # the unit square and x1 + x2 <= 2, tight only at the vertex (1, 1): its
 # rays are a strict subset of those of x1 <= 1
-@example([(-1, 0, 0), (0, -1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 2)])
-@example([(-1, 0, -1), (0, -1, 0), (0, 1, 2), (1, 0, 1), (1, 1, 4)])  # x1 = 1
-@example([(-1, 1), (1, -2)])  # x >= -1 and x <= -2: empty
-def test_remove_redundant_matches_lp_loop(rows):
+@example([[-1, 0, 0], [0, -1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 2]], Random(0))
+@example([[-1, 0, -1], [0, -1, 0], [0, 1, 2], [1, 0, 1], [1, 1, 4]], Random(0))  # x1 = 1
+@example([[-1, 1], [1, -2]], Random(0))  # x >= -1 and x <= -2: empty
+@example([[0, 0, 1], [0, 0, 0]], Random(0))  # no row uses x: the whole line
+@example(_POINT_BY_X3, Random(0))
+@example(_POINT_BY_X1_X3, Random(0))
+def test_remove_redundant_matches_lp_loop(rows, rnd):
     n = len(rows[0]) - 1
-    got = projection._remove_redundant(rows)
-    normals, offsets = projection._float_rows(rows, n)
+    with mock.patch.object(projection, "double_description",
+                           wraps=projection.double_description) as dd:
+        got = projection._remove_redundant(rows)
+    assert dd.call_count == 1
+    normals, offsets = _float_system(rows)
     feas = linprog(np.zeros(n), A_ub=normals, b_ub=offsets,
                    bounds=[(None, None)] * n, method="highs")
     assert feas.status in (0, 2), feas.message
     if feas.status == 2:
         assert got == [(0,) * n + (-1,)]
-    else:
-        assert got == lp_remove_redundant(rows)
+        return
+    # full-dimensional when some point has positive slack at every row of a != 0
+    canon = sorted({_primitive(row) for row in rows if any(row[:-1])})
+    if canon:
+        slack = linprog(np.append(np.zeros(n), -1.0),
+                        A_ub=[list(row[:-1]) + [1] for row in canon],
+                        b_ub=[row[-1] for row in canon],
+                        bounds=[(None, None)] * n + [(None, 1)], method="highs")
+        assert slack.status == 0, slack.message
+        if slack.fun < -1e-6:
+            assert got == lp_remove_redundant(canon)
+    # the same set, without a redundant row
+    assert _rows_contain(rows, got) and _rows_contain(got, rows)
+    assert lp_remove_redundant(got) == got
+    # and the same rows from any order of any description of it: rows
+    # implied by nonnegative combinations plus slack, and its own rows, each
+    # plus a multiple of another (of an equality: the same face)
+    implied = [[sum(w * row[j] for w, row in zip(weights, rows)) + (j == n) * rnd.randint(0, 2)
+                for j in range(n + 1)]
+               for weights in ([rnd.randint(0, 2) for _ in rows] for _ in range(3))]
+    shifted = [[x + w * y for x, y in zip(row, rnd.choice(got))]
+               for row in got for w in [rnd.randint(0, 2)]]
+    others = rows + implied + shifted
+    rnd.shuffle(others)
+    assert projection._remove_redundant(others) == got
+
+
+def test_remove_redundant_gives_one_form_per_set():
+    # x1 = 2, x3 = -1 as the echelon pairs of x1 and x3; x2 is a line
+    want = [(-1, 0, 0, -2), (0, 0, -1, 1), (0, 0, 1, -1), (1, 0, 0, 2)]
+    assert projection._remove_redundant(_POINT_BY_X3) == want
+    assert projection._remove_redundant(_POINT_BY_X1_X3) == want
+    # the ray x1 = 2, x2 <= 5: its facet row is reduced modulo x1 = 2
+    want = [(-1, 0, -2), (0, 1, 5), (1, 0, 2)]
+    assert projection._remove_redundant([[1, 0, 2], [-1, 0, -2], [0, 1, 5]]) == want
+    assert projection._remove_redundant([[2, 0, 4], [-1, 0, -2], [1, 1, 7]]) == want
 
 
 def test_projection_cone_and_extreme_rays():
@@ -404,7 +467,8 @@ def _lp_contains(inner_rows, outer_rows) -> bool:
 def test_exact_projection_matches_fm_on_polyhedral_programs(data):
     # no hypothesis on the projection cone: its rays give the projection of
     # every polyhedral set, empty or not, as Fourier-Motzkin does.  FM shares
-    # `_remove_redundant`, so the sets are compared by LP, not by their rows
+    # `_remove_redundant`, whose form is canonical, so equal sets must give
+    # equal rows; the sets are compared by LP as well, which does not rest on it
     p, sub = data
     h = projection.project(p, sub)
     assert h.exact
@@ -420,6 +484,7 @@ def test_exact_projection_matches_fm_on_polyhedral_programs(data):
     assert empty[0] == empty[1]
     if not empty[0]:
         assert _lp_contains(*sets) and _lp_contains(*sets[::-1])
+    assert h.canonical_set() == fm.canonical_set()
 
 
 def test_project_matches_fm_on_simplex():
