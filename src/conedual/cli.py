@@ -22,6 +22,9 @@ from . import cones, diagnostics, gallery, program, projection, solver
 from .spaces import LinearMap, Subspace, space, real, sym
 
 INSTANCE_VERSION = "instance/v1"
+# characters of the offending value a validation message quotes; a longer
+# quote is cut there and ends in an ellipsis
+QUOTE_LIMIT = 40
 
 _FACTOR_SCHEMA = {
     "type": "object",
@@ -83,7 +86,10 @@ def load(doc: dict) -> program.ConicProgram:
     exc = best_match(_validator().iter_errors(doc))
     if exc is not None:
         path = ".".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise InstanceError(f"field {path}: {exc.message}") from exc
+        quote = repr(exc.instance)
+        message = exc.message.replace(quote, quote[:QUOTE_LIMIT] + "...") \
+            if len(quote) > QUOTE_LIMIT else exc.message
+        raise InstanceError(f"field {path}: {message}") from exc
     sx = _build_space(doc["space_x"])
     sy = _build_space(doc["space_y"])
     for name, sp, taglist in (("cone_C", sx, doc["cone_C"]),
@@ -166,9 +172,13 @@ def _positive(cast):
     return number
 
 
-def _emit(args, payload, text_lines: list[str]):
+def _emit(args, result, text_lines: list[str]):
+    """Print result as JSON, or the text lines.  A report is converted by its
+    own `to_json`, anything else by `jsonable`, each once."""
     if args.json:
-        json.dump(diagnostics.jsonable(payload), sys.stdout, indent=2)
+        doc = (result.to_json() if isinstance(result, diagnostics.DualityReport)
+               else diagnostics.jsonable(result))
+        json.dump(doc, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
         for line in text_lines:
@@ -246,10 +256,9 @@ def _dispatch(args) -> int:
         return 0
     if args.command == "diagnose":
         rep = diagnostics.strong_duality_report(p)
-        payload = rep.to_json()
-        lines = [f"{e['condition']}: {e['verdict']}" for e in payload["entries"]]
+        lines = [f"{e['condition']}: {e['verdict']}" for e in rep.entries]
         lines.append(f"pobj: {rep.pobj}  dobj: {rep.dobj}  gap: {rep.gap}")
-        _emit(args, payload, lines)
+        _emit(args, rep, lines)
         return 0
     if args.command in VERDICTS:
         out = VERDICTS[args.command](p, args)
@@ -275,11 +284,10 @@ def _dispatch(args) -> int:
             _emit(args, {"error": "precondition failed", "detail": str(exc)},
                   [f"precondition failed: {exc}"])
             return 0
-        payload = h.to_json()
         lines = [f"{nrm.tolist()} . x <= {off:.9g}"
                  for nrm, off in zip(h.normals, h.offsets)]
         lines.append(f"exact: {h.exact}")
-        _emit(args, payload, lines)
+        _emit(args, h.to_json(), lines)
         return 0
     raise AssertionError(f"unhandled command {args.command}")
 

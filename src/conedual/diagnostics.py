@@ -19,6 +19,11 @@ reads every row from those verdicts; the standalone tests pose the same
 systems one at a time.  The two closedness conditions are the sides of a
 conic Gordan-Stiemke alternative; the second is a hyperplane-restricted
 strict recession system, the same system as a report row's.
+
+The report's optimal values come from the certificates it already holds
+before any solve: by the theorem of the alternative, an empty side's value
+is -inf (sup) or +inf (inf), and a feasible dual of an empty primal is
+unbounded below.  The pair is solved only for what they leave open.
 """
 
 from __future__ import annotations
@@ -457,6 +462,14 @@ def strong_duality_report(p: program.ConicProgram,
     feasibility of the two feasible systems), and every row is `_fires` of a
     sub-verdict read from those verdicts.  The no-CQ conditions still
     require the stated side to be feasible.
+
+    The values come from those verdicts first.  A certified empty primal has
+    pobj = -inf and is not solved, and then a feasible dual has dobj = -inf;
+    a certified empty dual has dobj = +inf.  The primal solve gives pobj
+    otherwise, and dobj too where it decides it.  A primal solve stopped at
+    the embedding's fixed point leaves dobj = nan, since the mirrored
+    program has the same embedding; only where nothing else decides dobj is
+    the mirrored program solved.
     """
     ps = program.as_sup(p)
     posed = posed_systems(ps)
@@ -506,13 +519,23 @@ def strong_duality_report(p: program.ConicProgram,
     def value(res):
         return np.nan if res.status == "Unknown" else res.pobj
 
-    pres = solver.solve(ps, max_iter=max_iter)
-    rep.pobj = value(pres)
-    # the primal solve decides the dual value too, unless it ran out or its
-    # Farkas ray meets a dual not known to be feasible: an Optimal pair
-    # carries it, an unbounded ray empties the dual (+inf), and a Farkas ray
-    # makes a feasible dual unbounded below (-inf)
-    if pres.status == "Unknown" or (pres.status == "PrimalInfeasible" and not feas_d):
+    # an emptiness certificate fixes a value without a solve: an empty sup
+    # side is -inf, an empty inf side +inf, and a feasible dual of an empty
+    # primal is unbounded below (-inf)
+    empty_p, empty_d = (feas[side].verdict == "No" for side in ("primal", "dual"))
+    pres = None if empty_p else solver.solve(ps, max_iter=max_iter)
+    rep.pobj = -np.inf if empty_p else value(pres)
+    # otherwise the primal solve decides the dual value too, unless it ran
+    # out or its Farkas ray meets a dual not known to be feasible: an Optimal
+    # pair carries it, an unbounded ray empties the dual (+inf), and a Farkas
+    # ray makes a feasible dual unbounded below (-inf).  A stop at the fixed
+    # point leaves it open: the mirrored program has the same embedding.
+    if empty_d or (empty_p and feas_d):
+        rep.dobj = np.inf if empty_d else -np.inf
+    elif pres is not None and pres.certificate.get("kind") == "fixed_point":
+        rep.dobj = np.nan
+    elif pres is None or pres.status == "Unknown" or (
+            pres.status == "PrimalInfeasible" and not feas_d):
         rep.dobj = value(solver.solve(program.dualize(ps), max_iter=max_iter))
     else:
         rep.dobj = pres.dobj

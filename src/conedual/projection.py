@@ -109,10 +109,11 @@ def double_description(ineqs, dim: int, eqs=()) -> tuple[list[list[int]], list[l
             l0, v0 = lin[j0], vals_lin[j0]
             if v0 < 0:
                 l0, v0 = [-x for x in l0], -v0
-            lin = [_coprime([v0 * x - vj * y for x, y in zip(l, l0)])
+            # a generator the row vanishes at is coprime, so it is its own update
+            lin = [_coprime([v0 * x - vj * y for x, y in zip(l, l0)]) if vj else l
                    for j, (l, vj) in enumerate(zip(lin, vals_lin)) if j != j0]
-            rays = [_coprime([v0 * x - _dot(a, r) * y for x, y in zip(r, l0)])
-                    for r in rays]
+            rays = [_coprime([v0 * x - vr * y for x, y in zip(r, l0)]) if vr else r
+                    for r, vr in ((r, _dot(a, r)) for r in rays)]
             if idx < 0:
                 span -= 1
                 continue

@@ -372,6 +372,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     proc = _run(["solve", str(path)])
     assert proc.returncode == 2
     assert proc.stderr == "invalid instance: field (root): nested too deeply\n"
+    # nested within the parser's limit: the message quotes a cut value
+    doc = _instance_doc()
+    for _ in range(500):
+        doc["A"] = [doc["A"]]
+    proc = _run(["solve", "-"], stdin_doc=doc)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("invalid instance: field A.0.0: [[[")
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 200
     # unreadable instance or subspace paths: a directory, non-UTF-8 bytes;
     # in process, so a traceback would fail the test
     good = tmp_path / "inst.json"

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -542,6 +542,98 @@ def test_report_verdicts_are_pinned():
 def test_strong_duality_report_pathology_fires_nothing():
     rep = diagnostics.strong_duality_report(gallery.example_adapted(3))
     assert rep.fired() == []
+
+
+def _small_program(c_descr, k_descr, amat, b, c):
+    """The sup program over real factors of the given (tag, size)."""
+    big_c, big_k = (cones.Cone(space(*(real(k) for _, k in descr)),
+                               tuple(tag for tag, _ in descr))
+                    for descr in (c_descr, k_descr))
+    return program.ConicProgram(
+        A=LinearMap(big_c.space, big_k.space, np.asarray(amat, dtype=float)),
+        b=np.asarray(b, dtype=float), c=np.asarray(c, dtype=float),
+        K=big_k, C=big_c, sense="sup")
+
+
+N, S = cones.NONNEG, cones.SOC
+# pairs with an emptiness certificate on both sides; a solve of either
+# program ends on an improving ray, which proves only the other side empty:
+# the first pair's primal solve, and the second pair's dual solve
+BOTH_EMPTY = [
+    _small_program([(N, 2)], [(S, 2)], [[-1, 0], [-1, 1]], [0, -1], [2, 2]),
+    _small_program([(S, 2)], [(N, 2), (N, 2)], [[-1, -1], [0, 0], [1, 0], [0, -2]],
+                   [-2, -2, 2, -2], [0, 1]),
+]
+
+
+def _report_value_solves(monkeypatch, p, **kw):
+    """The report of the sup program p, and the sense of each solve it makes
+    for the optimal values: of p itself ("sup"), and of its dual ("inf"),
+    the only inf program a report solves; every posed system is solved as a
+    sup program over free variables."""
+    solve, senses = solver.solve, []
+
+    def counted(q, *args, **kwargs):
+        if q is p or q.sense == "inf":
+            senses.append(q.sense)
+        return solve(q, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "solve", counted)
+        rep = diagnostics.strong_duality_report(p, **kw)
+    return rep, senses
+
+
+@pytest.mark.parametrize("p", BOTH_EMPTY, ids=["nonneg-soc", "soc-nonneg"])
+def test_report_values_come_from_emptiness_certificates(monkeypatch, p):
+    # the sup of an empty program is -inf and the inf of an empty one +inf,
+    # whatever ray a solve of either ends on; neither value needs a solve
+    posed = diagnostics.posed_systems(p)
+    for side in ("primal", "dual"):
+        assert solver.feasibility(posed[f"feasible-{side}"]).detail == "the system is empty"
+    rep, senses = _report_value_solves(monkeypatch, p)
+    assert (rep.pobj, rep.dobj, rep.gap, senses) == (-np.inf, np.inf, np.inf, [])
+
+
+@st.composite
+def _small_programs(draw):
+    """Programs of the shape the report's value rules were probed on: one or
+    two factors of size 2-3 per side, C from Nonneg, SOC and Free, K from
+    Nonneg, SOC and Zero, and integer data in -2..2."""
+    c_descr, k_descr = (draw(st.lists(st.tuples(st.sampled_from(tags), st.integers(2, 3)),
+                                      min_size=1, max_size=2))
+                        for tags in ((N, S, cones.FREE), (N, S, cones.ZERO)))
+    n, m = (sum(k for _, k in descr) for descr in (c_descr, k_descr))
+
+    def ints(size):
+        return draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+
+    return _small_program(c_descr, k_descr, np.reshape(ints(m * n), (m, n)), ints(m), ints(n))
+
+
+@PROPERTY
+@given(_small_programs())
+@example(BOTH_EMPTY[0])
+@example(BOTH_EMPTY[1])
+def test_report_values_never_contradict_an_emptiness_certificate(p):
+    # an empty sup side is never +inf and an empty inf side never -inf
+    budget = 5000
+    rep = diagnostics.strong_duality_report(p, max_iter=budget)
+    posed = diagnostics.posed_systems(p)
+    if solver.feasibility(posed["feasible-primal"], max_iter=budget).verdict == "No":
+        assert rep.pobj != np.inf
+    if solver.feasibility(posed["feasible-dual"], max_iter=budget).verdict == "No":
+        assert rep.dobj != -np.inf
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_pathology_report_makes_no_mirrored_solve(monkeypatch, n):
+    # the primal solve stops at the embedding's fixed point; the mirrored
+    # program has the same embedding, so the dual value stays open unsolved
+    rep, senses = _report_value_solves(monkeypatch, gallery.example_adapted(n),
+                                       max_iter=1200)
+    assert senses == ["sup"]
+    assert np.isnan(rep.pobj) and np.isnan(rep.dobj)
 
 
 def _scaled(p, k):

@@ -75,6 +75,32 @@ def test_double_description_rays_satisfy_inequalities():
             assert all(projection._dot(a, l) == 0 for a in ineqs)
 
 
+@pytest.mark.parametrize("ineqs, eqs", [
+    # the cube 0 <= x <= 1, homogenised by t >= 0 in the last coordinate
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 1], [0, -1, 0, 1],
+      [0, 0, -1, 1], [0, 0, 0, 1]], []),
+    # a projection cone: one Zero row, then rows that meet the lineality
+    # while rays are already held
+    ([[0, 0, 1, 0, 0], [1, 1, 0, 0, 0], [0, 1, 0, 1, 0], [-1, 0, 2, 0, 1],
+      [0, 0, 0, 1, 1]], [[1, -1, 0, 2, 0]]),
+], ids=["cube", "eq-and-lineality"])
+def test_double_description_takes_one_product_per_generator_and_row(monkeypatch,
+                                                                     ineqs, eqs):
+    # each processed row meets each generator held before it in one inner
+    # product, the lineality update's rays included
+    dim, rows = len(ineqs[0]), [*eqs, *ineqs]
+    held = 0  # generators held before each row, summed over the rows
+    for k in range(len(rows)):
+        lin, rays, _ = projection.double_description(ineqs[:max(0, k - len(eqs))], dim,
+                                                     eqs[:k])
+        held += len(lin) + len(rays)
+    calls = []
+    dot = projection._dot
+    monkeypatch.setattr(projection, "_dot", lambda a, b: calls.append(1) or dot(a, b))
+    projection.double_description(ineqs, dim, eqs)
+    assert 0 < len(calls) <= held
+
+
 # reference: double description in Fraction arithmetic with the rank test
 
 
