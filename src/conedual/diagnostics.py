@@ -16,9 +16,13 @@ Every condition is a question about one of the eight systems that
 that recession system on the other objective's hyperplane, and the
 perspective system.  `strong_duality_report` decides each of them once and
 reads every row from those verdicts; the standalone tests pose the same
-systems one at a time.  The two closedness conditions are the sides of a
-conic Gordan-Stiemke alternative; the second is a hyperplane-restricted
-strict recession system, the same system as a report row's.
+systems one at a time.  The report decides some systems from others with
+no solve: a Slater point settles the side's perspective system, and a
+separator of its recession system the hyperplane-restricted one, each by
+a certificate that revalidates on the system it settles.  The two
+closedness conditions are the sides of a conic Gordan-Stiemke alternative;
+the second is a hyperplane-restricted strict recession system, the same
+system as a report row's.
 
 The report's optimal values come from the certificates it already holds
 before any solve: by the theorem of the alternative, an empty side's value
@@ -57,7 +61,22 @@ def posed_systems(p: program.ConicProgram) -> dict[str, program.System]:
     `feasible-{side}`, {z : G z + g in M}; `recession-{side}`, the same with
     g = 0; `perp-{side}`, that with the Zero row <v, z> = 0 added, v = c on
     side "primal" and b on side "dual"; and `perspective-{side}`, the
-    recession system over (z, t) with G z + t g in M."""
+    recession system over (z, t) with G z + t g in M.
+
+    Three implications hold between the systems of one side, each with a
+    map of its certificate:
+
+    - a Slater point z of `feasible-{side}` gives the relint point (z, 1) of
+      `perspective-{side}`, since G z + 1 g lies in ri M;
+    - a separator lam of `recession-{side}` (lam in M*, G* lam = 0, lam off
+      the lineality of M*) gives the separator (lam, 0) of `perp-{side}`,
+      whose extra row is a Zero row and so takes any multiplier;
+    - a relint point of `perp-{side}` is one of `recession-{side}`, the same
+      system without that row.
+
+    The report decides by the first two (`IMPLIED`).  The third saves no
+    solve, since it decides `recession-{side}` first.
+    """
     ps = program.as_sup(p)
     out = {}
     for side, hyperplane in (("primal", ps.c), ("dual", ps.b)):
@@ -67,6 +86,31 @@ def posed_systems(p: program.ConicProgram) -> dict[str, program.System]:
                     f"perp-{side}": rs.stack(hyperplane[None, :], [0.0], cones.ZERO),
                     f"perspective-{side}": rs.extend(fs.g[:, None])})
     return out
+
+
+# the decision table of `strong_duality_report`, per side: a system, and the
+# system, verdict and certificate it follows from, with the certificate's map
+IMPLIED = {"perp": ("recession", "No", "separator", lambda lam: np.append(lam, 0.0)),
+           "perspective": ("feasible", "Yes", "Slater point", lambda z: np.append(z, 1.0))}
+
+
+def _implied(name: str, posed: dict, decided: dict) -> solver.Verdict | None:
+    """The verdict on posed[name] that its `IMPLIED` row carries over from
+    the decided source system, or None where the source verdict differs or
+    the mapped certificate does not revalidate on posed[name] by the
+    solver's own checks.  The value is what a solve reports: 1.0 for a Yes
+    (the perspective system is homogeneous), nan for a No."""
+    kind, side = name.split("-")
+    source, verdict, what, carry = IMPLIED[kind]
+    v, s = decided[f"{source}-{side}"], posed[name]
+    if v.verdict != verdict:
+        return None
+    detail = f"implied by the {what} of {source}-{side}"
+    if verdict == "Yes":
+        w = solver._interior_witness(s, carry(v.witness))
+        return None if w is None else solver.Verdict("Yes", witness=w, value=1.0, detail=detail)
+    lam = solver._validated_separator(s, carry(v.separator), solver.TOL_FEAS)
+    return None if lam is None else solver.Verdict("No", separator=lam, detail=detail)
 
 
 @dataclass
@@ -453,32 +497,50 @@ def _fires(sub: str, ok: bool) -> str:
     return "No" if sub == "No" else "Unknown"
 
 
+def _decide(posed: dict, max_iter: int) -> tuple[dict, dict]:
+    """Strict feasibility of each posed system, and feasibility of the two
+    feasible systems (keyed by side), each decided once in implication
+    order: `feasible-*` and `recession-*` by a solve, then `perp-*` and
+    `perspective-*` by their `IMPLIED` rows, solved only where the row
+    gives no verdict."""
+    strict, feas = {}, {}
+    for side in ("primal", "dual"):
+        strict[f"feasible-{side}"], feas[side] = solver.strict_and_feasibility(
+            posed[f"feasible-{side}"], max_iter=max_iter)
+        strict[f"recession-{side}"] = solver.strict_feasibility(
+            posed[f"recession-{side}"], max_iter=max_iter)
+    for name in (f"{kind}-{side}" for kind in IMPLIED for side in ("primal", "dual")):
+        strict[name] = _implied(name, posed, strict) or solver.strict_feasibility(
+            posed[name], max_iter=max_iter)
+    return strict, feas
+
+
 def strong_duality_report(p: program.ConicProgram,
                           max_iter: int = solver.MAX_ITER) -> DualityReport:
     """The sufficient conditions for strong duality, one entry per row of
     (condition, citation, verdict, witness, margins), and both optimal values.
 
-    Each system of `posed_systems` is decided once (strict feasibility, and
-    feasibility of the two feasible systems), and every row is `_fires` of a
-    sub-verdict read from those verdicts.  The no-CQ conditions still
-    require the stated side to be feasible.
+    Each system of `posed_systems` is decided once by `_decide` (strict
+    feasibility, and feasibility of the two feasible systems), and every row
+    is `_fires` of a sub-verdict read from those verdicts.  Some systems are
+    decided from others without a solve, by the implications of
+    `posed_systems`: `perspective-{side}` from a Slater point of
+    `feasible-{side}`, and `perp-{side}` from a separator of
+    `recession-{side}`, each only where the mapped certificate revalidates.
+    The no-CQ conditions still require the stated side to be feasible.
 
     The values come from those verdicts first.  A certified empty primal has
     pobj = -inf and is not solved, and then a feasible dual has dobj = -inf;
     a certified empty dual has dobj = +inf.  The primal solve gives pobj
-    otherwise, and dobj too where it decides it.  A primal solve stopped at
-    the embedding's fixed point leaves dobj = nan, since the mirrored
-    program has the same embedding; only where nothing else decides dobj is
-    the mirrored program solved.
+    otherwise, and dobj too where it decides it.  A primal solve that ends
+    Unknown, at the embedding's fixed point or at its budget, leaves
+    dobj = nan, since the mirrored program has the same embedding and stops
+    where it does; only where nothing else decides dobj is the mirrored
+    program solved.
     """
     ps = program.as_sup(p)
     posed = posed_systems(ps)
-    strict, feas = {}, {}
-    for side in ("primal", "dual"):
-        strict[f"feasible-{side}"], feas[side] = solver.strict_and_feasibility(
-            posed[f"feasible-{side}"], max_iter=max_iter)
-    strict.update((name, solver.strict_feasibility(s, max_iter=max_iter))
-                  for name, s in posed.items() if name not in strict)
+    strict, feas = _decide(posed, max_iter)
     feas_p, feas_d = (feas[side].verdict == "Yes" for side in ("primal", "dual"))
     both = feas_p and feas_d
     c_in = image_of_subspace(ps.A.adjoint(), cones.span(ps.K).complement()).contains(ps.c)
@@ -525,17 +587,16 @@ def strong_duality_report(p: program.ConicProgram,
     empty_p, empty_d = (feas[side].verdict == "No" for side in ("primal", "dual"))
     pres = None if empty_p else solver.solve(ps, max_iter=max_iter)
     rep.pobj = -np.inf if empty_p else value(pres)
-    # otherwise the primal solve decides the dual value too, unless it ran
-    # out or its Farkas ray meets a dual not known to be feasible: an Optimal
-    # pair carries it, an unbounded ray empties the dual (+inf), and a Farkas
-    # ray makes a feasible dual unbounded below (-inf).  A stop at the fixed
-    # point leaves it open: the mirrored program has the same embedding.
+    # otherwise the primal solve decides the dual value too, unless it ended
+    # Unknown or its Farkas ray meets a dual not known to be feasible: an
+    # Optimal pair carries it, an unbounded ray empties the dual (+inf), and a
+    # Farkas ray makes a feasible dual unbounded below (-inf).  An Unknown
+    # (fixed point or budget) leaves it open: the mirror has the same embedding.
     if empty_d or (empty_p and feas_d):
         rep.dobj = np.inf if empty_d else -np.inf
-    elif pres is not None and pres.certificate.get("kind") == "fixed_point":
+    elif pres is not None and pres.status == "Unknown":
         rep.dobj = np.nan
-    elif pres is None or pres.status == "Unknown" or (
-            pres.status == "PrimalInfeasible" and not feas_d):
+    elif pres is None or (pres.status == "PrimalInfeasible" and not feas_d):
         rep.dobj = value(solver.solve(program.dualize(ps), max_iter=max_iter))
     else:
         rep.dobj = pres.dobj

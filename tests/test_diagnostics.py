@@ -13,6 +13,7 @@ from conedual import cones, diagnostics, gallery, program, solver
 from conedual.spaces import LinearMap, inner, kernel, product_space, real, space
 from oracles import PROPERTY
 from test_acceptance import MIXES
+from test_solver import _report_solves
 
 
 def _box(n=2):
@@ -634,6 +635,67 @@ def test_pathology_report_makes_no_mirrored_solve(monkeypatch, n):
                                        max_iter=1200)
     assert senses == ["sup"]
     assert np.isnan(rep.pobj) and np.isnan(rep.dobj)
+
+
+def test_report_makes_no_mirrored_solve_after_a_budget_stop(monkeypatch):
+    # the primal solve runs out its budget; the mirrored program has the
+    # same embedding, so the dual value stays open unsolved, as at the fixed
+    # point (the mirrored solve ran out its budget too)
+    p = _small_program([(S, 3)], [(N, 2)], [[-2, -2, 1], [0, -1, 1]], [-1, 2], [-1, 1, -1])
+    budget = 5000
+    res = solver.solve(p, max_iter=budget)
+    assert (res.status, res.iterations, res.certificate) == ("Unknown", budget, {})
+    rep, senses = _report_value_solves(monkeypatch, p, max_iter=budget)
+    assert senses == ["sup"]
+    assert np.isnan(rep.pobj) and np.isnan(rep.dobj) and rep.gap == np.inf
+
+
+@PROPERTY
+@given(_small_programs())
+def test_implied_verdicts_revalidate_and_agree_with_their_solve(p):
+    # a verdict the report reads off another system's certificate holds on
+    # its own posed system by the solver's checks, and no solve of that
+    # system decides the other way
+    budget = 5000
+    posed = diagnostics.posed_systems(p)
+    strict, _ = diagnostics._decide(posed, budget)
+    for name, v in strict.items():
+        if not v.detail.startswith("implied by"):
+            continue
+        kind, side = name.split("-")
+        assert v.detail.endswith(f" of {diagnostics.IMPLIED[kind][0]}-{side}")
+        s = posed[name]
+        if v.verdict == "Yes":
+            assert s.relint_member(v.witness)
+            assert v.value == 1.0
+        else:
+            assert solver._validated_separator(s, v.separator, solver.TOL_FEAS) is not None
+            assert np.isnan(v.value)
+        assert solver.strict_feasibility(s, max_iter=budget).verdict in (v.verdict, "Unknown")
+
+
+def test_report_solves_a_system_whose_implied_certificate_fails(monkeypatch):
+    # with each certificate map negated, the Slater point's image (-z, -1)
+    # is off the relative interior of the perspective system and the
+    # separator's (-lam, 0) off the dual cone; neither revalidates, so the
+    # report solves every posed system, and its rows read as the solves decide
+    p = gallery.planted_strong_duality(
+        [(cones.PSD, 2), (cones.SOC, 3)], [(cones.ZERO, 1), (cones.NONNEG, 2)], seed=0)
+    implied = {"perp-dual", "perspective-primal", "perspective-dual"}
+    posed = diagnostics.posed_systems(p)
+    strict, _ = diagnostics._decide(posed, solver.MAX_ITER)
+    assert {name for name, v in strict.items() if v.detail.startswith("implied by")} == implied
+    rep = diagnostics.strong_duality_report(p).to_json()
+    monkeypatch.setattr(diagnostics, "IMPLIED", {
+        kind: (*row[:3], lambda cert, carry=row[3]: -carry(cert))
+        for kind, row in diagnostics.IMPLIED.items()})
+    strict, _ = diagnostics._decide(posed, solver.MAX_ITER)
+    assert not [v for v in strict.values() if v.detail.startswith("implied by")]
+    assert set(posed) <= {name for name, _, _ in _report_solves(monkeypatch, p)}
+    assert diagnostics.strong_duality_report(p).to_json() == rep
+    for side in ("primal", "dual"):
+        assert [v.verdict for v in diagnostics.closedness_conditions(p, side)] == \
+            [strict[f"perspective-{side}"].verdict, strict[f"perp-{diagnostics._OTHER[side]}"].verdict]
 
 
 def _scaled(p, k):

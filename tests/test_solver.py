@@ -703,9 +703,25 @@ def _fingerprint(p, tol_feas=solver.TOL_FEAS, tol_gap=solver.TOL_GAP,
             tol_feas, tol_gap, max_iter)
 
 
+def _solve_names(p):
+    """The name of each program a report of p may solve, keyed by its data:
+    the alternative program of each posed system (its strict feasibility),
+    the plain feasibility program of a feasible system ("plain " and its
+    name), the sup program of the pair ("pair") and its dual ("mirror")."""
+    ps = program.as_sup(p)
+    names = {_fingerprint(ps)[:6]: "pair", _fingerprint(program.dualize(ps))[:6]: "mirror"}
+    for name, s in diagnostics.posed_systems(ps).items():
+        names[_fingerprint(solver._alternative_program(s))[:6]] = name
+        if name.startswith("feasible-"):
+            names[_fingerprint(s.as_program(np.zeros(s.gmap.domain.dim)))[:6]] = f"plain {name}"
+    return names
+
+
 def _report_solves(monkeypatch, p, **kw):
-    """(fingerprint, iterations) of each outermost solve of one report."""
+    """(name, fingerprint, iterations) of each outermost solve of one report,
+    named by `_solve_names` (None for a program it does not name)."""
     solve = solver.solve
+    names = _solve_names(p)
     solves, depth = [], [0]
 
     def counted(*args, **kwargs):
@@ -715,7 +731,8 @@ def _report_solves(monkeypatch, p, **kw):
         finally:
             depth[0] -= 1
         if not depth[0]:
-            solves.append((_fingerprint(*args, **kwargs), res.iterations))
+            key = _fingerprint(*args, **kwargs)
+            solves.append((names.get(key[:6]), key, res.iterations))
         return res
 
     with monkeypatch.context() as mp:
@@ -728,7 +745,7 @@ def test_report_iteration_counts_are_pinned(monkeypatch):
     # Exact solve counts and totals.  Iterations do not depend on the
     # machine, so a change to the arithmetic, to the acceleration or to where
     # a solve stops moves them, and must pin the new totals on purpose.  Each
-    # system is solved once per report, so the
+    # system is solved at most once per report, so the
     # totals over all solves and over distinct solves agree; back-to-back
     # reports share nothing.  The pathology makes two plain feasibility
     # solves (no side is strictly feasible), and the planted report takes
@@ -740,16 +757,31 @@ def test_report_iteration_counts_are_pinned(monkeypatch):
     # solution stop at the embedding's fixed point, none at the budget.  One
     # of them is the primal solve, which leaves the dual value open: the
     # mirrored program has the same embedding and is not solved.
-    for p, budget, count, total in ((gallery.example_adapted(3), 1200, 11, 153),
-                                    (planted, solver.MAX_ITER, 9, 676)):
+    # A system that a decided one implies is not solved: perp-{side} where
+    # recession-{side} is No (both sides of the pathology, the dual side of
+    # the planted pair), perspective-{side} where feasible-{side} is
+    # strictly feasible (both sides of the planted pair).
+    for p, budget, count, total, skipped in (
+            (gallery.example_adapted(3), 1200, 9, 140, {"perp-primal", "perp-dual"}),
+            (planted, solver.MAX_ITER, 6, 621,
+             {"perp-dual", "perspective-primal", "perspective-dual"})):
+        posed = diagnostics.posed_systems(p)
+        assert skipped == {
+            f"{implied}-{side}" for side in ("primal", "dual")
+            for implied, source, verdict in (("perspective", "feasible", "Yes"),
+                                             ("perp", "recession", "No"))
+            if solver.strict_feasibility(posed[f"{source}-{side}"],
+                                         max_iter=budget).verdict == verdict}
         for _ in range(2):
             solves = _report_solves(monkeypatch, p, max_iter=budget)
             assert len(solves) == count
-            distinct = dict(solves)
+            assert None not in {name for name, _, _ in solves}
+            assert set(posed) - {name for name, _, _ in solves} == skipped
+            distinct = {key: it for _, key, it in solves}
             assert len(distinct) == len(solves)
             assert sum(distinct.values()) == total
-            assert sum(it for _, it in solves) == total
-            assert max(it for _, it in solves) < budget
+            assert sum(it for *_, it in solves) == total
+            assert max(it for *_, it in solves) < budget
 
 
 def _sup_solved(p):
