@@ -18,10 +18,14 @@ perspective system.  `strong_duality_report` decides each of them once and
 reads every row from those verdicts; the standalone tests pose the same
 systems one at a time.  The report decides some systems from others with
 no solve: a Slater point settles the side's perspective system, and a
-separator of its recession system the hyperplane-restricted one, each by
-a certificate that revalidates on the system it settles.  The two
-closedness conditions are the sides of a conic Gordan-Stiemke alternative;
-the second is a hyperplane-restricted strict recession system, the same
+separator of its recession system the hyperplane-restricted one.  Across
+the sides, a relative-interior point of one side's system is, by the conic
+Gordan-Stiemke alternative, a separator of a system of the other side: a
+point of the dual recession system settles the primal one, and a point of
+a perspective system the other side's hyperplane-restricted system.  Each
+stands only by a certificate that revalidates on the system it settles.
+The two closedness conditions are the sides of that alternative; the
+second is a hyperplane-restricted strict recession system, the same
 system as a report row's.
 
 The report's optimal values come from the certificates it already holds
@@ -74,8 +78,36 @@ def posed_systems(p: program.ConicProgram) -> dict[str, program.System]:
     - a relint point of `perp-{side}` is one of `recession-{side}`, the same
       system without that row.
 
-    The report decides by the first two (`IMPLIED`).  The third saves no
-    solve, since it decides `recession-{side}` first.
+    Across the sides, M = K x C on side "primal" and C* x K* on side "dual"
+    are dual cones up to the order of their blocks.  A point of one side's
+    M in the range of its recession or perspective map, with its blocks
+    swapped into the other side's order, is annihilated by the other side's
+    recession adjoint, up to a multiple of that side's objective in the
+    perspective case, which the Zero row of its perp system takes up.  So
+    a relint point is a separator there (the conic Gordan-Stiemke
+    alternative of `closedness_conditions`):
+
+    - a relint point y of `recession-dual`, (A* y, y) in ri(C* x K*), gives
+      the separator (y, A* y) of `recession-primal`, whose map (x) -> (-A x,
+      x) has adjoint (lam_1, lam_2) -> lam_2 - A* lam_1;
+    - a relint point (z, t) of `perspective-{other}` gives the separator
+      (swap(P(z, t)), mu) of `perp-{side}`, with P the perspective map,
+      swap exchanging its K and C blocks, and mu the multiplier of the Zero
+      row that makes G* lam = 0: P(y, t) = (A* y - t c, y) and mu = t for
+      `perp-primal`, P(x, t) = (t b - A x, x) and mu = -t for `perp-dual`.
+
+    The report decides by the first two and the two across the sides
+    (`IMPLIED`), in the order `feasible-*`, `recession-dual`,
+    `recession-primal`, `perspective-*`, `perp-*`; a `perp-{side}` tries
+    the recession separator first.  The third saves no solve, since it
+    decides `recession-{side}` first.  The mirror images of the cross rows
+    are left out: a relint point of `recession-primal` as the separator of
+    `recession-dual`, and a recession system's Yes read off the other
+    side's separator.  Each would replace a certificate the report prints
+    (the ray of the boundedness-cq row, which it reads off the separator
+    of `recession-dual`, and the witness of a strict-recession Yes), where
+    the rows kept settle only systems whose rows print a verdict and a nan
+    margin, so every report reads as if each system were solved.
     """
     ps = program.as_sup(p)
     out = {}
@@ -88,29 +120,55 @@ def posed_systems(p: program.ConicProgram) -> dict[str, program.System]:
     return out
 
 
-# the decision table of `strong_duality_report`, per side: a system, and the
-# system, verdict and certificate it follows from, with the certificate's map
-IMPLIED = {"perp": ("recession", "No", "separator", lambda lam: np.append(lam, 0.0)),
-           "perspective": ("feasible", "Yes", "Slater point", lambda z: np.append(z, 1.0))}
+def _swapped(w: np.ndarray, source: program.System, s: program.System) -> np.ndarray:
+    """source's image of w, a point of one side's K x C (or C* x K*), with
+    its two blocks swapped into the C x K (K* x C*) order of the other
+    side's system s, whose variable is as long as the first block."""
+    v, n = source.gmap(w), s.gmap.domain.dim
+    return np.concatenate([v[n:], v[:n]])
+
+
+# the decision table of `strong_duality_report`, in decision order: a system,
+# the verdict it gets, and the system, verdict and certificate it follows
+# from, with the map (certificate, source system, system) -> its certificate
+IMPLIED = (
+    ("recession-primal", "No", "recession-dual", "Yes", "relative-interior point", _swapped),
+    ("perspective-primal", "Yes", "feasible-primal", "Yes", "Slater point",
+     lambda z, *_: np.append(z, 1.0)),
+    ("perspective-dual", "Yes", "feasible-dual", "Yes", "Slater point",
+     lambda z, *_: np.append(z, 1.0)),
+    ("perp-primal", "No", "recession-primal", "No", "separator",
+     lambda lam, *_: np.append(lam, 0.0)),
+    ("perp-primal", "No", "perspective-dual", "Yes", "relative-interior point",
+     lambda zt, source, s: np.append(_swapped(zt, source, s), zt[-1])),
+    ("perp-dual", "No", "recession-dual", "No", "separator",
+     lambda lam, *_: np.append(lam, 0.0)),
+    ("perp-dual", "No", "perspective-primal", "Yes", "relative-interior point",
+     lambda zt, source, s: np.append(_swapped(zt, source, s), -zt[-1])))
 
 
 def _implied(name: str, posed: dict, decided: dict) -> solver.Verdict | None:
-    """The verdict on posed[name] that its `IMPLIED` row carries over from
-    the decided source system, or None where the source verdict differs or
-    the mapped certificate does not revalidate on posed[name] by the
-    solver's own checks.  The value is what a solve reports: 1.0 for a Yes
-    (the perspective system is homogeneous), nan for a No."""
-    kind, side = name.split("-")
-    source, verdict, what, carry = IMPLIED[kind]
-    v, s = decided[f"{source}-{side}"], posed[name]
-    if v.verdict != verdict:
-        return None
-    detail = f"implied by the {what} of {source}-{side}"
-    if verdict == "Yes":
-        w = solver._interior_witness(s, carry(v.witness))
-        return None if w is None else solver.Verdict("Yes", witness=w, value=1.0, detail=detail)
-    lam = solver._validated_separator(s, carry(v.separator), solver.TOL_FEAS)
-    return None if lam is None else solver.Verdict("No", separator=lam, detail=detail)
+    """The verdict on posed[name] that the first of its `IMPLIED` rows
+    carries over from a decided source system, or None where no source
+    verdict matches or no mapped certificate revalidates on posed[name] by
+    the solver's own checks.  The value is what a solve reports: 1.0 for a
+    Yes (the perspective system is homogeneous), nan for a No."""
+    s = posed[name]
+    for system, verdict, source, given, what, carry in IMPLIED:
+        if system != name or decided[source].verdict != given:
+            continue
+        v = decided[source]
+        cert = carry(v.witness if given == "Yes" else v.separator, posed[source], s)
+        detail = f"implied by the {what} of {source}"
+        if verdict == "Yes":
+            w = solver._interior_witness(s, cert)
+            if w is not None:
+                return solver.Verdict("Yes", witness=w, value=1.0, detail=detail)
+        else:
+            lam = solver._validated_separator(s, cert, solver.TOL_FEAS)
+            if lam is not None:
+                return solver.Verdict("No", separator=lam, detail=detail)
+    return None
 
 
 @dataclass
@@ -315,7 +373,11 @@ def closedness_conditions(p: program.ConicProgram, side: str = "primal",
     (side "primal") or <c, x> = 0 (side "dual"); its No separator
     (lam_1, lam_2, t) gives z = (lam_2, lam_1) = P(lam_1, -t) on side
     "primal" (the primal perspective map) and P(lam_1, t) on side "dual", a
-    point of M in range(P) outside the lineality of M.
+    point of M in range(P) outside the lineality of M.  Conversely, a
+    witness (z, t) of condition 1 is such a separator of condition 2,
+    (swap(P(z, t)), -t) on side "primal" and (swap(P(z, t)), t) on side
+    "dual", with swap exchanging the two blocks of M; the report reads
+    condition 2's No off it (`posed_systems`).
     """
     posed = posed_systems(p)
     return [solver.strict_feasibility(posed[name], max_iter=max_iter)
@@ -500,16 +562,15 @@ def _fires(sub: str, ok: bool) -> str:
 def _decide(posed: dict, max_iter: int) -> tuple[dict, dict]:
     """Strict feasibility of each posed system, and feasibility of the two
     feasible systems (keyed by side), each decided once in implication
-    order: `feasible-*` and `recession-*` by a solve, then `perp-*` and
-    `perspective-*` by their `IMPLIED` rows, solved only where the row
-    gives no verdict."""
+    order: `feasible-*` and `recession-dual` by a solve, then the systems of
+    `IMPLIED` in its order (`recession-primal`, `perspective-*`, `perp-*`)
+    by their rows, each solved only where no row gives a verdict."""
     strict, feas = {}, {}
     for side in ("primal", "dual"):
         strict[f"feasible-{side}"], feas[side] = solver.strict_and_feasibility(
             posed[f"feasible-{side}"], max_iter=max_iter)
-        strict[f"recession-{side}"] = solver.strict_feasibility(
-            posed[f"recession-{side}"], max_iter=max_iter)
-    for name in (f"{kind}-{side}" for kind in IMPLIED for side in ("primal", "dual")):
+    derived = list(dict.fromkeys(row[0] for row in IMPLIED))
+    for name in [n for n in posed if n not in strict and n not in derived] + derived:
         strict[name] = _implied(name, posed, strict) or solver.strict_feasibility(
             posed[name], max_iter=max_iter)
     return strict, feas
@@ -524,10 +585,14 @@ def strong_duality_report(p: program.ConicProgram,
     feasibility, and feasibility of the two feasible systems), and every row
     is `_fires` of a sub-verdict read from those verdicts.  Some systems are
     decided from others without a solve, by the implications of
-    `posed_systems`: `perspective-{side}` from a Slater point of
-    `feasible-{side}`, and `perp-{side}` from a separator of
-    `recession-{side}`, each only where the mapped certificate revalidates.
-    The no-CQ conditions still require the stated side to be feasible.
+    `posed_systems` in the order of `IMPLIED`: `recession-primal` from a
+    relint point y of `recession-dual` (the separator (y, A* y)),
+    `perspective-{side}` from a Slater point of `feasible-{side}`, and
+    `perp-{side}` from a separator of `recession-{side}` or else from a
+    relint point (z, t) of `perspective-{other}` (the separator
+    (swap(P(z, t)), +-t)), each only where the mapped certificate
+    revalidates.  The no-CQ conditions still require the stated side to be
+    feasible.
 
     The values come from those verdicts first.  A certified empty primal has
     pobj = -inf and is not solved, and then a feasible dual has dobj = -inf;
@@ -536,7 +601,10 @@ def strong_duality_report(p: program.ConicProgram,
     Unknown, at the embedding's fixed point or at its budget, leaves
     dobj = nan, since the mirrored program has the same embedding and stops
     where it does; only where nothing else decides dobj is the mirrored
-    program solved.
+    program solved.  A solve that ends Unbounded on a ray proves only the
+    other side empty, so its pobj = +inf (a mirrored solve's dobj = -inf)
+    stands only where the primal (dual) is known to be feasible, and is nan
+    otherwise.
     """
     ps = program.as_sup(p)
     posed = posed_systems(ps)
@@ -578,15 +646,18 @@ def strong_duality_report(p: program.ConicProgram,
                           "citation": CITATIONS[citation], "margins": margins}
                          for name, citation, sub, ok, witness, margins in rows])
 
-    def value(res):
-        return np.nan if res.status == "Unknown" else res.pobj
+    def value(res, feasible):
+        # a ray alone proves only the other side empty, so it leaves the
+        # value of a side not known to be feasible open
+        unbounded = res.status == "Unbounded" and not feasible
+        return np.nan if res.status == "Unknown" or unbounded else res.pobj
 
     # an emptiness certificate fixes a value without a solve: an empty sup
     # side is -inf, an empty inf side +inf, and a feasible dual of an empty
     # primal is unbounded below (-inf)
     empty_p, empty_d = (feas[side].verdict == "No" for side in ("primal", "dual"))
     pres = None if empty_p else solver.solve(ps, max_iter=max_iter)
-    rep.pobj = -np.inf if empty_p else value(pres)
+    rep.pobj = -np.inf if empty_p else value(pres, feas_p)
     # otherwise the primal solve decides the dual value too, unless it ended
     # Unknown or its Farkas ray meets a dual not known to be feasible: an
     # Optimal pair carries it, an unbounded ray empties the dual (+inf), and a
@@ -597,7 +668,7 @@ def strong_duality_report(p: program.ConicProgram,
     elif pres is not None and pres.status == "Unknown":
         rep.dobj = np.nan
     elif pres is None or (pres.status == "PrimalInfeasible" and not feas_d):
-        rep.dobj = value(solver.solve(program.dualize(ps), max_iter=max_iter))
+        rep.dobj = value(solver.solve(program.dualize(ps), max_iter=max_iter), feas_d)
     else:
         rep.dobj = pres.dobj
     if np.isfinite(rep.pobj) and np.isfinite(rep.dobj):

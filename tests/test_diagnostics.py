@@ -565,6 +565,17 @@ BOTH_EMPTY = [
     _small_program([(S, 2)], [(N, 2), (N, 2)], [[-1, -1], [0, 0], [1, 0], [0, -2]],
                    [-2, -2, 2, -2], [0, 1]),
 ]
+# pairs whose value solve ends on an improving ray while the side it would
+# make unbounded is not known to be feasible: the first's primal is
+# certified empty and its mirrored solve ends Unbounded, though the dual is
+# weakly infeasible; the second's dual is certified empty and its primal
+# solve ends Unbounded, with the primal's feasibility undecided
+RAY_ONLY = [
+    _small_program([(S, 3)], [(N, 2)], [[1, 0, 1], [1, -2, 1]], [-2, -2], [1, 1, 1]),
+    _small_program([(N, 2), (N, 2)], [(S, 3), (S, 3)],
+                   [[0, 2, 0, -2], [1, 0, 2, -2], [2, -2, -2, 0], [0, 2, 0, 1],
+                    [1, 0, 2, 1], [-2, 2, -2, 2]], [0, 1, -1, 1, -2, 2], [2, -1, 2, -2]),
+]
 
 
 def _report_value_solves(monkeypatch, p, **kw):
@@ -616,15 +627,34 @@ def _small_programs(draw):
 @given(_small_programs())
 @example(BOTH_EMPTY[0])
 @example(BOTH_EMPTY[1])
+@example(RAY_ONLY[0])
+@example(RAY_ONLY[1])
 def test_report_values_never_contradict_an_emptiness_certificate(p):
-    # an empty sup side is never +inf and an empty inf side never -inf
+    # an empty sup side is never +inf and an empty inf side never -inf; an
+    # improving ray proves only the other side empty, so the sup is +inf
+    # only on a feasible primal and the inf -inf only on a feasible dual
     budget = 5000
     rep = diagnostics.strong_duality_report(p, max_iter=budget)
     posed = diagnostics.posed_systems(p)
-    if solver.feasibility(posed["feasible-primal"], max_iter=budget).verdict == "No":
+    feas = {side: solver.feasibility(posed[f"feasible-{side}"], max_iter=budget).verdict
+            for side in ("primal", "dual")}
+    if feas["primal"] == "No":
         assert rep.pobj != np.inf
-    if solver.feasibility(posed["feasible-dual"], max_iter=budget).verdict == "No":
+    if feas["dual"] == "No":
         assert rep.dobj != -np.inf
+    if rep.pobj == np.inf:
+        assert feas["primal"] == "Yes"
+    if rep.dobj == -np.inf:
+        assert feas["dual"] == "Yes"
+
+
+@pytest.mark.parametrize("p, values", zip(RAY_ONLY, [(-np.inf, np.nan), (np.nan, np.inf)]),
+                         ids=["dual-ray", "primal-ray"])
+def test_report_reads_no_value_off_a_ray_alone(p, values):
+    # the value that rests on a ray alone reads nan, the other one comes
+    # from an emptiness certificate
+    rep = diagnostics.strong_duality_report(p, max_iter=5000)
+    np.testing.assert_array_equal([rep.pobj, rep.dobj, rep.gap], [*values, np.inf])
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -662,8 +692,8 @@ def test_implied_verdicts_revalidate_and_agree_with_their_solve(p):
     for name, v in strict.items():
         if not v.detail.startswith("implied by"):
             continue
-        kind, side = name.split("-")
-        assert v.detail.endswith(f" of {diagnostics.IMPLIED[kind][0]}-{side}")
+        assert (name, v.verdict, v.detail.rsplit(" of ", 1)[1]) in {
+            row[:3] for row in diagnostics.IMPLIED}
         s = posed[name]
         if v.verdict == "Yes":
             assert s.relint_member(v.witness)
@@ -674,28 +704,46 @@ def test_implied_verdicts_revalidate_and_agree_with_their_solve(p):
         assert solver.strict_feasibility(s, max_iter=budget).verdict in (v.verdict, "Unknown")
 
 
+# planted pairs and the source each derived system is read off: the first
+# has a strict recession direction, the second a bounded feasible set, so a
+# relative-interior point of its dual recession system separates the primal
+# one, whose separator (lam, 0) settles perp-primal in turn
+PLANTED_IMPLIED = [
+    (gallery.planted_strong_duality(
+        [(cones.PSD, 2), (cones.SOC, 3)], [(cones.ZERO, 1), (cones.NONNEG, 2)], seed=0),
+     {"perspective-primal": "feasible-primal", "perspective-dual": "feasible-dual",
+      "perp-primal": "perspective-dual", "perp-dual": "recession-dual"}),
+    (gallery.planted_strong_duality(*MIXES[2], seed=0),
+     {"recession-primal": "recession-dual", "perspective-primal": "feasible-primal",
+      "perspective-dual": "feasible-dual", "perp-primal": "recession-primal",
+      "perp-dual": "perspective-primal"}),
+]
+
+
 def test_report_solves_a_system_whose_implied_certificate_fails(monkeypatch):
     # with each certificate map negated, the Slater point's image (-z, -1)
-    # is off the relative interior of the perspective system and the
-    # separator's (-lam, 0) off the dual cone; neither revalidates, so the
-    # report solves every posed system, and its rows read as the solves decide
-    p = gallery.planted_strong_duality(
-        [(cones.PSD, 2), (cones.SOC, 3)], [(cones.ZERO, 1), (cones.NONNEG, 2)], seed=0)
-    implied = {"perp-dual", "perspective-primal", "perspective-dual"}
-    posed = diagnostics.posed_systems(p)
-    strict, _ = diagnostics._decide(posed, solver.MAX_ITER)
-    assert {name for name, v in strict.items() if v.detail.startswith("implied by")} == implied
-    rep = diagnostics.strong_duality_report(p).to_json()
-    monkeypatch.setattr(diagnostics, "IMPLIED", {
-        kind: (*row[:3], lambda cert, carry=row[3]: -carry(cert))
-        for kind, row in diagnostics.IMPLIED.items()})
-    strict, _ = diagnostics._decide(posed, solver.MAX_ITER)
-    assert not [v for v in strict.values() if v.detail.startswith("implied by")]
-    assert set(posed) <= {name for name, _, _ in _report_solves(monkeypatch, p)}
-    assert diagnostics.strong_duality_report(p).to_json() == rep
-    for side in ("primal", "dual"):
-        assert [v.verdict for v in diagnostics.closedness_conditions(p, side)] == \
-            [strict[f"perspective-{side}"].verdict, strict[f"perp-{diagnostics._OTHER[side]}"].verdict]
+    # is off the relative interior of the perspective system, and the
+    # separators (-lam, 0), -(y, A* y) and -(swap(P(z, t)), +-t) off the
+    # dual cone; none revalidates, so the report solves every posed system,
+    # and its rows read as the solves decide
+    reports = []
+    for p, implied in PLANTED_IMPLIED:
+        strict, _ = diagnostics._decide(diagnostics.posed_systems(p), solver.MAX_ITER)
+        assert {name: v.detail.rsplit(" of ", 1)[1] for name, v in strict.items()
+                if v.detail.startswith("implied by")} == implied
+        reports.append(diagnostics.strong_duality_report(p).to_json())
+    monkeypatch.setattr(diagnostics, "IMPLIED", tuple(
+        (*row[:5], lambda *args, carry=row[5]: -carry(*args)) for row in diagnostics.IMPLIED))
+    for (p, _), rep in zip(PLANTED_IMPLIED, reports):
+        posed = diagnostics.posed_systems(p)
+        strict, _ = diagnostics._decide(posed, solver.MAX_ITER)
+        assert not [v for v in strict.values() if v.detail.startswith("implied by")]
+        assert set(posed) <= {name for name, _, _ in _report_solves(monkeypatch, p)}
+        assert diagnostics.strong_duality_report(p).to_json() == rep
+        for side in ("primal", "dual"):
+            assert [v.verdict for v in diagnostics.closedness_conditions(p, side)] == \
+                [strict[f"perspective-{side}"].verdict,
+                 strict[f"perp-{diagnostics._OTHER[side]}"].verdict]
 
 
 def _scaled(p, k):

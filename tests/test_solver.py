@@ -757,21 +757,19 @@ def test_report_iteration_counts_are_pinned(monkeypatch):
     # solution stop at the embedding's fixed point, none at the budget.  One
     # of them is the primal solve, which leaves the dual value open: the
     # mirrored program has the same embedding and is not solved.
-    # A system that a decided one implies is not solved: perp-{side} where
-    # recession-{side} is No (both sides of the pathology, the dual side of
-    # the planted pair), perspective-{side} where feasible-{side} is
+    # A system that a decided one implies is not solved, by the rows of
+    # `diagnostics.IMPLIED`: perp-{side} where recession-{side} is No (both
+    # sides of the pathology, the dual side of the planted pair) or else
+    # where perspective-{other} is strictly feasible (the primal side of the
+    # planted pair), and perspective-{side} where feasible-{side} is
     # strictly feasible (both sides of the planted pair).
-    for p, budget, count, total, skipped in (
-            (gallery.example_adapted(3), 1200, 9, 140, {"perp-primal", "perp-dual"}),
-            (planted, solver.MAX_ITER, 6, 621,
-             {"perp-dual", "perspective-primal", "perspective-dual"})):
+    for p, budget, count, total in ((gallery.example_adapted(3), 1200, 9, 140),
+                                    (planted, solver.MAX_ITER, 5, 577)):
         posed = diagnostics.posed_systems(p)
-        assert skipped == {
-            f"{implied}-{side}" for side in ("primal", "dual")
-            for implied, source, verdict in (("perspective", "feasible", "Yes"),
-                                             ("perp", "recession", "No"))
-            if solver.strict_feasibility(posed[f"{source}-{side}"],
-                                         max_iter=budget).verdict == verdict}
+        verdicts = {name: solver.strict_feasibility(s, max_iter=budget).verdict
+                    for name, s in posed.items()}
+        skipped = {system for system, _, source, given, *_ in diagnostics.IMPLIED
+                   if verdicts[source] == given}
         for _ in range(2):
             solves = _report_solves(monkeypatch, p, max_iter=budget)
             assert len(solves) == count
