@@ -511,16 +511,19 @@ def finiteness_check(p: program.ConicProgram, side: str = "primal") -> solver.Ve
     side is feasible.  So the other side's feasible point decides Finite
     (the witness), and its emptiness certificate Unbounded (the separator,
     with the side's improving ray as the witness).  Either stands only when
-    the side's own solve agrees; `value` is that solve's objective.
+    the side's own solve agrees; `value` is that solve's objective.  That
+    solve starts from the side's Slater point and the other side's feasible
+    point (`solver.solve`'s start).
 
     A strict recession direction d of a feasible side adds no case: with a
     feasible x0, G(x0 + d) + g in K + ri K = ri K makes x0 + d a Slater point.
     """
     posed = posed_systems(p)
-    if solver.strict_feasibility(posed[f"feasible-{side}"]).verdict != "Yes":
+    sl = solver.strict_feasibility(posed[f"feasible-{side}"])
+    if sl.verdict != "Yes":
         return solver.Verdict("Unknown", detail="no strict feasibility established")
-    res = solver.solve(_side_program(p, side))
     feas = solver.feasibility(posed[f"feasible-{_OTHER[side]}"])
+    res = solver.solve(replace(_side_program(p, side), start=(sl.witness, feas.witness)))
     detail = f"other side feasibility {feas.verdict}, side solve {res.status}"
     if feas.verdict == "Yes" and res.status == "Optimal":
         return solver.Verdict("Finite", witness=feas.witness, value=res.pobj, detail=detail)
@@ -605,6 +608,14 @@ def strong_duality_report(p: program.ConicProgram,
     other side empty, so its pobj = +inf (a mirrored solve's dobj = -inf)
     stands only where the primal (dual) is known to be feasible, and is nan
     otherwise.
+
+    The primal solve starts from the Slater points of `feasible-primal` and
+    `feasible-dual`, each where that verdict is Yes (`solver.solve`'s
+    start); they bound its value, <c, x> <= value <= <b, y>.  The start
+    moves only the solve's first iterate, so it changes no row, and the
+    values only within the solver's tolerance.  The mirrored solve starts
+    cold: it runs only where the primal is empty or the dual is not known
+    to be feasible, so neither Slater point exists there.
     """
     ps = program.as_sup(p)
     posed = posed_systems(ps)
@@ -656,7 +667,11 @@ def strong_duality_report(p: program.ConicProgram,
     # side is -inf, an empty inf side +inf, and a feasible dual of an empty
     # primal is unbounded below (-inf)
     empty_p, empty_d = (feas[side].verdict == "No" for side in ("primal", "dual"))
-    pres = None if empty_p else solver.solve(ps, max_iter=max_iter)
+    # the Slater points start the primal solve where the report holds them
+    start = tuple(strict[f"feasible-{side}"].witness
+                  if strict[f"feasible-{side}"].verdict == "Yes" else None
+                  for side in ("primal", "dual"))
+    pres = None if empty_p else solver.solve(replace(ps, start=start), max_iter=max_iter)
     rep.pobj = -np.inf if empty_p else value(pres, feas_p)
     # otherwise the primal solve decides the dual value too, unless it ended
     # Unknown or its Farkas ray meets a dual not known to be feasible: an

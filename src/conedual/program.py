@@ -17,7 +17,7 @@ which makes dualization an involution on the representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -35,6 +35,12 @@ class ConicProgram:
     K: cones.Cone  # constraint cone, lives on A's codomain
     C: cones.Cone  # variable cone, lives on A's domain
     sense: str  # "sup" | "inf"
+    # where `solver.solve` starts, not data of the program: (x, y) with x a
+    # point of its feasible set and y one of its dual's, either None.
+    # `sup_form` keeps it, as it keeps both feasible sets; `dualize` drops it.
+    # It rides on the program so that solve, and every wrapper of it
+    # (perfbench/layers.py), keeps its signature
+    start: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))

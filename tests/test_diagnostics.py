@@ -580,13 +580,14 @@ RAY_ONLY = [
 
 def _report_value_solves(monkeypatch, p, **kw):
     """The report of the sup program p, and the sense of each solve it makes
-    for the optimal values: of p itself ("sup"), and of its dual ("inf"),
-    the only inf program a report solves; every posed system is solved as a
-    sup program over free variables."""
+    for the optimal values: of p itself ("sup"), started or not, and of its
+    dual ("inf"), the only inf program a report solves; every posed system
+    is solved as a sup program over free variables."""
     solve, senses = solver.solve, []
 
     def counted(q, *args, **kwargs):
-        if q is p or q.sense == "inf":
+        # a started copy of p (`dataclasses.replace`) shares its arrays
+        if q.A is p.A or q.sense == "inf":
             senses.append(q.sense)
         return solve(q, *args, **kwargs)
 
@@ -655,6 +656,68 @@ def test_report_reads_no_value_off_a_ray_alone(p, values):
     # from an emptiness certificate
     rep = diagnostics.strong_duality_report(p, max_iter=5000)
     np.testing.assert_array_equal([rep.pobj, rep.dobj, rep.gap], [*values, np.inf])
+
+
+def _started_and_cold(p, run):
+    """run() with the programs solved as they are, and with every start
+    dropped, each with the result of each solve of p's value, the primal
+    solve started or not, or the mirrored one: ((out, results), (out,
+    results)) for the sup program p."""
+    solve = solver.solve
+    out = []
+    for cold in (False, True):
+        results = []
+
+        def counted(q, *args, **kwargs):
+            if cold:
+                q = dataclasses.replace(q, start=None)
+            res = solve(q, *args, **kwargs)
+            # a started copy of p (`dataclasses.replace`) shares its arrays
+            if q.A is p.A or q.sense == "inf":
+                results.append(res)
+            return res
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "solve", counted)
+            out.append((run(), results))
+    return out
+
+
+def _assert_the_start_moves_only_the_values(p, budget=5000):
+    """The report of p with its primal solve started ends that solve with the
+    cold solve's status and values to 1e-6 (1 + |value|), and its rows are
+    bitwise those of the cold report, since no row reads the value solve."""
+    (rep, started), (ref, cold) = _started_and_cold(
+        p, lambda: diagnostics.strong_duality_report(p, max_iter=budget))
+    assert [r.status for r in started] == [r.status for r in cold]
+    for value, cold_value in ((rep.pobj, ref.pobj), (rep.dobj, ref.dobj)):
+        if np.isfinite(cold_value):
+            assert abs(value - cold_value) <= 1e-6 * (1 + abs(cold_value)), (value, cold_value)
+        else:
+            np.testing.assert_equal(value, cold_value)
+    assert diagnostics.jsonable(rep.entries) == diagnostics.jsonable(ref.entries)
+
+
+@PROPERTY
+@given(_small_programs())
+def test_started_value_solve_agrees_with_the_cold_one(p):
+    _assert_the_start_moves_only_the_values(p)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("population", [("mix", i) for i in range(len(MIXES))] +
+                         [("profile", name) for name in sorted(gallery.PROFILES)],
+                         ids=lambda pop: f"{pop[0]}-{pop[1]}")
+def test_started_solves_agree_with_the_cold_ones_on_the_populations(population, seed):
+    # the report's value solve, and finiteness_check's side solve, which
+    # starts from its Slater point and the other side's feasible point
+    kind, which = population
+    p = (gallery.planted_strong_duality(*MIXES[which], seed=seed) if kind == "mix"
+         else gallery.random_program(which, seed=seed))
+    _assert_the_start_moves_only_the_values(p)
+    for side in ("primal", "dual"):
+        (v, _), (ref, _) = _started_and_cold(p, lambda: diagnostics.finiteness_check(p, side))
+        assert (v.verdict, v.detail) == (ref.verdict, ref.detail), side
 
 
 @pytest.mark.parametrize("n", range(3, 9))

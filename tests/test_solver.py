@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -462,6 +463,84 @@ def test_solve_stops_at_iteration_one_when_the_start_solves_it():
     assert not res.x.any() and not res.y.any()
 
 
+def test_a_start_not_finite_in_the_embeddings_units_starts_cold():
+    # with |b| = |c| = 1e-300, x / |b| and y / |c| overflow for a start of
+    # norm 1e10; such a start, and one with no halves, is no start at all
+    p = gallery.planted_strong_duality([(cones.NONNEG, 4)], [(cones.NONNEG, 3)], seed=0)
+    p = dataclasses.replace(p, b=1e-300 * p.b, c=1e-300 * p.c)
+    ref = solver.solve(p)
+    assert ref.status == "Optimal"
+    big_x, big_y = np.full(4, 1e10), np.full(3, 1e10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is no warning either
+        for start in ((big_x, None), (None, big_y), (big_x, big_y), (None, None)):
+            res = solver.solve(dataclasses.replace(p, start=start))
+            np.testing.assert_equal(dataclasses.asdict(res), dataclasses.asdict(ref))
+
+
+@pytest.mark.parametrize("k", [1.0, 1e-3, 1e3])
+def test_a_start_is_mapped_into_the_embeddings_units(monkeypatch, k):
+    # the first linear solve's right-hand side is the first iterate u = (x /
+    # |b|, y^ / |c|, 1), with y^ = (y, A* y - c) on the rows of K x C; from
+    # the converged pair of a planted LP the first check ends the solve
+    p = gallery.planted_strong_duality([(cones.NONNEG, 4)], [(cones.NONNEG, 3)], seed=0)
+    p = dataclasses.replace(p, b=k * p.b)
+    ref = solver.solve(p)
+    assert ref.status == "Optimal" and ref.iterations > 1
+    assert ref.x.any() and ref.y.any()
+    started = dataclasses.replace(p, start=(ref.x, ref.y))
+    res, calls = _counted_solve(monkeypatch, started, solver._extrapolate)
+    assert (res.status, res.iterations) == ("Optimal", 1)
+    assert abs(res.pobj - ref.pobj) <= 1e-8 * (1 + abs(ref.pobj))
+    y_hat = np.concatenate([ref.y, p.A.matrix.T @ ref.y - p.c])
+    u = np.concatenate([ref.x / np.linalg.norm(p.b), y_hat / np.linalg.norm(p.c), [1.0]])
+    np.testing.assert_allclose(calls[0], u, rtol=1e-12, atol=1e-12)
+    # the inf program with p's feasible set and the polar mirror of p solve
+    # the same embedding from the same point: the inf form keeps x and y,
+    # the mirror negates both, as it negates its results
+    inf_form = dataclasses.replace(p, A=LinearMap(p.A.domain, p.A.codomain, -p.A.matrix),
+                                   b=-p.b, c=-p.c, sense="inf", start=(ref.x, ref.y))
+    polar = dataclasses.replace(p, b=-p.b, c=-p.c, K=cones.polar(p.K), C=cones.polar(p.C),
+                                start=(-ref.x, -ref.y))
+    for q in (inf_form, polar):
+        _, mirrored = _counted_solve(monkeypatch, q, solver._extrapolate)
+        assert [a.tobytes() for a in mirrored] == [a.tobytes() for a in calls]
+
+
+def test_report_starts_its_value_solve_from_the_slater_points(monkeypatch):
+    # both sides of free-ineq seed 0 are strictly feasible: from their
+    # Slater points the report's primal solve takes 2 iterations, 243 cold
+    p = gallery.random_program("free-ineq", seed=0)
+    assert solver.solve(p).iterations == 243
+    solves = _report_solves(monkeypatch, p)
+    assert [it for name, _, it in solves if name == "pair"] == [2]
+
+
+def test_finiteness_check_starts_its_side_solve(monkeypatch):
+    # on free-ineq seed 0, from its Slater point and the other side's
+    # feasible point, the primal side solve takes 2 iterations (243 cold)
+    # and the dual side's 1 (330 cold)
+    p = gallery.random_program("free-ineq", seed=0)
+    assert [solver.solve(diagnostics._side_program(p, side)).iterations
+            for side in ("primal", "dual")] == [243, 330]
+    solve, started, depth = solver.solve, [], [0]
+
+    def counted(q, *args, **kwargs):
+        depth[0] += 1
+        try:
+            res = solve(q, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+        if not depth[0] and q.start is not None:
+            started.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(solver, "solve", counted)
+    for side in ("primal", "dual"):
+        assert diagnostics.finiteness_check(p, side).verdict == "Finite"
+    assert started == [2, 1]
+
+
 def _simplex_lp():
     """sup x1 + 2 x2 over x >= 0, x1 + x2 <= 1: x = (0, 1), y = 2, and the
     embedding point w = u - v = (x / |b|, (y_K, y_C) / |c| - (s_K, s_C) / |b|,
@@ -762,9 +841,11 @@ def test_report_iteration_counts_are_pinned(monkeypatch):
     # sides of the pathology, the dual side of the planted pair) or else
     # where perspective-{other} is strictly feasible (the primal side of the
     # planted pair), and perspective-{side} where feasible-{side} is
-    # strictly feasible (both sides of the planted pair).
+    # strictly feasible (both sides of the planted pair).  The planted
+    # pair's primal solve starts from the Slater points of both sides; the
+    # pathology has none, and its solves start cold.
     for p, budget, count, total in ((gallery.example_adapted(3), 1200, 9, 140),
-                                    (planted, solver.MAX_ITER, 5, 577)):
+                                    (planted, solver.MAX_ITER, 5, 564)):
         posed = diagnostics.posed_systems(p)
         verdicts = {name: solver.strict_feasibility(s, max_iter=budget).verdict
                     for name, s in posed.items()}
