@@ -47,7 +47,11 @@ carries there; for a feasible y, u = Pi(w) = w and v = 0.  A missing half
 is 0, as in the cold start w = (0, 0, 1), and a start that is not finite in
 these units (x / |bt| overflows where |bt| is tiny) is dropped for the cold
 start.  The exit tests, tolerances, polish and certificates are those of a
-cold solve.  SCS's warm start (O'Donoghue et al. 2016) also sets v = (0,
+cold solve, and a started solve that ends Unknown is made again cold, whose
+result it returns with the iterations of both: a start can lead the
+splitting away from a certificate the cold solve finds (a value solve
+that ends Unbounded in 44 iterations cold ran out 5,000 from the Slater
+points).  SCS's warm start (O'Donoghue et al. 2016) also sets v = (0,
 s, 0), with s the primal slack of x.  From the two Slater points of
 `diagnostics.strong_duality_report` it saved more than v = 0 on the
 diagnose-gallery benchmark (4,830 iterations cold, 4,309 with v = 0, 4,165
@@ -96,6 +100,31 @@ pass, so a wrong guess costs its least-squares solves and nothing else: the
 iterates and every exit are those of the loop without it, and a polished
 certificate is held to the same tolerances.  Each distinct guess is tried
 once; c = 0 has no guess, so its projection is made at each check.
+
+When a live factor is SOC or PSD and c != 0, a check whose iterate has tau >
+1e-12 and fails the optimality test also polishes its pair (`_pair_polisher`),
+by the Newton step of primal-dual interior-point methods on the symmetrized
+complementarity y o s = 0 (the AHO direction, Alizadeh, Haeberly and Overton
+1998), which converges quadratically under strict complementarity.  From the
+check's (x, y, s), in the data's units, it takes Newton steps on F(x, y, s)
+= (At x + s - bt, At' y + ct, y o s), o the Jordan product of each live
+block (s itself on a Zero block, y_i s_i on Nonneg, the arrow product on
+SOC, svec(Y S + S Y) on PSD), while |F| at least halves and at most
+NEWTON_STEPS times, then clips y into dual(K') and s into K'.  That last
+point ends the solve only if it passes the optimality test and tolerances
+an iterate must pass; the steps between are not tested, as the first of them
+to pass lies only within the tolerance of the pair.  A step eliminates ds by
+the first equation and the multiplier of each row of x in C by its column's
+dual equation, and solves the rest, of order n plus the other live rows, by
+LU (least squares where it is singular).  A chain is tried only after as
+many iterations since the last one as cost the flops of its NEWTON_STEPS
+factorizations, (2/3) order^3 each over getrs' 2 nn^2 per iteration, and
+as the last one's iteration count: the chains' factorizations cost no more
+flops than the loop's solves, a solve of k iterations makes at most log2 k
++ 1 chains, and the factorizations' plan is made at the first.  On the
+diagnose-gallery benchmark the report's iterations fall from 4,309 to
+2,704, its Optimal value solves end at a gap of about 1e-16, and the
+splitting's iterates and every other exit are unchanged.
 
 An Unknown exit is one of two kinds, told apart by `certificate["kind"]`.  At
 the budget the certificate is empty.  At a fixed point it is "fixed_point":
@@ -151,7 +180,7 @@ from scipy.linalg import get_lapack_funcs
 from scipy.linalg import lu_solve  # noqa: F401
 
 from . import cones, program
-from .spaces import inner, real, space
+from .spaces import _svec_maps, inner, real, space
 
 TOL_FEAS = 1e-8
 TOL_GAP = 1e-8
@@ -203,9 +232,10 @@ class Verdict:
 
 def solve(p: program.ConicProgram, tol_feas: float = TOL_FEAS,
           tol_gap: float = TOL_GAP, max_iter: int = MAX_ITER) -> SolveResult:
-    """Solve a conic program, from p.start if it has one; inf programs are
-    handled by sign flips and polar views by their mirror image, each of
-    which maps the start as it maps the results back."""
+    """Solve a conic program, from p.start if it has one, and again cold
+    where the started solve ends Unknown; inf programs are handled by sign
+    flips and polar views by their mirror image, each of which maps the
+    start as it maps the results back."""
     if p.sense == "inf":
         res = solve(program.sup_form(p), tol_feas, tol_gap, max_iter)
         res.pobj, res.dobj = -res.pobj, -res.dobj
@@ -225,7 +255,13 @@ def solve(p: program.ConicProgram, tol_feas: float = TOL_FEAS,
             if isinstance(val, np.ndarray):
                 res.certificate[key] = -val
         return res
-    return _solve_sup(p, tol_feas, tol_gap, max_iter)
+    res = _solve_sup(p, tol_feas, tol_gap, max_iter)
+    if res.status == "Unknown" and p.start and any(h is not None for h in p.start):
+        # the cold solve may decide where the started one did not
+        cold = _solve_sup(replace(p, start=None), tol_feas, tol_gap, max_iter)
+        cold.iterations += res.iterations
+        return cold
+    return res
 
 
 @functools.lru_cache(maxsize=256)
@@ -233,36 +269,47 @@ def _embedding_plan(K: cones.Cone, C: cones.Cone):
     """The live rows of K x C, those of its non-Free factors, and the
     projection onto R^n x dual(live K x C) x R_+.
 
-    Returns (k_rows, c_cols, rows, project, zero): k_rows indexes the live
-    rows of K, c_cols the variables under a non-Free factor of C, rows the
-    live rows of K x C (c_cols shifted past K), project the planned
-    projector, and zero the mask of the Zero rows among the live rows when
+    Returns (k_rows, c_cols, rows, project, zero, curved): k_rows indexes
+    the live rows of K, c_cols the variables under a non-Free factor of C,
+    rows the live rows of K x C (c_cols shifted past K), project the planned
+    projector, zero the mask of the Zero rows among the live rows when
     every live factor is Zero or Nonneg (the embeddings `_polisher` acts
-    on), else None.  The arrays are read-only, as every solve over (K, C)
-    shares them."""
+    on), else None, and curved, when a live factor is SOC or PSD (the
+    embeddings `_pair_polisher` acts on), else None, the triple (blocks,
+    clip_s, clip_y): each live factor as (tag, start, stop, order) over the
+    live rows, and the projectors onto K' and dual(K').  The arrays are
+    read-only, as every solve over (K, C) shares them."""
     kc = cones.cone_product(K, C)  # refuses a polar view next to a plain cone
     live = [(tag, dual_tag, f, s) for tag, dual_tag, f, s in zip(
         kc.tags, cones.dual(kc).tags, kc.space.factors, kc.space.slices()) if tag != cones.FREE]
     rows = np.array([i for *_, s in live for i in range(s.start, s.stop)], dtype=np.intp)
     m = K.space.dim
     k_rows, c_cols = rows[rows < m], rows[rows >= m] - m
-    zero = None
+    zero = curved = None
     if all(tag in (cones.ZERO, cones.NONNEG) for tag, *_ in live):
         zero = np.array([tag == cones.ZERO for tag, _, f, _ in live for _ in range(f.dim)],
                         dtype=bool)
+    else:
+        blocks, start = [], 0
+        for tag, _, f, _ in live:
+            blocks.append((tag, start, start + f.dim, f.size))
+            start += f.dim
+        kl = space(*(f for _, _, f, _ in live))
+        curved = (tuple(blocks), cones.projector(cones.Cone(kl, tuple(t for t, *_ in live))),
+                  cones.projector(cones.Cone(kl, tuple(d for _, d, *_ in live))))
     for arr in (k_rows, c_cols, rows, zero):
         if arr is not None:
             arr.flags.writeable = False
     project = cones.projector(cones.Cone(
         space(real(C.space.dim), *(f for _, _, f, _ in live), real(1)),
         (cones.FREE, *(dual_tag for _, dual_tag, _, _ in live), cones.NONNEG)))
-    return k_rows, c_cols, rows, project, zero
+    return k_rows, c_cols, rows, project, zero, curved
 
 
 def _solve_sup(p, tol_feas, tol_gap, max_iter):
     n = p.A.domain.dim
     m = p.A.codomain.dim
-    k_rows, c_cols, rows, project, zero = _embedding_plan(p.K, p.C)
+    k_rows, c_cols, rows, project, zero, curved = _embedding_plan(p.K, p.C)
     # the equality form At x + s = bt, s in live K x C, over the live rows:
     # At = [A; -I] and bt = (b, 0) restricted to them
     mk = len(k_rows)
@@ -352,6 +399,15 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
             certificate=_infeas_certificate(p, _on_all_rows(rows, m + n, ycert), m))
 
     polish = None if zero is None else _polisher(at, bt, ct, zero)
+    pair_polish = None
+    if curved is not None and ct.any():
+        pair_polish, order = _pair_polisher(gesv, at, bt, ct, *curved)
+        # a chain factors at most NEWTON_STEPS matrices of that order, (2/3)
+        # order^3 flops each; it is tried only after as many iterations, each
+        # 2 nn^2 flops of getrs, as cost that much, and only once the
+        # iterations have doubled since the last one
+        chain_every = NEWTON_STEPS * order ** 3 / (3 * nn ** 2)
+        last_chain = 0
     best = {}  # the SolveResult fields of the check with the least gap so far
     for k in range(1, max_iter + 1):
         # the update below rebinds w and pw and writes only rows of the
@@ -404,6 +460,15 @@ def _solve_sup(p, tol_feas, tol_gap, max_iter):
                 best = {"x": xs, "y": _on_all_rows(rows, m + n, ys)[:m],
                         "pobj": float(-pval), "dobj": float(bt @ ys),
                         "gap": float(gap), "pres": float(pres), "dres": float(dres)}
+            # the pair polish: a candidate that ends the solve only if it
+            # passes the same test
+            if pair_polish is not None and k - last_chain >= max(chain_every, last_chain):
+                last_chain = k
+                pair = pair_polish(xs, ys, ss)
+                if pair is not None:
+                    done = optimal(*pair[:2], residuals(*pair), k)
+                    if done is not None:
+                        return done
         # infeasibility certificates live in the tau -> 0 regime
         yb = bt @ u[n:-1]
         if yb < -1e-12:
@@ -550,6 +615,171 @@ def _polisher(at, bt, ct, zero):
         return pair, ray
 
     return polish
+
+
+# Newton steps of one pair polish at most
+NEWTON_STEPS = 6
+
+
+def _pair_polisher(gesv, at, bt, ct, blocks, clip_s, clip_y):
+    """The pair polish of a solve with a live SOC or PSD factor and c != 0.
+
+    polish(x, y, s), for a check's pair in the data's units, takes Newton
+    steps on F(x, y, s) = (At x + s - bt, At' y + ct, y o s), where o is the
+    Jordan product of each live block of K' (`blocks`): s itself on a Zero
+    block, whose y is free, y_i s_i on a Nonneg one, the arrow product
+    Arw(s) y on an SOC one and svec(Y S + S Y) on a PSD one.  The steps go
+    on while |F| at least halves, NEWTON_STEPS of them at most.  It returns
+    the last point, with y clipped into dual(K') and s into K', or None when
+    the first step does not halve |F|.
+
+    The step is solved in (dx, dy_R), by LU, or by least squares where its
+    matrix is singular.  With D_y and D_s the derivatives of y o s in y and
+    in s (block diagonal), the first equation gives ds = -(At x + s - bt) -
+    At dx.  A row of At that is -e_j, one per column j (each row of x in C
+    is one), is eliminated by the dual equation of column j: its dy is
+    At[R, j]' dy_R + (At' y + ct)_j, R the rows not eliminated, so that dy
+    = L dy_R + q.  What is left is the dual equations of the other columns
+    and the rows of y o s:
+
+        At[R, j]' dy_R = -(At' y + ct)_j
+        -D_s At dx + D_y L dy_R = D_s (At x + s - bt) - y o s - D_y q
+
+    of order n + |R|, returned with polish.  The first rows are formed once,
+    at the first call; the rest are rewritten at each point at which F is
+    taken."""
+    mm, n = at.shape
+    single = np.flatnonzero(np.count_nonzero(at, axis=1) == 1)
+    col = np.argmax(at[single] != 0, axis=1)
+    neg = at[single, col] == -1.0
+    col, first = np.unique(col[neg], return_index=True)
+    elim = single[neg][first]
+    chain = functools.cache(
+        lambda: _newton_chain(gesv, at, bt, ct, blocks, elim, col, clip_s, clip_y))
+    return (lambda x, y, s: chain()(x, y, s)), n + mm - len(elim)
+
+
+def _newton_chain(gesv, at, bt, ct, blocks, elim, col, clip_s, clip_y):
+    """The polish of `_pair_polisher`, with elim the rows of At eliminated,
+    -e_j for the columns j in col."""
+    mm, n = at.shape
+    kept = np.setdiff1d(np.arange(mm), elim)
+    other = np.setdiff1d(np.arange(n), col)
+    lift = np.zeros((mm, len(kept)))  # L
+    lift[kept, np.arange(len(kept))] = 1.0
+    lift[elim] = at[kept][:, col].T
+    jac = np.zeros((n + len(kept), n + len(kept)))
+    jac[:len(other), n:] = at[kept][:, other].T
+    comp = jac[len(other):]  # the rows of y o s
+    cx, cy = comp[:, :n], comp[:, n:]
+    tags = np.array([tag for tag, start, stop, _ in blocks for _ in range(start, stop)])
+    # the rows of y o s: those of the Zero and Nonneg rows of At first, then
+    # each SOC and PSD block's
+    flat = np.flatnonzero((tags == cones.ZERO) | (tags == cones.NONNEG))
+    zero, neg_at, lift_flat = tags[flat] == cones.ZERO, -at[flat], lift[flat]
+    jordan_blocks, row = [], len(flat)
+    for tag, start, stop, order in blocks:
+        if tag in (cones.SOC, cones.PSD):
+            jordan_blocks.append((slice(start, stop), slice(row, row + stop - start),
+                                  _arrow if tag == cones.SOC else _lyapunov_plan(order),
+                                  _right_factor(-at[start:stop]),
+                                  _right_factor(lift[start:stop])))
+            row += stop - start
+
+    def residual(x, y, s):
+        """F at (x, y, s), q, and the step's right-hand side there; writes
+        the step's matrix there into jac."""
+        rp, fd = at @ x + s - bt, at.T @ y + ct
+        q = np.zeros(mm)
+        q[elim] = fd[col]
+        fc, rc = np.empty(mm), np.empty(mm)
+        # on a Zero row D_s = 1 and D_y = 0, on a Nonneg row D_s = y, D_y = s
+        yf, sf = y[flat], s[flat]
+        d_s, d_y = np.where(zero, 1.0, yf), np.where(zero, 0.0, sf)
+        fcf = np.multiply(d_s, sf, out=fc[:len(flat)])
+        rc[:len(flat)] = d_s * rp[flat] - fcf - d_y * q[flat]
+        np.multiply(d_s[:, None], neg_at, out=cx[:len(flat)])
+        np.multiply(d_y[:, None], lift_flat, out=cy[:len(flat)])
+        for r, c, jordan, (xcols, xmat), (ycols, ymat) in jordan_blocks:
+            d_s, d_y = jordan(y[r]), jordan(s[r])
+            fc[c] = d_y @ y[r]
+            rc[c] = d_s @ rp[r] - fc[c] - d_y @ q[r]
+            cx[c, xcols] = d_s if xmat is None else d_s @ xmat
+            cy[c, ycols] = d_y if ymat is None else d_y @ ymat
+        return np.concatenate([rp, fd, fc]), q, np.concatenate([-fd[other], rc])
+
+    def polish(x, y, s):
+        f, q, rhs = residual(x, y, s)
+        nf = _norm(f)
+        moved = False
+        for _ in range(NEWTON_STEPS):
+            _, _, step, info = gesv(jac, rhs)
+            if info:
+                step = _lstsq(jac, rhs)
+            dx = step[:n]
+            xn, yn, sn = x + dx, y + lift @ step[n:] + q, s - f[:mm] - at @ dx
+            fn, qn, rhsn = residual(xn, yn, sn)
+            nfn = _norm(fn)
+            if not nfn <= 0.5 * nf:
+                break
+            x, y, s, f, q, rhs, nf, moved = xn, yn, sn, fn, qn, rhsn, nfn, True
+        return (x, clip_y(y), clip_s(s)) if moved else None
+
+    return polish
+
+
+def _right_factor(mat):
+    """(cols, sub): d @ mat is d @ sub on the columns cols of mat that are
+    not 0, and 0 off them; sub is None where it is the identity."""
+    cols = np.flatnonzero(mat.any(axis=0))
+    sub = mat[:, cols]
+    if sub.shape[0] == sub.shape[1] and np.array_equal(sub, np.eye(len(sub))):
+        sub = None
+    return cols, sub
+
+
+def _arrow(v):
+    """Arw(v), the matrix of u -> v o u for the SOC block v = (v_bar, v_t),
+    axis last: v_t I with v_bar in the last column and the last row."""
+    k = len(v)
+    out = np.zeros((k, k))
+    out.flat[::k + 1] = v[-1]
+    out[:-1, -1] = out[-1, :-1] = v[:-1]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _lyapunov_plan(order):
+    """lyapunov(v), the matrix of svec(Y) -> svec(S Y + Y S) for S the
+    Sym(order) matrix with svec v, planned once per order.
+
+    With coordinate a the entry (i, j) of weight w_a, and Y = sum_b (y_b /
+    w_b) (E_pq + [p != q] E_qp) for coordinate b = (p, q), entry (a, b) is
+    w_a / w_b (S_ip [q = j] + [i = p] S_qj + [p != q] (S_iq [p = j] +
+    [i = q] S_pj)): four sparse terms, each a gather from S, summed into a
+    dense matrix by one bincount."""
+    rows, cols, weights = _svec_maps(order)
+    k = len(rows)
+    i, j, p, q = rows[:, None], cols[:, None], rows[None, :], cols[None, :]
+    off = p != q
+    ratio = weights[:, None] / weights[None, :]
+    pos, at_s, coef = [], [], []
+    for mask, entry in ((q == j, i * order + p), (i == p, q * order + j),
+                        (off & (p == j), i * order + q), (off & (i == q), p * order + j)):
+        a, b = np.nonzero(np.broadcast_to(mask, (k, k)))
+        pos.append(a * k + b)
+        at_s.append(np.broadcast_to(entry, (k, k))[a, b])
+        coef.append(ratio[a, b])
+    pos, at_s, coef = (np.concatenate(v) for v in (pos, at_s, coef))
+
+    def lyapunov(v):
+        vals = v / weights
+        mat = np.empty((order, order))
+        mat[rows, cols] = vals
+        mat[cols, rows] = vals
+        return np.bincount(pos, coef * mat.ravel()[at_s], minlength=k * k).reshape(k, k)
+
+    return lyapunov
 
 
 def _lstsq(a, r):
